@@ -15,7 +15,6 @@ from .analytic import (
     asymptotic_sinr,
     collision_event_probs,
     db_to_linear,
-    linear_to_db,
     p_k_other_roots,
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
@@ -52,12 +51,13 @@ from .simulate import (
     SweepResult,
     TrialOutcome,
     analytic_reference,
-    apply_overrides,
     build_received_pilot,
+    build_scenario,
     classify_tagged_collision,
     detect_data_symbol,
     mf_channel_estimate,
     mf_sinr,
+    no_closed_form_reason,
     run_campaign,
     run_forced_interference_trial,
     run_point,

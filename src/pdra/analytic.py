@@ -9,8 +9,18 @@ interferers, so
 
     P_MF = P_S * sum_{K=0..Kcap} P(K) * (p_e0(K) + p_e1(K))
 
-with all factors available in closed form.  Everything here is evaluated in
-the log domain to stay stable for large user counts.
+By the binomial theorem that sum is a difference of two binomial CDFs F
+(``scipy.special.bdtr``).  With n other UEs, o = (R-1)*N_PS other-root
+patterns, a = N_SS-2 same-root patterns sharing one given tagged shift and
+d = C(N_SS-2, 2) sharing neither,
+
+    P_MF = 2 (s1/N_P)^n F(Kcap; n, o/s1) - (s2/N_P)^n F(Kcap; n, o/s2)
+
+where s1 = o+a+d patterns leave a given tagged shift free and s2 = o+d
+leave both free (inclusion-exclusion over the two shifts).  Under binomial
+random activity the binomial generating function turns each term into the
+same form over all population-1 candidate UEs, so no formula here sums over
+K, over the active count, or over the shared-component count.
 """
 
 from __future__ import annotations
@@ -19,18 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom
+from scipy.special import bdtr, gammaln
 
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"need a positive linear value, got {x}")
-    return 10.0 * math.log10(x)
 
 
 def _ln_comb(n: int, k: int) -> float:
@@ -117,25 +120,18 @@ def p_k_other_roots(k: int, params: AnalyticParams) -> float:
     n_others = params.n_active - 1
     if not 0 <= k <= n_others:
         raise ValueError(f"k must lie in [0, {n_others}], got {k}")
-    return math.exp(_log_p_k_other_roots(k, params))
-
-
-def _log_p_k_other_roots(k: int, params: AnalyticParams) -> float:
-    n_others = params.n_active - 1
     n_ps = params.n_ps
     other_root = (params.r_roots - 1) * n_ps
     same_root = n_ps - 1
     total = params.r_roots * n_ps - 1
-    if n_others == 0:
-        return 0.0 if k == 0 else -math.inf
-    if other_root == 0:
-        return 0.0 if k == 0 else -math.inf
+    if n_others == 0 or other_root == 0:
+        return 1.0 if k == 0 else 0.0
     log_p = _ln_comb(n_others, k) - n_others * math.log(total)
     if k > 0:
         log_p += k * math.log(other_root)
     if n_others - k > 0:
         log_p += (n_others - k) * math.log(same_root)
-    return float(log_p)
+    return math.exp(float(log_p))
 
 
 def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventProbs:
@@ -146,7 +142,7 @@ def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventP
     and d = (n_ss - 2)(n_ss - 3)/2 subsets avoiding both tagged shifts:
 
         p_e0 = (d / (N_PS - 1))^n
-        p_e1 = 2 * sum_{T=1..n} C(n, T) a^T d^(n-T) / (N_PS - 1)^n
+        p_e1 = 2 * ((a + d)^n - d^n) / (N_PS - 1)^n
 
     The factor 2 counts which of the two tagged shifts stays collision-free.
     """
@@ -160,14 +156,12 @@ def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventP
     a = n_ss - 2
     d = (n_ss - 2) * (n_ss - 3) // 2
     n_ps = math.comb(n_ss, 2)
-    log_den = n * math.log(n_ps - 1)
-    p_e0 = math.exp(n * math.log(d) - log_den)
-    # d >= 1 whenever n_ss >= 4, so every term is finite in the log domain
-    terms = [
-        _ln_comb(n, t) + t * math.log(a) + (n - t) * math.log(d)
-        for t in range(1, n + 1)
-    ]
-    p_e1 = 2.0 * math.exp(float(logsumexp(terms)) - log_den)
+    p_e0 = math.exp(n * math.log(d) - n * math.log(n_ps - 1))
+    # binomial theorem: p_e1 = 2((a+d)^n - d^n)/(N_PS-1)^n; expm1 keeps the
+    # difference free of cancellation when d^n is close to (a+d)^n
+    p_e1 = -2.0 * math.exp(n * math.log((a + d) / (n_ps - 1))) * math.expm1(
+        n * math.log1p(-a / (a + d))
+    )
     return CollisionEventProbs(p_e0=p_e0, p_e1=min(p_e1, 1.0 - p_e0))
 
 
@@ -196,26 +190,50 @@ def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
     else:
         raise ValueError(f"asymptotic SINR cap defined only for l in {{1, 2}}, got l={l}")
     cap = int(math.floor(limit))
-    # guard the floating-point boundary: equality 4*K*alpha = N_ZC is admissible
-    while step * (cap + 1) * alpha_th <= n_zc:
+    # guard the floating-point boundary: equality 4*K*alpha = N_ZC is admissible;
+    # the rounded quotient is off by at most one from the exact product test
+    if step * (cap + 1) * alpha_th <= n_zc:
         cap += 1
-    while cap > 0 and step * cap * alpha_th > n_zc:
+    elif cap > 0 and step * cap * alpha_th > n_zc:
         cap -= 1
     return cap
 
 
+def _success_probability(
+    params: AnalyticParams, scheme: str, p_a: float, n_others: int
+) -> float:
+    """Success probability against n_others candidate UEs, each active w.p. p_a.
+
+    An active candidate draws one of the N_P patterns uniformly.  Term j of
+    the inclusion-exclusion over the tagged components is c_j times the
+    probability that every candidate is inactive or lands in a set S_j of
+    harmless patterns, with at most Kcap of them on other roots.  Per
+    candidate that first event has probability x_j = 1 - p_a(N_P - |S_j|)/N_P
+    and, given it, a candidate sits on another root with probability
+    p_a*o/(N_P*x_j), so term j is c_j * x_j^n * F(Kcap; n, p_a*o/(N_P*x_j)).
+    Fixed activity is p_a = 1; then x_j^n carries P_S.
+    """
+    if scheme == "pdra":
+        n_p = params.n_p
+        o = (params.r_roots - 1) * params.n_ps
+        a = params.n_ss - 2
+        d = math.comb(params.n_ss - 2, 2)
+        coef, sizes = np.array([2.0, -1.0]), np.array([o + a + d, o + d])
+        l = 2
+    else:
+        n_p = params.r_roots * params.n_ss
+        o = (params.r_roots - 1) * params.n_ss
+        coef, sizes = np.array([1.0]), np.array([n_p - 1])
+        l = 1
+    k_cap = sinr_limited_k_cap(params.n_zc, params.alpha_th, l=l)
+    log_x = np.log1p(-p_a * (n_p - sizes) / n_p)
+    cdf = bdtr(min(k_cap, n_others), n_others, p_a * o / n_p / np.exp(log_x))
+    return float(coef @ (np.exp(n_others * log_x) * cdf))
+
+
 def success_probability_pdra(params: AnalyticParams) -> float:
     """Closed-form matched-filter success probability for two-component patterns."""
-    n_others = params.n_active - 1
-    k_cap = min(sinr_limited_k_cap(params.n_zc, params.alpha_th, l=2), n_others)
-    bracket = 0.0
-    for k in range(k_cap + 1):
-        log_pk = _log_p_k_other_roots(k, params)
-        if log_pk == -math.inf:
-            continue
-        ev = collision_event_probs(n_others - k, params.n_ss)
-        bracket += math.exp(log_pk) * (ev.p_e0 + ev.p_e1)
-    return p_no_pattern_collision(params.n_active, params.n_p) * bracket
+    return _success_probability(params, "pdra", 1.0, params.n_active - 1)
 
 
 def success_probability_conventional(params: AnalyticParams) -> float:
@@ -223,30 +241,10 @@ def success_probability_conventional(params: AnalyticParams) -> float:
 
     Each UE draws one of R*N_SS plain cyclic shifts.  Non-identical pilots
     never partially collide, so the event bracket is 1 and only the exact
-    collision term and the other-root SINR cap remain.
+    collision term and the other-root SINR cap remain:
+    P_S * F(Kcap; n, o/(R*N_SS - 1)) with o = (R-1)*N_SS.
     """
-    n_others = params.n_active - 1
-    pool = params.r_roots * params.n_ss
-    p_s = p_no_pattern_collision(params.n_active, pool)
-    k_cap = min(sinr_limited_k_cap(params.n_zc, params.alpha_th, l=1), n_others)
-    other_root = (params.r_roots - 1) * params.n_ss
-    same_root = params.n_ss - 1
-    total = pool - 1
-    bracket = 0.0
-    for k in range(k_cap + 1):
-        if n_others == 0:
-            bracket += 1.0 if k == 0 else 0.0
-            continue
-        if other_root == 0:
-            bracket += 1.0 if k == 0 else 0.0
-            continue
-        log_p = _ln_comb(n_others, k) - n_others * math.log(total)
-        if k > 0:
-            log_p += k * math.log(other_root)
-        if n_others - k > 0:
-            log_p += (n_others - k) * math.log(same_root)
-        bracket += math.exp(log_p)
-    return p_s * bracket
+    return _success_probability(params, "conventional", 1.0, params.n_active - 1)
 
 
 def success_probability_random_activity(
@@ -255,43 +253,17 @@ def success_probability_random_activity(
     params: AnalyticParams,
     scheme: str = "pdra",
 ) -> float:
-    """Mixture of the fixed-N model over binomial random activity.
+    """Fixed-N model averaged over binomial random activity, in closed form.
 
     The tagged UE is active by construction; the other population - 1 UEs
-    are active independently with probability p_a.  The binomial tail is
-    truncated once the discarded mass falls below 1e-12.
+    are active independently with probability p_a.  The average over the
+    active count is exact (binomial generating function), with no truncation.
+    params.n_active is ignored.
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
-    if scheme == "pdra":
-        fixed_n = success_probability_pdra
-    elif scheme == "conventional":
-        fixed_n = success_probability_conventional
-    else:
+    if scheme not in ("pdra", "conventional"):
         raise ValueError(f"scheme must be 'pdra' or 'conventional', got {scheme!r}")
-
-    n_others_max = population - 1
-    dist = binom(n_others_max, p_a)
-    lo = int(dist.ppf(1e-13)) if n_others_max > 0 else 0
-    hi = int(dist.ppf(1.0 - 1e-13)) if n_others_max > 0 else 0
-    # widen until the kept mass provably leaves < 1e-12 outside
-    while lo > 0 and dist.cdf(lo - 1) > 0.5e-12:
-        lo -= 1
-    while hi < n_others_max and dist.sf(hi) > 0.5e-12:
-        hi += 1
-    total = 0.0
-    for n_others in range(lo, hi + 1):
-        w = float(dist.pmf(n_others))
-        if w == 0.0:
-            continue
-        point = AnalyticParams(
-            n_active=n_others + 1,
-            r_roots=params.r_roots,
-            n_ss=params.n_ss,
-            n_zc=params.n_zc,
-            alpha_th=params.alpha_th,
-        )
-        total += w * fixed_n(point)
-    return total
+    return _success_probability(params, scheme, p_a, population - 1)

@@ -29,14 +29,13 @@ from .analytic import (
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
 )
-from .geometry import CellLayout, ChannelModelSpec, drop_ue
-from .pool import build_pool
+from .geometry import CellLayout, drop_ue
 from .simulate import (
-    FixedActivity,
-    RandomActivity,
     ScenarioConfig,
     SweepResult,
     analytic_reference,
+    build_scenario,
+    no_closed_form_reason,
     run_campaign,
 )
 
@@ -258,32 +257,13 @@ def expand_grid(spec: ExperimentSpec) -> list[dict]:
     return points
 
 
-def _base_config(spec: ExperimentSpec, point: dict) -> ScenarioConfig:
-    """Materialize one grid point as a full simulation scenario."""
-    if "n_active" in point:
-        activity = FixedActivity(point["n_active"])
-    else:
-        activity = RandomActivity(point["population"], point["p_a"])
-    return ScenarioConfig(
-        m_antennas=point["m_antennas"],
-        activity=activity,
-        pool=build_pool(spec.n_zc, n_roots=point["r_roots"],
-                        n_ss=point["n_ss"], l=point["l"]),
-        channel=ChannelModelSpec(
-            kind=point["channel_kind"],
-            m_antennas=point["m_antennas"],
-            rho=point["rho"],
-        ),
-        snr_db=point["snr_db"],
-        alpha_th_db=point["alpha_th_db"],
-        n_zc=spec.n_zc,
-        trials=spec.trials,
-        master_seed=spec.master_seed,
-    )
+def _point_error(
+    spec: ExperimentSpec, point: dict
+) -> tuple[ScenarioConfig | None, str | None]:
+    """Build one grid point: (scenario, None), or (None, error) when it cannot run.
 
-
-def _point_error(spec: ExperimentSpec, point: dict) -> str | None:
-    """Validation error for one grid point, or None when it can run."""
+    The collision metric needs no scenario, only a nonempty pattern pool.
+    """
     try:
         if spec.metric == "collision":
             n_p = point["r_roots"] * math.comb(point["n_ss"], point["l"])
@@ -291,14 +271,15 @@ def _point_error(spec: ExperimentSpec, point: dict) -> str | None:
                 raise ValueError(
                     f"empty pattern pool for n_ss={point['n_ss']}, l={point['l']}"
                 )
-        else:
-            _base_config(spec, point)
-        return None
+            return None, None
+        return build_scenario(point, spec.n_zc, spec.trials, spec.master_seed), None
     except ValueError as exc:
-        return str(exc)
+        return None, str(exc)
 
 
-def _analytic_value(spec: ExperimentSpec, point: dict) -> tuple[float | None, str]:
+def _analytic_value(
+    spec: ExperimentSpec, point: dict, config: ScenarioConfig | None
+) -> tuple[float | None, str]:
     """Closed-form column for one point, with a note naming its flavor."""
     if spec.metric == "collision":
         n_p = point["r_roots"] * math.comb(point["n_ss"], point["l"])
@@ -308,9 +289,10 @@ def _analytic_value(spec: ExperimentSpec, point: dict) -> tuple[float | None, st
             p_no_pattern_collision_binomial(point["p_a"], point["population"], n_p),
             "collision-free-only",
         )
-    value = analytic_reference(_base_config(spec, point))
-    note = "single-sequence-baseline" if point["l"] == 1 else ""
-    return value, note
+    value = analytic_reference(config)
+    if value is None:
+        return None, f"no-closed-form: {no_closed_form_reason(config)}"
+    return value, "single-sequence-baseline" if point["l"] == 1 else ""
 
 
 def _fmt(value) -> str:
@@ -325,24 +307,24 @@ def _fmt(value) -> str:
 def _result_rows(
     spec: ExperimentSpec,
     points: list[dict],
-    errors: list[str | None],
-    sim_results: list[SweepResult] | None,
+    built: list[tuple[ScenarioConfig | None, str | None]],
+    sim_results: dict[int, SweepResult] | None,
 ) -> list[dict]:
     rows = []
-    for idx, point in enumerate(points):
+    for idx, (point, (config, error)) in enumerate(zip(points, built)):
         row = {col: "" for col in CSV_COLUMNS}
         row.update({k: _fmt(v) for k, v in point.items()})
         row["alpha_th_linear"] = _fmt(db_to_linear(point["alpha_th_db"]))
         row["snr_linear"] = _fmt(db_to_linear(point["snr_db"]))
         row["seed"] = str(spec.master_seed)
         row["trials"] = "0"
-        if errors[idx] is not None:
-            row["status"] = f"error: {errors[idx]}"
+        if error is not None:
+            row["status"] = f"error: {error}"
             rows.append(row)
             continue
         status = "ok"
         if spec.mode in ("analytic", "both"):
-            value, note = _analytic_value(spec, point)
+            value, note = _analytic_value(spec, point, config)
             row["p_success_analytic"] = _fmt(value)
             row["analytic_note"] = note
         if sim_results is not None:
@@ -387,20 +369,17 @@ def write_sidecar(csv_path: str, spec: ExperimentSpec, n_points: int) -> str:
 def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     """Expand, evaluate, and export one sweep; returns the process exit code."""
     points = expand_grid(spec)
-    errors = [_point_error(spec, p) for p in points]
+    built = [_point_error(spec, p) for p in points]
+    # keyed by grid index: the index is the point's RNG substream id
+    configs = {idx: cfg for idx, (cfg, _) in enumerate(built) if cfg is not None}
     sim_results = None
-    if spec.mode in ("simulate", "both"):
-        base = next(
-            (_base_config(spec, p) for p, e in zip(points, errors) if e is None),
-            None,
+    if spec.mode in ("simulate", "both") and configs:
+        echo(
+            f"running {len(points)} grid points x {spec.trials} trials "
+            f"(seed={spec.master_seed}, threads={spec.threads})"
         )
-        if base is not None:
-            echo(
-                f"running {len(points)} grid points x {spec.trials} trials "
-                f"(seed={spec.master_seed}, threads={spec.threads})"
-            )
-            sim_results = run_campaign(base, points, threads=spec.threads)
-    rows = _result_rows(spec, points, errors, sim_results)
+        sim_results = run_campaign(configs, threads=spec.threads)
+    rows = _result_rows(spec, points, built, sim_results)
     write_csv(spec.out, rows, CSV_COLUMNS)
     sidecar = write_sidecar(spec.out, spec, len(points))
     failed = [r for r in rows if r["status"] != "ok"]

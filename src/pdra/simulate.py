@@ -14,14 +14,19 @@ g = sqrt(P) sum_n coef_n h_n + w directly, with coef_n the exact pilot
 cross-correlations and w ~ CN(0, I).  This is an algebraic identity, not an
 approximation; build_received_pilot realizes the full M x N_ZC block for
 validation and exploratory use.
+
+build_scenario turns one grid point into a ScenarioConfig.  run_campaign only
+simulates: it takes scenarios keyed by grid index (the point id of their
+substreams) and returns success counts with Wilson intervals.  The closed-form
+value of a scenario is a separate call, analytic_reference.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Union
 
 import numpy as np
@@ -122,14 +127,43 @@ class TrialOutcome:
             assert self.tagged_event in (EVENT_E0, EVENT_E1)
 
 
+def build_scenario(
+    point: dict, n_zc: int, trials: int, master_seed: int
+) -> ScenarioConfig:
+    """Scenario of one full grid point, as bench.expand_grid yields it.
+
+    The point sets n_ss, l, r_roots, m_antennas, rho, channel_kind,
+    alpha_th_db, snr_db and either n_active (fixed activity) or p_a with
+    population (random activity).
+    """
+    if "n_active" in point:
+        activity = FixedActivity(point["n_active"])
+    else:
+        activity = RandomActivity(point["population"], point["p_a"])
+    return ScenarioConfig(
+        m_antennas=point["m_antennas"],
+        activity=activity,
+        pool=build_pool(n_zc, n_roots=point["r_roots"],
+                        n_ss=point["n_ss"], l=point["l"]),
+        channel=ChannelModelSpec(
+            kind=point["channel_kind"],
+            m_antennas=point["m_antennas"],
+            rho=point["rho"],
+        ),
+        snr_db=point["snr_db"],
+        alpha_th_db=point["alpha_th_db"],
+        n_zc=n_zc,
+        trials=trials,
+        master_seed=master_seed,
+    )
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Aggregated outcome of one grid point."""
+    """Monte-Carlo outcome of one grid point."""
 
-    params: dict
     empirical_p_success: float
     wilson_ci_95: tuple[float, float]
-    analytic_p_success: float | None
     trials_used: int
     status: str = "ok"
 
@@ -453,29 +487,36 @@ def _uniform_shifts(pool: PilotPool, rng: np.random.Generator) -> tuple[int, ...
     return unrank_combination(int(rng.integers(0, pool.n_ps)), pool.n_ss, pool.l)
 
 
+def no_closed_form_reason(config: ScenarioConfig) -> str | None:
+    """Why the closed-form model does not cover this scenario; None if it does."""
+    if config.pool.l not in (1, 2):
+        return f"l={config.pool.l}"
+    if config.pool.n_ss < 4:
+        return "n_ss<4"
+    return None
+
+
 def analytic_reference(config: ScenarioConfig) -> float | None:
     """Closed-form success probability for this scenario, when one exists."""
-    if config.pool.l not in (1, 2):
+    if no_closed_form_reason(config) is not None:
         return None
-    scheme = "pdra" if config.pool.l == 2 else "conventional"
-    try:
-        base = AnalyticParams(
-            n_active=1,
-            r_roots=len(config.pool.roots),
-            n_ss=config.pool.n_ss,
-            n_zc=config.n_zc,
-            alpha_th=db_to_linear(config.alpha_th_db),
-        )
-    except ValueError:
-        return None
-    if isinstance(config.activity, FixedActivity):
-        params = replace(base, n_active=config.activity.n_active)
-        if scheme == "pdra":
-            return success_probability_pdra(params)
-        return success_probability_conventional(params)
-    return success_probability_random_activity(
-        config.activity.p_a, config.activity.population, base, scheme=scheme
+    activity = config.activity
+    fixed = isinstance(activity, FixedActivity)
+    params = AnalyticParams(
+        n_active=activity.n_active if fixed else 1,
+        r_roots=len(config.pool.roots),
+        n_ss=config.pool.n_ss,
+        n_zc=config.n_zc,
+        alpha_th=db_to_linear(config.alpha_th_db),
     )
+    scheme = "pdra" if config.pool.l == 2 else "conventional"
+    if not fixed:
+        return success_probability_random_activity(
+            activity.p_a, activity.population, params, scheme=scheme
+        )
+    if scheme == "pdra":
+        return success_probability_pdra(params)
+    return success_probability_conventional(params)
 
 
 def run_point(config: ScenarioConfig, point_id: int = 0) -> tuple[int, int]:
@@ -487,145 +528,29 @@ def run_point(config: ScenarioConfig, point_id: int = 0) -> tuple[int, int]:
     return successes, config.trials
 
 
-def apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    """Grid-point variation of a base scenario.
-
-    Pool-defining keys (r_roots, n_ss, l, n_zc) rebuild the pilot pool;
-    activity keys (n_active | population, p_a) replace the activity model;
-    channel keys (channel_kind, rho, m_antennas) rebuild the channel spec.
-    """
-    known = {
-        "m_antennas", "snr_db", "alpha_th_db", "trials", "master_seed", "n_zc",
-        "r_roots", "n_ss", "l", "n_active", "population", "p_a",
-        "channel_kind", "rho",
-    }
-    unknown = set(overrides) - known
-    if unknown:
-        raise ValueError(f"unknown override keys: {sorted(unknown)}")
-
-    n_zc = int(overrides.get("n_zc", config.n_zc))
-    pool = config.pool
-    if {"r_roots", "n_ss", "l", "n_zc"} & set(overrides):
-        pool = build_pool(
-            n_zc,
-            n_roots=int(overrides.get("r_roots", len(config.pool.roots))),
-            n_ss=int(overrides.get("n_ss", config.pool.n_ss)),
-            l=int(overrides.get("l", config.pool.l)),
-        )
-
-    activity = config.activity
-    if "n_active" in overrides:
-        if {"population", "p_a"} & set(overrides):
-            raise ValueError("fixed n_active and random activity are mutually exclusive")
-        activity = FixedActivity(int(overrides["n_active"]))
-    elif {"population", "p_a"} & set(overrides):
-        base_pop = (
-            config.activity.population
-            if isinstance(config.activity, RandomActivity)
-            else 10_000
-        )
-        base_pa = (
-            config.activity.p_a if isinstance(config.activity, RandomActivity) else 0.0
-        )
-        activity = RandomActivity(
-            population=int(overrides.get("population", base_pop)),
-            p_a=float(overrides.get("p_a", base_pa)),
-        )
-
-    m = int(overrides.get("m_antennas", config.m_antennas))
-    channel = ChannelModelSpec(
-        kind=str(overrides.get("channel_kind", config.channel.kind)),
-        m_antennas=m,
-        rho=float(overrides.get("rho", config.channel.rho)),
-    )
-
-    return replace(
-        config,
-        m_antennas=m,
-        activity=activity,
-        pool=pool,
-        channel=channel,
-        snr_db=float(overrides.get("snr_db", config.snr_db)),
-        alpha_th_db=float(overrides.get("alpha_th_db", config.alpha_th_db)),
-        n_zc=n_zc,
-        trials=int(overrides.get("trials", config.trials)),
-        master_seed=int(overrides.get("master_seed", config.master_seed)),
-    )
-
-
-def _point_worker(args: tuple[ScenarioConfig, int]) -> tuple[int, int]:
-    config, point_id = args
-    return run_point(config, point_id)
+def _sweep_result(counts) -> SweepResult:
+    """Aggregate counts() = (successes, trials); an exception it raises isolates."""
+    try:
+        successes, trials = counts()
+    except Exception as exc:
+        return SweepResult(math.nan, (math.nan, math.nan), 0, f"error: {exc}")
+    return SweepResult(successes / trials, wilson_interval(successes, trials), trials)
 
 
 def run_campaign(
-    config: ScenarioConfig,
-    grid: list[dict],
-    threads: int = 1,
-) -> list[SweepResult]:
-    """Run every grid point (base config + overrides); failures isolate."""
-    points: list[tuple[int, dict, ScenarioConfig | None, str]] = []
-    for point_id, overrides in enumerate(grid):
-        try:
-            points.append((point_id, overrides, apply_overrides(config, overrides), ""))
-        except (ValueError, TypeError) as exc:
-            points.append((point_id, overrides, None, str(exc)))
+    configs: dict[int, ScenarioConfig], threads: int = 1
+) -> dict[int, SweepResult]:
+    """Simulate every scenario, keyed by its grid index, which is its point id.
 
-    counts: dict[int, tuple[int, int] | str] = {}
-    runnable = [(pid, cfg) for pid, _, cfg, _ in points if cfg is not None]
-    if threads > 1 and len(runnable) > 1:
+    Points run in worker processes when threads > 1; a point whose run or
+    worker fails gets an error status instead of stopping the campaign.
+    """
+    if threads > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool_exec:
             futures = {
-                pid: pool_exec.submit(_point_worker, (cfg, pid)) for pid, cfg in runnable
+                pid: pool_exec.submit(run_point, cfg, pid) for pid, cfg in configs.items()
             }
-            for pid, fut in futures.items():
-                try:
-                    counts[pid] = fut.result()
-                except Exception as exc:  # pragma: no cover - worker crash path
-                    counts[pid] = str(exc)
-    else:
-        for pid, cfg in runnable:
-            try:
-                counts[pid] = run_point(cfg, pid)
-            except Exception as exc:
-                counts[pid] = str(exc)
-
-    results = []
-    for point_id, overrides, cfg, build_error in points:
-        if cfg is None:
-            results.append(
-                SweepResult(
-                    params=dict(overrides),
-                    empirical_p_success=math.nan,
-                    wilson_ci_95=(math.nan, math.nan),
-                    analytic_p_success=None,
-                    trials_used=0,
-                    status=f"error: {build_error}",
-                )
-            )
-            continue
-        outcome = counts[point_id]
-        if isinstance(outcome, str):
-            results.append(
-                SweepResult(
-                    params=dict(overrides),
-                    empirical_p_success=math.nan,
-                    wilson_ci_95=(math.nan, math.nan),
-                    analytic_p_success=None,
-                    trials_used=0,
-                    status=f"error: {outcome}",
-                )
-            )
-            continue
-        successes, trials = outcome
-        results.append(
-            SweepResult(
-                params=dict(overrides),
-                empirical_p_success=successes / trials,
-                wilson_ci_95=wilson_interval(successes, trials),
-                analytic_p_success=analytic_reference(cfg),
-                trials_used=trials,
-                status="ok",
-            )
-        )
-    return results
+            return {pid: _sweep_result(fut.result) for pid, fut in futures.items()}
+    return {
+        pid: _sweep_result(partial(run_point, cfg, pid)) for pid, cfg in configs.items()
+    }

@@ -20,15 +20,12 @@ from pdra.analytic import (
     p_k_other_roots,
     p_no_pattern_collision,
 )
-from pdra.geometry import ChannelModelSpec
 from pdra.pool import build_pool, expansion_factor, rank_combination, unrank_combination
 from pdra.simulate import (
-    FixedActivity,
-    RandomActivity,
     ScenarioConfig,
     _PatternCorrelator,
     analytic_reference,
-    apply_overrides,
+    build_scenario,
     run_campaign,
     run_forced_interference_trial,
     run_point,
@@ -53,22 +50,16 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def fixed_scenario(**overrides) -> ScenarioConfig:
-    fields = dict(
-        m_antennas=128,
-        activity=FixedActivity(10),
-        pool=build_pool(N_ZC, n_roots=1, n_ss=32, l=2),
-        snr_db=-12.0,
-        alpha_th_db=5.0,
-        n_zc=N_ZC,
-        trials=30_000,
-        master_seed=101,
+def grid_scenario(trials: int, master_seed: int, **fields) -> ScenarioConfig:
+    """Scenario of one grid point: i.i.d. channels, M=128, N_SS=32, L=2, R=1,
+    SNR -12 dB and a 5 dB threshold unless fields say otherwise; fields must
+    set the activity (n_active, or p_a with population)."""
+    point = dict(
+        n_ss=32, l=2, r_roots=1, m_antennas=128, rho=0.0, channel_kind="iid",
+        alpha_th_db=5.0, snr_db=-12.0,
     )
-    fields.update(overrides)
-    fields.setdefault(
-        "channel", ChannelModelSpec(kind="iid", m_antennas=fields["m_antennas"])
-    )
-    return ScenarioConfig(**fields)
+    point.update(fields)
+    return build_scenario(point, N_ZC, trials, master_seed)
 
 
 def test_criterion_01_zc_property_suite():
@@ -147,7 +138,6 @@ def test_criterion_04_probability_normalization():
 
 
 def test_criterion_05_fixed_activity_reproduction():
-    base = fixed_scenario()
     wins = 0
     all_within = True
     details = []
@@ -155,7 +145,7 @@ def test_criterion_05_fixed_activity_reproduction():
     for r in (1, 2, 3, 4):
         devs = {}
         for m in (128, 512):
-            cfg = apply_overrides(base, {"r_roots": r, "m_antennas": m})
+            cfg = grid_scenario(30_000, 101, n_active=10, r_roots=r, m_antennas=m)
             s, n = run_point(cfg, point_id=pid)
             pid += 1
             devs[m] = abs(s / n - analytic_reference(cfg))
@@ -169,12 +159,6 @@ def test_criterion_05_fixed_activity_reproduction():
 
 
 def test_criterion_06_random_activity_ordering():
-    base = fixed_scenario(
-        activity=RandomActivity(10_000, 0.001),
-        snr_db=-10.0,
-        trials=40_000,
-        master_seed=102,
-    )
     curves = {}
     pid = 100
     for label, n_ss, l, rs in (
@@ -183,7 +167,10 @@ def test_criterion_06_random_activity_ordering():
         ("conv64", 64, 1, (3, 4)),
     ):
         for r in rs:
-            cfg = apply_overrides(base, {"n_ss": n_ss, "l": l, "r_roots": r})
+            cfg = grid_scenario(
+                40_000, 102, p_a=0.001, population=10_000, snr_db=-10.0,
+                n_ss=n_ss, l=l, r_roots=r,
+            )
             s, n = run_point(cfg, point_id=pid)
             pid += 1
             curves[(label, r)] = (s / n, *wilson_interval(s, n))
@@ -229,20 +216,14 @@ def test_criterion_07_collision_free_curves():
 
 
 def test_criterion_08_spatial_correlation_degradation():
-    base = fixed_scenario(
-        activity=RandomActivity(10_000, 0.001),
-        snr_db=-12.0,
-        trials=15_000,
-        master_seed=103,
-    )
     rates = {}
     pid = 200
     for m in (128, 256):
         for r in (1, 2, 3, 4):
             for rho, kind in ((0.0, "iid"), (0.7, "correlated")):
-                cfg = apply_overrides(
-                    base,
-                    {"r_roots": r, "m_antennas": m, "rho": rho, "channel_kind": kind},
+                cfg = grid_scenario(
+                    15_000, 103, p_a=0.001, population=10_000,
+                    r_roots=r, m_antennas=m, rho=rho, channel_kind=kind,
                 )
                 s, n = run_point(cfg, point_id=pid)
                 pid += 1
@@ -309,9 +290,11 @@ def test_criterion_10_campaign_determinism(tmp_path):
     with open(spec_a.out, "rb") as fa, open(spec_b.out, "rb") as fb:
         bytes_equal = fa.read() == fb.read()
 
-    cfg = fixed_scenario(m_antennas=8, trials=100, master_seed=105)
-    grid = [{"r_roots": r} for r in (1, 2)]
-    rerun_equal = run_campaign(cfg, grid, threads=1) == run_campaign(cfg, grid, threads=2)
+    configs = {
+        pid: grid_scenario(100, 105, n_active=10, m_antennas=8, r_roots=r)
+        for pid, r in enumerate((1, 2))
+    }
+    rerun_equal = run_campaign(configs, threads=1) == run_campaign(configs, threads=2)
     verdict(10, "campaign determinism across reruns and threads",
             bytes_equal and rerun_equal,
             f"CSV bytes equal={bytes_equal}, in-process results equal={rerun_equal}")

@@ -138,6 +138,22 @@ def test_conventional_single_root_is_collision_bound():
     assert abs(success_probability_conventional(p) - expected) < 1e-14
 
 
+@pytest.mark.parametrize("k_cap", [0, 1, 3, 6, 9])
+@pytest.mark.parametrize("r_roots", [1, 2, 4])
+def test_conventional_matches_direct_sum(r_roots, k_cap):
+    # P_S * sum_{K <= Kcap} P(K), each term in plain floating point; n = 7 others
+    n, n_ss = 7, 8
+    alpha = 839.0 / (k_cap + 0.5)
+    others = r_roots * n_ss - 1
+    direct = sum(
+        math.comb(n, k) * ((r_roots - 1) * n_ss) ** k * (n_ss - 1) ** (n - k)
+        for k in range(min(k_cap, n) + 1)
+    ) / others**n * (1.0 - 1.0 / (r_roots * n_ss)) ** n
+    p = params(n_active=n + 1, r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
+    assert sinr_limited_k_cap(839, alpha, l=1) == k_cap
+    assert success_probability_conventional(p) == pytest.approx(direct, rel=1e-12)
+
+
 def test_success_probability_monotone_in_n_active():
     values = [success_probability_pdra(params(n_active=n)) for n in range(1, 60)]
     assert all(0.0 <= v <= 1.0 for v in values)
@@ -147,31 +163,67 @@ def test_success_probability_monotone_in_n_active():
 @pytest.mark.parametrize("r_roots", [1, 2, 3])
 @pytest.mark.parametrize("n_active", [2, 5, 10])
 def test_log_domain_matches_naive_small(r_roots, n_active):
+    # thresholds put Kcap at 66 and at n-2 .. n+1 for the n = n_active-1 others
+    caps = [k for k in range(n_active - 3, n_active + 1) if k >= 0]
+    alphas = [ALPHA_5DB] + [839.0 / (4 * k + 2) for k in caps]
     for n_ss in (5, 8, 14):
-        p = params(n_active=n_active, r_roots=r_roots, n_ss=n_ss)
-        got = success_probability_pdra(p)
-        want = naive_success_pdra(n_active, r_roots, n_ss, 839, ALPHA_5DB)
-        assert got == pytest.approx(want, rel=1e-10)
+        for alpha in alphas:
+            p = params(n_active=n_active, r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
+            got = success_probability_pdra(p)
+            want = naive_success_pdra(n_active, r_roots, n_ss, 839, alpha)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_random_activity_edges():
     assert success_probability_random_activity(0.0, 10000, params()) == 1.0
     assert success_probability_random_activity(0.5, 1, params()) == 1.0
+    # everyone active: the fixed-N model at N = population
+    for r_roots in (1, 3):
+        p = params(r_roots=r_roots)
+        fixed = params(n_active=40, r_roots=r_roots)
+        assert success_probability_random_activity(1.0, 40, p) == pytest.approx(
+            success_probability_pdra(fixed), rel=1e-14
+        )
+        assert success_probability_random_activity(
+            1.0, 40, p, scheme="conventional"
+        ) == pytest.approx(success_probability_conventional(fixed), rel=1e-14)
 
 
 def test_random_activity_matches_full_summation():
     import numpy as np
     from scipy.stats import binom
 
-    p = params()
-    got = success_probability_random_activity(0.001, 10000, p, scheme="pdra")
     weights = binom(9999, 0.001).pmf(np.arange(10000))
-    oracle = sum(
-        float(w) * success_probability_pdra(params(n_active=n + 1))
-        for n, w in enumerate(weights)
-        if w > 0.0
-    )
-    assert abs(got - oracle) < 1e-10
+    fixed_n = {"pdra": success_probability_pdra,
+               "conventional": success_probability_conventional}
+    # R=1 has no other-root patterns; 20 dB caps K at 2 (pdra) and 8 (baseline)
+    for scheme, r_roots, alpha in (("pdra", 2, ALPHA_5DB), ("pdra", 1, ALPHA_5DB),
+                                   ("pdra", 3, 100.0), ("conventional", 3, 100.0)):
+        p = params(r_roots=r_roots, alpha_th=alpha)
+        got = success_probability_random_activity(0.001, 10000, p, scheme=scheme)
+        oracle = sum(
+            float(w) * fixed_n[scheme](params(n_active=n + 1, r_roots=r_roots,
+                                              alpha_th=alpha))
+            for n, w in enumerate(weights)
+            if w > 0.0
+        )
+        assert abs(got - oracle) < 1e-10
+
+
+def test_import_does_not_load_scipy_stats():
+    import os
+    import subprocess
+    import sys
+
+    import pdra
+
+    src = os.path.dirname(os.path.dirname(pdra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, pdra; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_figure_orderings_analytic():

@@ -230,6 +230,62 @@ class TestRunExperiment:
         assert row["analytic_note"] == "collision-free-only"
 
 
+    @pytest.mark.parametrize(
+        "n_ss,l,blank,note",
+        [
+            (16, 2, False, ""),
+            (16, 1, False, "single-sequence-baseline"),
+            (3, 2, True, "no-closed-form: n_ss<4"),
+        ],
+    )
+    def test_analytic_note(self, tmp_path, n_ss, l, blank, note):
+        spec = tiny_spec(tmp_path, mode="analytic", n_ss=(n_ss,), l=(l,))
+        assert run_experiment(spec, echo=lambda *_: None) == 0
+        with open(spec.out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            assert row["status"] == "ok"
+            assert (row["p_success_analytic"] == "") == blank
+            assert row["analytic_note"] == note
+
+    @pytest.mark.parametrize("mode,per_ok_point", [("simulate", 0), ("both", 1)])
+    def test_analytic_reference_calls(self, tmp_path, monkeypatch, mode, per_ok_point):
+        import pdra.bench
+        import pdra.simulate
+
+        calls = []
+        for module in (pdra.bench, pdra.simulate):
+            real = module.analytic_reference
+
+            def counting(config, real=real):
+                calls.append(config)
+                return real(config)
+
+            monkeypatch.setattr(module, "analytic_reference", counting)
+        # two of the four points fail to build (no shift plan for n_ss=900)
+        spec = tiny_spec(tmp_path, mode=mode, n_ss=(16, 900), trials=5)
+        assert run_experiment(spec, echo=lambda *_: None) == 1
+        assert len(calls) == 2 * per_ok_point
+
+    def test_point_id_is_grid_index_after_bad_point(self, tmp_path):
+        from pdra.simulate import build_scenario, run_point
+
+        # grid indices 0 and 1 fail to build; the ok points are 2 and 3
+        spec = tiny_spec(tmp_path, mode="simulate", n_ss=(900, 16), m_antennas=(8,),
+                         snr_db=(10.0,), n_active=(6,), trials=200)
+        run_experiment(spec, echo=lambda *_: None)
+        with open(spec.out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        points = expand_grid(spec)
+        for idx in (2, 3):
+            assert rows[idx]["status"] == "ok"
+            cfg = build_scenario(points[idx], spec.n_zc, spec.trials, spec.master_seed)
+            s, n = run_point(cfg, point_id=idx)
+            assert rows[idx]["p_success_sim"] == f"{s / n:.10g}"
+            # at this seed the count depends on the point id, so the check has teeth
+            assert run_point(cfg, point_id=idx - 2) != (s, n)
+
+
 class TestMainCli:
     def test_ok_run_exits_zero(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"

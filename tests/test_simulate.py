@@ -18,8 +18,8 @@ from pdra.simulate import (
     ScenarioConfig,
     _PatternCorrelator,
     analytic_reference,
-    apply_overrides,
     build_received_pilot,
+    build_scenario,
     classify_tagged_collision,
     detect_data_symbol,
     mf_channel_estimate,
@@ -357,39 +357,46 @@ class TestForcedInterference:
 
 class TestCampaign:
     def test_thread_count_does_not_change_results(self):
-        cfg = small_config(trials=50)
-        grid = [{"r_roots": r} for r in (1, 2)]
-        seq = run_campaign(cfg, grid, threads=1)
-        par = run_campaign(cfg, grid, threads=2)
+        configs = {
+            pid: small_config(trials=50, pool=build_pool(N_ZC, n_roots=r, n_ss=16, l=2))
+            for pid, r in enumerate((1, 2))
+        }
+        seq = run_campaign(configs, threads=1)
+        par = run_campaign(configs, threads=2)
         assert seq == par
 
-    def test_bad_point_isolates(self):
+    def test_bad_point_isolates(self, monkeypatch):
+        import pdra.simulate as sim
+
+        real_run_point = sim.run_point
+
+        def failing_at_point_1(config, point_id=0):
+            if point_id == 1:
+                raise RuntimeError("point 1 broke")
+            return real_run_point(config, point_id)
+
+        monkeypatch.setattr(sim, "run_point", failing_at_point_1)
         cfg = small_config(trials=10)
-        grid = [{"r_roots": 1}, {"bogus_key": 3}, {"r_roots": 2}]
-        results = run_campaign(cfg, grid, threads=1)
+        results = run_campaign({0: cfg, 1: cfg, 2: cfg}, threads=1)
         assert results[0].status == "ok"
-        assert results[1].status.startswith("error:")
+        assert results[1].status == "error: point 1 broke"
         assert math.isnan(results[1].empirical_p_success)
         assert results[2].status == "ok"
 
-    def test_overrides_validate(self):
-        cfg = small_config()
-        with pytest.raises(ValueError):
-            apply_overrides(cfg, {"nonsense": 1})
-        with pytest.raises(ValueError):
-            apply_overrides(cfg, {"n_active": 5, "p_a": 0.1})
-
-    def test_override_rebuilds_pool_and_channel(self):
-        cfg = small_config()
-        new = apply_overrides(
-            cfg, {"n_ss": 32, "l": 1, "r_roots": 3, "m_antennas": 16,
-                  "rho": 0.5, "channel_kind": "correlated"}
-        )
+    def test_point_builds_pool_and_channel(self):
+        point = {
+            "n_ss": 32, "l": 1, "r_roots": 3, "m_antennas": 16, "rho": 0.5,
+            "channel_kind": "correlated", "alpha_th_db": 3.0, "snr_db": -4.0,
+            "p_a": 0.1, "population": 50,
+        }
+        new = build_scenario(point, N_ZC, trials=7, master_seed=3)
         assert new.pool.n_ss == 32 and new.pool.l == 1
         assert len(new.pool.roots) == 3
         assert new.channel.kind == "correlated"
         assert new.channel.m_antennas == 16
         assert new.m_antennas == 16
+        assert new.activity == RandomActivity(population=50, p_a=0.1)
+        assert (new.snr_db, new.alpha_th_db, new.trials, new.master_seed) == (-4.0, 3.0, 7, 3)
 
 
 class TestAnalyticReference:
