@@ -41,7 +41,6 @@ from .pool import (
     build_pool,
     expansion_factor,
     rank_combination,
-    sample_pattern,
     unrank_combination,
 )
 from .simulate import (

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky
 
 # urban micro mean-pathloss slopes
 PATHLOSS_EXPONENT = {"nlos": 3.8, "los": 2.5}
@@ -127,11 +126,16 @@ def correlation_matrix(m: int, rho: float, delta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _toeplitz_cholesky(m: int, rho: float) -> np.ndarray:
-    """Lower Cholesky factor of the real part rho^|j-i| (PD for rho < 1)."""
-    idx = np.arange(m)
-    t = rho ** np.abs(idx[None, :] - idx[:, None])
-    out = cholesky(t, lower=True)
+def _toeplitz_factor(m: int, rho: float) -> np.ndarray:
+    """Lower factor L of the real Toeplitz rho^|j-i|, with L L^T equal to it.
+
+    L[i, j] = rho^(i-j) for j <= i, columns j >= 1 scaled by sqrt(1 - rho^2):
+    the AR(1) filter x_0 = w_0, x_i = rho x_{i-1} + sqrt(1 - rho^2) w_i, which
+    is the Cholesky factor.  At rho = 0 it is exactly the identity.
+    """
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    out = np.tril(rho ** np.maximum(lag, 0))
+    out[:, 1:] *= math.sqrt(1.0 - rho * rho)
     out.setflags(write=False)
     return out
 
@@ -139,13 +143,27 @@ def _toeplitz_cholesky(m: int, rho: float) -> np.ndarray:
 def correlation_factor(m: int, rho: float, delta: float) -> np.ndarray:
     """Factor F with F F^H equal to correlation_matrix(m, rho, delta).
 
-    R = D* T D*^H with T the real exponential Toeplitz and D* = diag(e^{-j delta i}),
-    so F = D* chol(T) works and the Toeplitz factor is cached across angles.
+    R = D T D^H with T the real exponential Toeplitz and D = diag(e^{-j delta i}),
+    so F = D L with L the closed-form lower factor of T.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     phases = np.exp(-1j * delta * np.arange(m))
-    return phases[:, None] * _toeplitz_cholesky(m, rho)
+    return phases[:, None] * _toeplitz_factor(m, rho)
+
+
+def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
+    """CN(0, R) rows from (n, 2, M) standard normals, one steering angle per row.
+
+    Row i equals correlation_factor(M, rho, angles[i]) @ w_i with
+    w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the real factor filters real
+    and imaginary parts of every row in one product, then each row takes the
+    phase ramp e^{-j delta k} of its angle.
+    """
+    m = raw.shape[-1]
+    x = raw @ _toeplitz_factor(m, rho).T
+    ramps = np.exp(-1j * np.multiply.outer(angles, np.arange(m)))
+    return ramps * (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
 
 
 def sample_channel(
@@ -158,14 +176,12 @@ def sample_channel(
     The iid model ignores placement; the correlated model steers the
     correlation matrix by the UE departure angle.
     """
-    m = spec.m_antennas
-    w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+    raw = rng.standard_normal((1, 2, spec.m_antennas))
     if spec.kind == "iid":
-        return w
+        return (raw[0, 0] + 1j * raw[0, 1]) / math.sqrt(2.0)
     if placement is None:
         raise ValueError("correlated channels need a UE placement for the angle")
-    f = correlation_factor(m, spec.rho, placement.angle_rad)
-    return f @ w
+    return correlated_channels(raw, spec.rho, [placement.angle_rad])[0]
 
 
 def pathloss_db(distance_m: float, scenario: str = "nlos") -> float:

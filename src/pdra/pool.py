@@ -184,8 +184,3 @@ def build_pool(
         raise ValueError(f"explicit roots {roots} disagree with n_roots={n_roots}")
     plan = plan_from_subset_size(n_zc, n_ss)
     return PilotPool(roots=tuple(roots), n_ss=n_ss, l=l, n_zc=n_zc, plan=plan)
-
-
-def sample_pattern(pool: PilotPool, rng: np.random.Generator) -> int:
-    """Uniform pattern index draw from the pool."""
-    return int(rng.integers(0, pool.n_p))

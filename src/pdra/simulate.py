@@ -3,9 +3,10 @@
 Each trial realizes an access opportunity end-to-end: activity draw, uniform
 pattern assignment, collision classification for the tagged UE, matched-filter
 channel estimation from the superimposed pilots, the pre-limit SINR, and the
-success decision SINR >= alpha_th.  Trials derive independent random
-substreams from (master_seed, grid-point id, trial index), so results are
-bit-reproducible under any degree of parallelism.
+success decision SINR >= alpha_th.  No data symbol enters that decision, so
+trials draw none.  Trials derive independent random substreams from
+(master_seed, grid-point id, trial index), so results are bit-reproducible
+under any degree of parallelism.
 
 Power convention: sigma^2 = 1 and P = linear SNR; only the ratio enters any
 statistic.  The matched filter sees the received block only through its
@@ -38,7 +39,14 @@ from .analytic import (
     success_probability_pdra,
     success_probability_random_activity,
 )
-from .geometry import ChannelModelSpec, CellLayout, drop_ue, correlation_factor
+from .geometry import (
+    ChannelModelSpec,
+    CellLayout,
+    correlated_channels,
+    # no longer called here; kept as the module attribute perfbench/traced.py wraps
+    correlation_factor,
+    drop_ue,
+)
 from .pool import PilotPool, build_pool
 
 EVENT_IDENTICAL = "identical-pattern-collision"
@@ -120,7 +128,6 @@ class TrialOutcome:
     success: bool
     k_other_roots: int
     n_same_root_others: int
-    symbol_error: bool | None
 
     def __post_init__(self):
         if self.success:
@@ -217,6 +224,7 @@ def build_received_pilot(
 def classify_tagged_collision(
     tagged: tuple[int, tuple[int, ...]],
     others: list[tuple[int, tuple[int, ...]]],
+    shared: set[int] | None = None,
 ) -> str:
     """Collision event of the tagged UE against the other active UEs.
 
@@ -224,10 +232,13 @@ def classify_tagged_collision(
     share components in the orthogonality sense.  Identical draws dominate;
     otherwise the event depends on how many of the tagged components appear
     in same-root others' patterns (none: e0, exactly one: e1, else e2).
+    A given `shared` set receives those components, so a caller can despread
+    by the free ones; it is incomplete only for an identical draw.
     """
     root, shifts = tagged
     tagged_set = frozenset(shifts)
-    shared: set[int] = set()
+    if shared is None:
+        shared = set()
     for o_root, o_shifts in others:
         if o_root != root:
             continue
@@ -261,15 +272,11 @@ def mf_sinr(g: np.ndarray, true_channels: np.ndarray, snr_linear: float) -> floa
 
 
 def detect_data_symbol(g: np.ndarray, z: np.ndarray) -> complex:
-    """Matched-filter data statistic g^H z."""
+    """Matched-filter data statistic g^H z.
+
+    Trials do not call it: no data symbol enters the success decision.
+    """
     return complex(np.vdot(g, z))
-
-
-_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
-
-
-def _nearest_qpsk(stat: complex) -> int:
-    return int(np.round((np.angle(stat) - np.pi / 4) / (np.pi / 2))) % 4
 
 
 class _PatternCorrelator:
@@ -322,19 +329,39 @@ def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
 
 
 def _draw_channels(
-    config: ScenarioConfig, n: int, rng: np.random.Generator
+    channel: ChannelModelSpec, layout: CellLayout, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n, M) channel rows; correlated rows steered by per-UE drop angles."""
-    m = config.m_antennas
-    raw = rng.standard_normal((n, 2, m))
-    h = (raw[:, 0, :] + 1j * raw[:, 1, :]) / math.sqrt(2.0)
-    if config.channel.kind == "iid":
-        return h
-    for i in range(n):
-        placement = drop_ue(config.layout, rng)
-        f = correlation_factor(m, config.channel.rho, placement.angle_rad)
-        h[i] = f @ h[i]
-    return h
+    """(n, M) channel rows: every UE's normals first, then, when correlated,
+    one drop per UE whose angle steers its row."""
+    raw = rng.standard_normal((n, 2, channel.m_antennas))
+    if channel.kind == "iid":
+        return (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0)
+    angles = [drop_ue(layout, rng).angle_rad for _ in range(n)]
+    return correlated_channels(raw, channel.rho, angles)
+
+
+def _tagged_sinr(
+    correlator: _PatternCorrelator,
+    assigned: list[tuple[int, tuple[int, ...]]],
+    despread: tuple[int, tuple[int, ...]],
+    h: np.ndarray,
+    p_lin: float,
+    rng: np.random.Generator,
+) -> tuple[float, np.ndarray]:
+    """Pre-limit SINR of UE 0 and the pilot coefficients of every UE.
+
+    despread = (root index, shifts) of the despreading vector.  The
+    coefficients need no draw; the despreading-projected pilot noise is the
+    one draw, then g = sqrt(P) sum_n coef_n h_n + w feeds mf_sinr.
+    """
+    scale = 1.0 / math.sqrt(correlator.pool.l)
+    coefs = np.array(
+        [correlator.coefficient(r, s, scale, *despread) for r, s in assigned]
+    )
+    m = h.shape[1]
+    noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+    g = math.sqrt(p_lin) * (coefs @ h) + noise
+    return float(mf_sinr(g, h, p_lin)), coefs
 
 
 def run_trial(
@@ -346,8 +373,9 @@ def run_trial(
     """One access opportunity for the tagged UE (index 0).
 
     Draw order within the trial substream: activity count, pattern indices,
-    channels (with drop angles interleaved per UE when correlated), the
-    despreading-projected pilot noise, data symbols, data noise.
+    then, unless the tagged UE met an identical pattern or an E2 collision,
+    the channel normals of every UE, one drop angle per UE when correlated,
+    and the despreading-projected pilot noise.
     """
     rng = trial_rng(config.master_seed, point_id, trial_index)
     if correlator is None:
@@ -361,72 +389,27 @@ def run_trial(
 
     indices = pool.sample_indices(rng, n_active)
     assigned = [pool.root_and_shifts(int(i)) for i in indices]
-    tagged = assigned[0]
-    event = classify_tagged_collision(tagged, assigned[1:])
+    tagged_root, tagged_shifts = assigned[0]
+    shared: set[int] = set()
+    event = classify_tagged_collision(assigned[0], assigned[1:], shared)
+    same_root_others = sum(r == tagged_root for r, _ in assigned[1:])
 
-    tagged_root, tagged_shifts = tagged
-    same_root_others = sum(
-        1 for r, s in assigned[1:] if r == tagged_root
-    )
-    k_other_roots = (n_active - 1) - same_root_others
-
-    if event in (EVENT_IDENTICAL, EVENT_E2):
-        return TrialOutcome(
-            n_active=n_active,
-            tagged_event=event,
-            sinr_linear=None,
-            success=False,
-            k_other_roots=k_other_roots,
-            n_same_root_others=same_root_others,
-            symbol_error=None,
+    sinr = None
+    if event in (EVENT_E0, EVENT_E1):
+        # E0 despreads by the whole tagged pattern, E1 by its free component
+        despread = (tagged_root, tuple(v for v in tagged_shifts if v not in shared))
+        h = _draw_channels(config.channel, config.layout, n_active, rng)
+        sinr, _ = _tagged_sinr(
+            correlator, assigned, despread, h, db_to_linear(config.snr_db), rng
         )
-
-    if event == EVENT_E0:
-        despread_shifts = tagged_shifts
-    else:
-        shared = set()
-        for r, s in assigned[1:]:
-            if r == tagged_root and frozenset(s) != frozenset(tagged_shifts):
-                shared |= set(tagged_shifts) & set(s)
-        despread_shifts = tuple(v for v in tagged_shifts if v not in shared)
-
-    p_lin = db_to_linear(config.snr_db)
-    alpha_lin = db_to_linear(config.alpha_th_db)
-    scale = 1.0 / math.sqrt(pool.l)
-    coefs = np.array(
-        [
-            correlator.coefficient(r, s, scale, tagged_root, despread_shifts)
-            for r, s in assigned
-        ]
-    )
-
-    h = _draw_channels(config, n_active, rng)
-    noise = (
-        rng.standard_normal(config.m_antennas)
-        + 1j * rng.standard_normal(config.m_antennas)
-    ) / math.sqrt(2.0)
-    g = math.sqrt(p_lin) * (coefs @ h) + noise
-
-    sinr = mf_sinr(g, h, p_lin)
-    success = sinr >= alpha_lin
-
-    symbols = rng.integers(0, 4, size=n_active)
-    data_noise = (
-        rng.standard_normal(config.m_antennas)
-        + 1j * rng.standard_normal(config.m_antennas)
-    ) / math.sqrt(2.0)
-    z = math.sqrt(p_lin) * (_QPSK[symbols] @ h) + data_noise
-    stat = detect_data_symbol(g, z)
-    symbol_error = _nearest_qpsk(stat) != int(symbols[0])
 
     return TrialOutcome(
         n_active=n_active,
         tagged_event=event,
-        sinr_linear=float(sinr),
-        success=bool(success),
-        k_other_roots=k_other_roots,
+        sinr_linear=sinr,
+        success=sinr is not None and sinr >= db_to_linear(config.alpha_th_db),
+        k_other_roots=(n_active - 1) - same_root_others,
         n_same_root_others=same_root_others,
-        symbol_error=symbol_error,
     )
 
 
@@ -446,6 +429,8 @@ def run_forced_interference_trial(
     uniform pattern on a uniform other root, which is the conditional law of
     the free-running pipeline given K.  Returns the realized pre-limit SINR
     and its pattern-conditional large-M limit N_ZC / sum_k |coef_k|^2.
+    Draw order: tagged pattern, (root, pattern) per interferer, i.i.d.
+    channel normals, despreading-projected pilot noise.
     """
     if len(pool.roots) < 2:
         raise ValueError("forced different-root interference needs at least 2 roots")
@@ -453,38 +438,20 @@ def run_forced_interference_trial(
     if correlator is None:
         correlator = _PatternCorrelator(pool)
 
-    tagged_shifts = _uniform_shifts(pool, rng)
-    interferers = []
+    # an index below N_PS is a pattern of root 0
+    tagged = pool.root_and_shifts(int(rng.integers(0, pool.n_ps)))
+    assigned = [tagged]
     for _ in range(k_different_root):
         root_idx = 1 + int(rng.integers(0, len(pool.roots) - 1))
-        interferers.append((root_idx, _uniform_shifts(pool, rng)))
+        _, shifts = pool.root_and_shifts(int(rng.integers(0, pool.n_ps)))
+        assigned.append((root_idx, shifts))
 
-    p_lin = db_to_linear(snr_db)
-    scale = 1.0 / math.sqrt(pool.l)
-    assigned = [(0, tagged_shifts)] + interferers
-    coefs = np.array(
-        [
-            correlator.coefficient(r, s, scale, 0, tagged_shifts)
-            for r, s in assigned
-        ]
-    )
-    raw = rng.standard_normal((len(assigned), 2, m_antennas))
-    h = (raw[:, 0, :] + 1j * raw[:, 1, :]) / math.sqrt(2.0)
-    noise = (
-        rng.standard_normal(m_antennas) + 1j * rng.standard_normal(m_antennas)
-    ) / math.sqrt(2.0)
-    g = math.sqrt(p_lin) * (coefs @ h) + noise
-    sinr = mf_sinr(g, h, p_lin)
+    h = _draw_channels(ChannelModelSpec("iid", m_antennas), CellLayout(), len(assigned), rng)
+    sinr, coefs = _tagged_sinr(correlator, assigned, tagged, h, db_to_linear(snr_db), rng)
 
     interf_power = float(np.sum(np.abs(coefs[1:]) ** 2))
     limit = math.inf if interf_power == 0.0 else pool.n_zc / interf_power
-    return float(sinr), limit
-
-
-def _uniform_shifts(pool: PilotPool, rng: np.random.Generator) -> tuple[int, ...]:
-    from .pool import unrank_combination
-
-    return unrank_combination(int(rng.integers(0, pool.n_ps)), pool.n_ss, pool.l)
+    return sinr, limit
 
 
 def no_closed_form_reason(config: ScenarioConfig) -> str | None:

@@ -210,7 +210,8 @@ def test_random_activity_matches_full_summation():
         assert abs(got - oracle) < 1e-10
 
 
-def test_import_does_not_load_scipy_stats():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+def test_import_does_not_load_scipy_module(module):
     import os
     import subprocess
     import sys
@@ -220,7 +221,7 @@ def test_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(pdra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, pdra; print('scipy.stats' in sys.modules)"
+    code = f"import sys, pdra; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

@@ -9,6 +9,7 @@ from pdra.geometry import (
     CellLayout,
     ChannelModelSpec,
     UePlacement,
+    correlated_channels,
     correlation_factor,
     correlation_matrix,
     drop_ue,
@@ -107,6 +108,40 @@ def test_correlation_factor_reproduces_matrix():
         np.testing.assert_allclose(
             f @ f.conj().T, correlation_matrix(m, rho, delta), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("m", [1, 2, 128, 1024])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.7, 0.99])
+def test_channel_rows_match_factor_oracle(m, rho):
+    from scipy.linalg import cholesky
+
+    idx = np.arange(m)
+    toeplitz = rho ** np.abs(idx[None, :] - idx[:, None])
+    factor = correlation_factor(m, rho, 0.0)
+    if rho == 0.0:
+        np.testing.assert_array_equal(factor, np.eye(m))
+    np.testing.assert_allclose(factor, cholesky(toeplitz, lower=True), rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(m)
+    raw = rng.standard_normal((3, 2, m))
+    angles = [0.0, 1.1, -2.5]
+    rows = correlated_channels(raw, rho, angles)
+    for row, r, angle in zip(rows, raw, angles):
+        w = (r[0] + 1j * r[1]) / np.sqrt(2.0)
+        np.testing.assert_allclose(
+            row, correlation_factor(m, rho, angle) @ w, rtol=0, atol=1e-12
+        )
+
+    # one (2, m) draw holds the same values as two draws of m
+    place = UePlacement(x_m=-120.0, y_m=40.0)
+    spec = ChannelModelSpec(kind="correlated", m_antennas=m, rho=rho)
+    twin = np.random.default_rng(5)
+    w = (twin.standard_normal(m) + 1j * twin.standard_normal(m)) / np.sqrt(2.0)
+    np.testing.assert_allclose(
+        sample_channel(spec, np.random.default_rng(5), place),
+        correlation_factor(m, rho, place.angle_rad) @ w,
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_iid_channel_statistics():

@@ -14,7 +14,6 @@ from pdra.pool import (
     build_pool,
     expansion_factor,
     rank_combination,
-    sample_pattern,
     unrank_combination,
 )
 from pdra.zc import ZcConfig, generate_root_sequence, plan_from_subset_size
@@ -165,9 +164,6 @@ def test_sample_uniformity_chi_square():
     stat = float(np.sum((counts - expected) ** 2 / expected))
     # 1% significance level on 991 degrees of freedom
     assert stat < chi2.ppf(0.99, pool.n_p - 1)
-
-    one = sample_pattern(pool, np.random.default_rng(5))
-    assert isinstance(one, int) and 0 <= one < pool.n_p
 
 
 def test_l1_pool_is_plain_shift_pool():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
-from pdra.geometry import ChannelModelSpec
+from pdra.geometry import ChannelModelSpec, CellLayout, correlated_channels, drop_ue
 from pdra.pool import build_pattern, build_pool
 from pdra.simulate import (
     EVENT_E0,
@@ -17,6 +17,7 @@ from pdra.simulate import (
     RandomActivity,
     ScenarioConfig,
     _PatternCorrelator,
+    _draw_channels,
     analytic_reference,
     build_received_pilot,
     build_scenario,
@@ -150,6 +151,15 @@ class TestClassification:
         assert classify_tagged_collision(self.TAGGED, [(0, (1, 2)), (0, (0, 5))]) == EVENT_E2
         assert classify_tagged_collision(self.TAGGED, [(0, (3, 4)), (0, (0, 1))]) == EVENT_IDENTICAL
 
+    def test_shared_components_are_reported(self):
+        shared = set()
+        others = [(0, (1, 2)), (1, (0, 3)), (0, (1, 5))]
+        assert classify_tagged_collision(self.TAGGED, others, shared) == EVENT_E1
+        assert shared == {1}
+        shared = set()
+        assert classify_tagged_collision(self.TAGGED, [(1, (0, 1))], shared) == EVENT_E0
+        assert shared == set()
+
 
 class TestMatchedFilter:
     def test_orthogonal_estimate_gives_zero_sinr(self):
@@ -249,6 +259,25 @@ class TestCorrelatorAlgebra:
         np.testing.assert_allclose(g_fast, g_explicit, atol=1e-9)
 
 
+class TestDrawChannels:
+    def test_draw_order_and_rows(self):
+        """All normals first, then one drop per UE whose angle steers its row
+        (rows against the factor oracle: tests/test_geometry.py)."""
+        m, n = 16, 4
+        channel = ChannelModelSpec(kind="correlated", m_antennas=m, rho=0.7)
+        layout = CellLayout()
+        h = _draw_channels(channel, layout, n, np.random.default_rng(8))
+        twin = np.random.default_rng(8)
+        raw = twin.standard_normal((n, 2, m))
+        angles = [drop_ue(layout, twin).angle_rad for _ in range(n)]
+        np.testing.assert_array_equal(h, correlated_channels(raw, 0.7, angles))
+        iid = ChannelModelSpec(kind="iid", m_antennas=m)
+        np.testing.assert_array_equal(
+            _draw_channels(iid, layout, n, np.random.default_rng(8)),
+            (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0),
+        )
+
+
 class TestRunTrial:
     def test_single_ue_always_succeeds(self):
         cfg = small_config(activity=FixedActivity(1), m_antennas=64, snr_db=0.0)
@@ -257,7 +286,6 @@ class TestRunTrial:
             assert out.tagged_event == EVENT_E0
             assert out.success
             assert out.k_other_roots == 0
-            assert out.symbol_error is False
 
     def test_degenerate_pool_always_collides(self):
         pool = build_pool(N_ZC, n_roots=1, n_ss=4, l=4)
