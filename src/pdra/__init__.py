@@ -9,6 +9,12 @@ Subpackages:
     bench     experiment specs, presets, CSV campaigns, CLI entry point
 """
 
+import os
+
+# Trials multiply small matrices, where a second BLAS thread spins for no
+# gain; this only takes effect when pdra is imported before numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analytic import (
     AnalyticParams,
     CollisionEventProbs,
@@ -32,7 +38,6 @@ from .geometry import (
     drop_ue,
     pathloss_db,
     sample_channel,
-    shadow_fading_db,
 )
 from .pool import (
     Pattern,
@@ -41,7 +46,6 @@ from .pool import (
     build_pool,
     expansion_factor,
     rank_combination,
-    unrank_combination,
 )
 from .simulate import (
     FixedActivity,
@@ -61,6 +65,7 @@ from .simulate import (
     run_forced_interference_trial,
     run_point,
     run_trial,
+    shared_components,
     wilson_interval,
 )
 from .zc import (

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import yaml
 
 from .analytic import (
@@ -349,7 +350,8 @@ def write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
 
 
 def write_sidecar(csv_path: str, spec: ExperimentSpec, n_points: int) -> str:
-    """JSON provenance record next to the CSV; holds the run timestamp."""
+    """JSON provenance record next to the CSV; holds the run timestamp and
+    the environment: library versions, CPU count and BLAS threads."""
     from . import __version__
 
     record = {
@@ -358,6 +360,12 @@ def write_sidecar(csv_path: str, spec: ExperimentSpec, n_points: int) -> str:
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "n_grid_points": n_points,
         "spec": dataclasses.asdict(spec),
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
     }
     sidecar = csv_path + ".meta.json"
     with open(sidecar, "w", encoding="utf-8") as fh:

@@ -2,8 +2,8 @@
 
 The simulator assumes perfect uplink power control, so placement geometry
 enters the link model only through the per-UE departure angle that steers
-the antenna correlation matrix.  Pathloss and shadow fading are provided
-for run reporting and topology exports, not for the success statistics.
+the antenna correlation matrix.  The mean pathloss slope is provided for
+inspecting a drop (demo 05), not for the success statistics.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 # urban micro mean-pathloss slopes
 PATHLOSS_EXPONENT = {"nlos": 3.8, "los": 2.5}
-SHADOW_SIGMA_DB = {"nlos": 10.0, "los": 4.0}
 
 
 @dataclass(frozen=True)
@@ -192,9 +191,3 @@ def pathloss_db(distance_m: float, scenario: str = "nlos") -> float:
         raise ValueError(f"distance_m must be positive, got {distance_m}")
     return 10.0 * PATHLOSS_EXPONENT[scenario] * math.log10(distance_m)
 
-
-def shadow_fading_db(scenario: str, rng: np.random.Generator) -> float:
-    """Log-normal shadow fading draw in dB: sigma 10 (NLoS) or 4 (LoS)."""
-    if scenario not in SHADOW_SIGMA_DB:
-        raise ValueError(f"scenario must be one of {sorted(SHADOW_SIGMA_DB)}, got {scenario!r}")
-    return float(rng.normal(0.0, SHADOW_SIGMA_DB[scenario]))

@@ -3,8 +3,8 @@
 A pattern s_{u,i} = (1/sqrt(L)) * sum of L distinct cyclically shifted copies
 of root u.  One root with N_SS shifts supports C(N_SS, L) patterns instead of
 N_SS plain shifts, an expansion factor of C(N_SS, L)/N_SS.  Patterns are
-indexed root-major: index i maps to root i // N_PS and the lexicographically
-ranked shift subset i % N_PS.
+indexed root-major: index i maps to root i // N_PS and row i % N_PS of the
+shift table, the lexicographically ordered list of shift subsets.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from .zc import (
     default_roots,
     generate_root_sequence,
 )
+
+# Largest C(N_SS, L) a pool accepts: its shift table then holds at most
+# 2**20 rows of L machine integers (8 L MB).
+MAX_PATTERNS_PER_ROOT = 2**20
 
 
 def rank_combination(subset: tuple[int, ...], n: int) -> int:
@@ -45,25 +50,20 @@ def rank_combination(subset: tuple[int, ...], n: int) -> int:
     return rank
 
 
-def unrank_combination(i: int, n: int, l: int) -> tuple[int, ...]:
-    """Inverse of rank_combination: i-th l-subset of range(n) in lex order."""
+@lru_cache(maxsize=8)
+def combination_table(n: int, l: int) -> np.ndarray:
+    """All l-subsets of range(n) in lexicographic order, one per row.
+
+    Row r is the subset whose rank_combination is r.  The (C(n, l), l) table
+    is read-only and cached, so pools of one shape share it.
+    """
     if not 0 < l <= n:
         raise ValueError(f"need 0 < l <= n, got l={l}, n={n}")
-    if not 0 <= i < math.comb(n, l):
-        raise ValueError(f"rank {i} out of range for C({n}, {l}) = {math.comb(n, l)}")
-    subset = []
-    x = 0
-    remaining = i
-    for j in range(l):
-        while True:
-            block = math.comb(n - 1 - x, l - 1 - j)
-            if remaining < block:
-                break
-            remaining -= block
-            x += 1
-        subset.append(x)
-        x += 1
-    return tuple(subset)
+    rows = math.comb(n, l)
+    flat = chain.from_iterable(combinations(range(n), l))
+    table = np.fromiter(flat, dtype=np.intp, count=rows * l).reshape(rows, l)
+    table.setflags(write=False)
+    return table
 
 
 def expansion_factor(n_ss: int, l: int) -> Fraction:
@@ -117,6 +117,11 @@ class PilotPool:
             raise ValueError(
                 f"shift plan provides {self.plan.n_ss} shifts, pool needs {self.n_ss}"
             )
+        if self.n_ps > MAX_PATTERNS_PER_ROOT:
+            raise ValueError(
+                f"C({self.n_ss}, {self.l}) = {self.n_ps} patterns per root exceeds "
+                f"the shift-table limit of {MAX_PATTERNS_PER_ROOT} (2**20)"
+            )
 
     @property
     def n_ps(self) -> int:
@@ -128,11 +133,17 @@ class PilotPool:
         """Total pool size across roots."""
         return len(self.roots) * self.n_ps
 
+    @property
+    def shift_table(self) -> np.ndarray:
+        """(N_PS, L) shift subsets of one root: pool index i uses row i % N_PS."""
+        return combination_table(self.n_ss, self.l)
+
     def root_and_shifts(self, i: int) -> tuple[int, tuple[int, ...]]:
         """Map pool index to (root index within self.roots, shift subset)."""
         if not 0 <= i < self.n_p:
             raise ValueError(f"pattern index {i} out of range for pool of {self.n_p}")
-        return i // self.n_ps, unrank_combination(i % self.n_ps, self.n_ss, self.l)
+        root_idx, rank = divmod(i, self.n_ps)
+        return root_idx, tuple(self.shift_table[rank].tolist())
 
     def pattern_at(self, i: int) -> Pattern:
         root_idx, shifts = self.root_and_shifts(i)

@@ -221,36 +221,26 @@ def build_received_pilot(
     return y
 
 
-def classify_tagged_collision(
-    tagged: tuple[int, tuple[int, ...]],
-    others: list[tuple[int, tuple[int, ...]]],
-    shared: set[int] | None = None,
-) -> str:
-    """Collision event of the tagged UE against the other active UEs.
+def shared_components(tagged: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Mask of the tagged shifts that appear in any row of others, (n, L)."""
+    return (tagged[:, None] == others.ravel()).any(1)
+
+
+def classify_tagged_collision(tagged: np.ndarray, others: np.ndarray) -> str:
+    """Collision event of the tagged UE's shift row against the shift rows of
+    the other active UEs on its root.
 
     Events are defined within the tagged UE's root: different-root UEs never
-    share components in the orthogonality sense.  Identical draws dominate;
-    otherwise the event depends on how many of the tagged components appear
-    in same-root others' patterns (none: e0, exactly one: e1, else e2).
-    A given `shared` set receives those components, so a caller can despread
-    by the free ones; it is incomplete only for an identical draw.
+    share components in the orthogonality sense, so the caller passes only
+    same-root rows.  Identical draws dominate; otherwise the event depends on
+    how many tagged components appear in the others' patterns (none: e0,
+    exactly one: e1, else e2), which shared_components marks.
     """
-    root, shifts = tagged
-    tagged_set = frozenset(shifts)
-    if shared is None:
-        shared = set()
-    for o_root, o_shifts in others:
-        if o_root != root:
-            continue
-        o_set = frozenset(o_shifts)
-        if o_set == tagged_set:
-            return EVENT_IDENTICAL
-        shared |= tagged_set & o_set
-    if not shared:
-        return EVENT_E0
-    if len(shared) == 1:
-        return EVENT_E1
-    return EVENT_E2
+    n_shared = np.count_nonzero(shared_components(tagged, others))
+    # only a pattern holding every tagged shift can be identical to it
+    if n_shared == len(tagged) and (others == tagged).all(1).any():
+        return EVENT_IDENTICAL
+    return (EVENT_E0, EVENT_E1, EVENT_E2)[min(n_shared, 2)]
 
 
 def mf_channel_estimate(y: np.ndarray, despread: np.ndarray) -> np.ndarray:
@@ -283,7 +273,7 @@ class _PatternCorrelator:
     """Exact pilot cross-correlations via per-root-pair circular profiles.
 
     X[a, b, tau] = sum_l c_a[(l + tau) mod N] conj(c_b[l]), so the inner
-    product of two pool patterns is a sum of L x L table lookups instead of
+    product of two pool patterns is a sum of L x L' table lookups instead of
     a length-N_ZC dot product.
     """
 
@@ -295,18 +285,21 @@ class _PatternCorrelator:
 
     def coefficient(
         self,
-        root_idx: int,
-        shifts: tuple[int, ...],
+        roots: np.ndarray,
+        shifts: np.ndarray,
         scale: float,
         despread_root_idx: int,
-        despread_shifts: tuple[int, ...],
-    ) -> complex:
-        """<pattern, unit despread>: scale * sum of lookups / ||despread raw||."""
-        table = self._table[root_idx, despread_root_idx]
-        total = 0.0 + 0.0j
-        for a in shifts:
-            for b in despread_shifts:
-                total += table[(a - b) * self.n_cs % self.n_zc]
+        despread_shifts: np.ndarray,
+    ) -> np.ndarray:
+        """Every UE's <pattern, unit despread>: scale * sum of lookups / ||despread||.
+
+        UE n holds shift row shifts[n] of root roots[n].  Its L x L' lookups
+        add in sequence (despread shift fastest), as a scalar loop adds them;
+        a pairwise sum would associate them differently and move last bits.
+        """
+        lags = (shifts[:, :, None] - despread_shifts) * self.n_cs % self.n_zc
+        terms = self._table[roots[:, None, None], despread_root_idx, lags]
+        total = terms.reshape(len(roots), -1).cumsum(axis=1)[:, -1]
         norm = math.sqrt(len(despread_shifts) * self.n_zc)
         return scale * total / norm
 
@@ -342,22 +335,21 @@ def _draw_channels(
 
 def _tagged_sinr(
     correlator: _PatternCorrelator,
-    assigned: list[tuple[int, tuple[int, ...]]],
-    despread: tuple[int, tuple[int, ...]],
+    roots: np.ndarray,
+    shifts: np.ndarray,
+    despread: tuple[int, np.ndarray],
     h: np.ndarray,
     p_lin: float,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """Pre-limit SINR of UE 0 and the pilot coefficients of every UE.
 
-    despread = (root index, shifts) of the despreading vector.  The
-    coefficients need no draw; the despreading-projected pilot noise is the
-    one draw, then g = sqrt(P) sum_n coef_n h_n + w feeds mf_sinr.
+    UE n sends shift row shifts[n] of root roots[n]; despread = (root index,
+    shifts).  The despreading-projected pilot noise is the one draw, then
+    g = sqrt(P) sum_n coef_n h_n + w feeds mf_sinr.
     """
     scale = 1.0 / math.sqrt(correlator.pool.l)
-    coefs = np.array(
-        [correlator.coefficient(r, s, scale, *despread) for r, s in assigned]
-    )
+    coefs = correlator.coefficient(roots, shifts, scale, *despread)
     m = h.shape[1]
     noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
     g = math.sqrt(p_lin) * (coefs @ h) + noise
@@ -387,20 +379,19 @@ def run_trial(
     else:
         n_active = 1 + int(rng.binomial(config.activity.population - 1, config.activity.p_a))
 
-    indices = pool.sample_indices(rng, n_active)
-    assigned = [pool.root_and_shifts(int(i)) for i in indices]
-    tagged_root, tagged_shifts = assigned[0]
-    shared: set[int] = set()
-    event = classify_tagged_collision(assigned[0], assigned[1:], shared)
-    same_root_others = sum(r == tagged_root for r, _ in assigned[1:])
+    roots, ranks = divmod(pool.sample_indices(rng, n_active), pool.n_ps)
+    shifts = pool.shift_table[ranks]
+    tagged = shifts[0]
+    same_root = shifts[1:][roots[1:] == roots[0]]
+    event = classify_tagged_collision(tagged, same_root)
 
     sinr = None
     if event in (EVENT_E0, EVENT_E1):
         # E0 despreads by the whole tagged pattern, E1 by its free component
-        despread = (tagged_root, tuple(v for v in tagged_shifts if v not in shared))
+        despread = (roots[0], tagged[~shared_components(tagged, same_root)])
         h = _draw_channels(config.channel, config.layout, n_active, rng)
         sinr, _ = _tagged_sinr(
-            correlator, assigned, despread, h, db_to_linear(config.snr_db), rng
+            correlator, roots, shifts, despread, h, db_to_linear(config.snr_db), rng
         )
 
     return TrialOutcome(
@@ -408,8 +399,8 @@ def run_trial(
         tagged_event=event,
         sinr_linear=sinr,
         success=sinr is not None and sinr >= db_to_linear(config.alpha_th_db),
-        k_other_roots=(n_active - 1) - same_root_others,
-        n_same_root_others=same_root_others,
+        k_other_roots=(n_active - 1) - len(same_root),
+        n_same_root_others=len(same_root),
     )
 
 
@@ -438,16 +429,17 @@ def run_forced_interference_trial(
     if correlator is None:
         correlator = _PatternCorrelator(pool)
 
-    # an index below N_PS is a pattern of root 0
-    tagged = pool.root_and_shifts(int(rng.integers(0, pool.n_ps)))
-    assigned = [tagged]
+    roots = [0]
+    ranks = [int(rng.integers(0, pool.n_ps))]
     for _ in range(k_different_root):
-        root_idx = 1 + int(rng.integers(0, len(pool.roots) - 1))
-        _, shifts = pool.root_and_shifts(int(rng.integers(0, pool.n_ps)))
-        assigned.append((root_idx, shifts))
+        roots.append(1 + int(rng.integers(0, len(pool.roots) - 1)))
+        ranks.append(int(rng.integers(0, pool.n_ps)))
+    shifts = pool.shift_table[ranks]
 
-    h = _draw_channels(ChannelModelSpec("iid", m_antennas), CellLayout(), len(assigned), rng)
-    sinr, coefs = _tagged_sinr(correlator, assigned, tagged, h, db_to_linear(snr_db), rng)
+    h = _draw_channels(ChannelModelSpec("iid", m_antennas), CellLayout(), len(roots), rng)
+    sinr, coefs = _tagged_sinr(
+        correlator, np.array(roots), shifts, (0, shifts[0]), h, db_to_linear(snr_db), rng
+    )
 
     interf_power = float(np.sum(np.abs(coefs[1:]) ** 2))
     limit = math.inf if interf_power == 0.0 else pool.n_zc / interf_power

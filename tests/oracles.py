@@ -1,8 +1,8 @@
 """Independent brute-force oracles shared by unit and acceptance tests.
 
 Everything here is written for clarity, not speed: exact rational
-enumeration over the full event space, no shortcuts shared with the
-library implementation.
+enumeration over the full event space, set-based collision classification,
+no shortcuts shared with the library implementation.
 """
 
 from fractions import Fraction
@@ -63,3 +63,33 @@ def naive_success_pdra(n_active, r_roots, n_ss, n_zc, alpha_th):
         ) / (n_ps - 1) ** m
         bracket += p_k * (p_e0 + p_e1)
     return p_s * bracket
+
+
+def classify_collision_sets(
+    tagged: tuple[int, tuple[int, ...]],
+    others: list[tuple[int, tuple[int, ...]]],
+) -> tuple[str, set[int]]:
+    """Tagged UE's collision event and shared components, from (root, shifts) pairs.
+
+    Only others on the tagged root count.  An identical pattern dominates;
+    otherwise the tagged components that appear in some other pattern decide
+    the event: none e0, one e1, more e2.  The shared set is complete in
+    every case.
+    """
+    root, shifts = tagged
+    tagged_set = frozenset(shifts)
+    shared: set[int] = set()
+    identical = False
+    for o_root, o_shifts in others:
+        if o_root != root:
+            continue
+        o_set = frozenset(o_shifts)
+        identical |= o_set == tagged_set
+        shared |= tagged_set & o_set
+    if identical:
+        return "identical-pattern-collision", shared
+    if not shared:
+        return "e0", shared
+    if len(shared) == 1:
+        return "e1", shared
+    return "e2-both-components", shared

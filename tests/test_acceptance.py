@@ -20,7 +20,7 @@ from pdra.analytic import (
     p_k_other_roots,
     p_no_pattern_collision,
 )
-from pdra.pool import build_pool, expansion_factor, rank_combination, unrank_combination
+from pdra.pool import build_pool, combination_table, expansion_factor, rank_combination
 from pdra.simulate import (
     ScenarioConfig,
     _PatternCorrelator,
@@ -88,9 +88,10 @@ def test_criterion_02_pool_combinatorics():
     round_trips = True
     for n in range(1, 11):
         for l in range(1, min(n, 4) + 1):
-            for rank in range(math.comb(n, l)):
-                combo = unrank_combination(rank, n, l)
-                round_trips &= rank_combination(combo, n) == rank
+            table = combination_table(n, l)
+            round_trips &= len(table) == math.comb(n, l)
+            for rank, combo in enumerate(table.tolist()):
+                round_trips &= rank_combination(tuple(combo), n) == rank
     verdict(2, "pool combinatorics", ok and round_trips,
             f"n_ps={pool.n_ps}, expansion={float(expansion_factor(32, 2))}, "
             f"round-trips n<=10 l<=4 {'ok' if round_trips else 'broken'}")

@@ -3,8 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from pdra.bench import (
     CSV_COLUMNS,
@@ -209,6 +215,13 @@ class TestRunExperiment:
         assert meta["spec"]["r_roots"] == [1, 2]
         assert meta["n_grid_points"] == 2
         assert "created_utc" in meta and "version" in meta
+        assert meta["environment"] == {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            # importing pdra sets it when the user has not
+            "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        }
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec_a = tiny_spec(tmp_path, out=str(tmp_path / "a.csv"))
@@ -384,3 +397,16 @@ class TestMainCli:
         # The dropped UE lies inside the center cell, outside the exclusion disc.
         d = math.hypot(float(ues[0]["x_m"]), float(ues[0]["y_m"]))
         assert 30.0 <= d <= 500.0
+
+
+def test_perfbench_trace_wraps_resolve():
+    """perfbench/traced.py finds every name it wraps in the pdra under ./src."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    code = ("import os, pdra, traced\n"
+            "assert pdra.__file__.startswith(os.path.abspath('src') + os.sep)\n"
+            "traced.install(traced.Tracer())\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

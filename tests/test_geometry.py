@@ -15,7 +15,6 @@ from pdra.geometry import (
     drop_ue,
     pathloss_db,
     sample_channel,
-    shadow_fading_db,
 )
 
 
@@ -191,12 +190,3 @@ def test_pathloss_slopes():
         pathloss_db(100.0, "indoor")
     with pytest.raises(ValueError):
         pathloss_db(0.0)
-
-
-def test_shadow_fading_spread():
-    rng = np.random.default_rng(9)
-    draws = np.array([shadow_fading_db("nlos", rng) for _ in range(100_000)])
-    assert abs(np.std(draws) - 10.0) < 0.1
-    assert abs(np.mean(draws)) < 0.15
-    draws_los = np.array([shadow_fading_db("los", rng) for _ in range(100_000)])
-    assert abs(np.std(draws_los) - 4.0) < 0.05

@@ -12,9 +12,9 @@ from scipy.stats import chi2
 from pdra.pool import (
     build_pattern,
     build_pool,
+    combination_table,
     expansion_factor,
     rank_combination,
-    unrank_combination,
 )
 from pdra.zc import ZcConfig, generate_root_sequence, plan_from_subset_size
 
@@ -22,18 +22,21 @@ NZC = 839
 
 
 def test_unrank_endpoints_32_choose_2():
-    assert unrank_combination(0, 32, 2) == (0, 1)
-    assert unrank_combination(1, 32, 2) == (0, 2)
-    assert unrank_combination(495, 32, 2) == (30, 31)
+    table = combination_table(32, 2)
+    assert table.shape == (496, 2)
+    assert tuple(table[0]) == (0, 1)
+    assert tuple(table[1]) == (0, 2)
+    assert tuple(table[495]) == (30, 31)
 
 
 def test_rank_unrank_roundtrip_exhaustive_small():
     for n in range(2, 9):
         for l in range(1, min(n, 4) + 1):
-            for i in range(math.comb(n, l)):
-                subset = unrank_combination(i, n, l)
+            table = combination_table(n, l)
+            assert table.shape == (math.comb(n, l), l)
+            for i, row in enumerate(table):
+                subset = tuple(row.tolist())
                 assert rank_combination(subset, n) == i
-                assert len(subset) == l
                 assert all(a < b for a, b in zip(subset, subset[1:]))
 
 
@@ -42,21 +45,32 @@ def test_rank_unrank_roundtrip_exhaustive_small():
 def test_rank_unrank_roundtrip_property(n, data):
     l = data.draw(st.integers(1, min(n, 4)))
     i = data.draw(st.integers(0, math.comb(n, l) - 1))
-    assert rank_combination(unrank_combination(i, n, l), n) == i
+    assert rank_combination(tuple(combination_table(n, l)[i].tolist()), n) == i
 
 
 def test_lexicographic_order_is_monotone():
-    subsets = [unrank_combination(i, 6, 3) for i in range(math.comb(6, 3))]
+    subsets = [tuple(row) for row in combination_table(6, 3).tolist()]
     assert subsets == sorted(subsets)
 
 
 def test_unrank_range_checks():
+    pool = build_pool(NZC, n_roots=1, n_ss=32, l=2)
     with pytest.raises(ValueError):
-        unrank_combination(math.comb(32, 2), 32, 2)
+        pool.root_and_shifts(math.comb(32, 2))
     with pytest.raises(ValueError):
-        unrank_combination(-1, 32, 2)
+        pool.root_and_shifts(-1)
+    with pytest.raises(ValueError):
+        combination_table(2, 3)
     with pytest.raises(ValueError):
         rank_combination((3, 3), 32)
+    with pytest.raises(ValueError):
+        pool.shift_table[0, 0] = 5
+
+
+def test_pool_rejects_tables_over_the_limit():
+    with pytest.raises(ValueError, match="shift-table limit of 1048576"):
+        build_pool(NZC, 1, n_ss=64, l=8)
+    assert build_pool(NZC, 1, n_ss=64, l=4).n_ps == math.comb(64, 4)
 
 
 def test_expansion_factor_exact():

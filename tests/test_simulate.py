@@ -7,7 +7,7 @@ import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
 from pdra.geometry import ChannelModelSpec, CellLayout, correlated_channels, drop_ue
-from pdra.pool import build_pattern, build_pool
+from pdra.pool import build_pattern, build_pool, combination_table
 from pdra.simulate import (
     EVENT_E0,
     EVENT_E1,
@@ -18,6 +18,7 @@ from pdra.simulate import (
     ScenarioConfig,
     _PatternCorrelator,
     _draw_channels,
+    _root_pair_profiles,
     analytic_reference,
     build_received_pilot,
     build_scenario,
@@ -29,9 +30,12 @@ from pdra.simulate import (
     run_forced_interference_trial,
     run_point,
     run_trial,
+    shared_components,
     trial_rng,
     wilson_interval,
 )
+
+from oracles import classify_collision_sets
 
 N_ZC = 839
 
@@ -130,35 +134,66 @@ class TestReceivedPilot:
             )
 
 
+def rows(*shifts) -> np.ndarray:
+    """(n, 2) shift rows of same-root others."""
+    return np.array(shifts, dtype=np.intp).reshape(-1, 2)
+
+
 class TestClassification:
-    TAGGED = (0, (0, 1))
+    TAGGED = np.array([0, 1])
 
     def test_no_others_is_e0(self):
-        assert classify_tagged_collision(self.TAGGED, []) == EVENT_E0
+        assert classify_tagged_collision(self.TAGGED, rows()) == EVENT_E0
 
     def test_cross_root_copy_is_e0(self):
-        assert classify_tagged_collision(self.TAGGED, [(1, (0, 1))]) == EVENT_E0
+        # one pattern per root: the other UE copies it on its own root or not
+        pool = build_pool(N_ZC, n_roots=2, n_ss=4, l=4)
+        cfg = small_config(activity=FixedActivity(2), pool=pool)
+        events = {(out.n_same_root_others, out.tagged_event)
+                  for out in (run_trial(cfg, t) for t in range(20))}
+        assert events == {(0, EVENT_E0), (1, EVENT_IDENTICAL)}
 
     def test_identical_wins_over_partial(self):
-        others = [(0, (1, 2)), (0, (0, 1))]
+        others = rows((1, 2), (0, 1))
         assert classify_tagged_collision(self.TAGGED, others) == EVENT_IDENTICAL
 
     def test_one_shared_component_is_e1(self):
-        assert classify_tagged_collision(self.TAGGED, [(0, (1, 2))]) == EVENT_E1
-        assert classify_tagged_collision(self.TAGGED, [(0, (1, 2)), (0, (1, 5))]) == EVENT_E1
+        assert classify_tagged_collision(self.TAGGED, rows((1, 2))) == EVENT_E1
+        assert classify_tagged_collision(self.TAGGED, rows((1, 2), (1, 5))) == EVENT_E1
 
     def test_both_components_shared_is_e2(self):
-        assert classify_tagged_collision(self.TAGGED, [(0, (1, 2)), (0, (0, 5))]) == EVENT_E2
-        assert classify_tagged_collision(self.TAGGED, [(0, (3, 4)), (0, (0, 1))]) == EVENT_IDENTICAL
+        assert classify_tagged_collision(self.TAGGED, rows((1, 2), (0, 5))) == EVENT_E2
+        assert classify_tagged_collision(self.TAGGED, rows((3, 4), (0, 1))) == EVENT_IDENTICAL
 
     def test_shared_components_are_reported(self):
-        shared = set()
-        others = [(0, (1, 2)), (1, (0, 3)), (0, (1, 5))]
-        assert classify_tagged_collision(self.TAGGED, others, shared) == EVENT_E1
-        assert shared == {1}
-        shared = set()
-        assert classify_tagged_collision(self.TAGGED, [(1, (0, 1))], shared) == EVENT_E0
-        assert shared == set()
+        others = rows((1, 2), (1, 5))
+        assert classify_tagged_collision(self.TAGGED, others) == EVENT_E1
+        assert shared_components(self.TAGGED, others).tolist() == [False, True]
+        assert shared_components(self.TAGGED, rows()).tolist() == [False, False]
+
+    def test_matches_set_oracle_on_random_draws(self):
+        """Event and free components agree with the frozenset reference on
+        draws from small pools, where identical and partial overlaps are common."""
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(3000):
+            r, l = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            n_ss = int(rng.integers(l, l + 5))
+            n_active = int(rng.integers(1, 31))
+            table = combination_table(n_ss, l)
+            roots, ranks = divmod(rng.integers(0, r * len(table), n_active), len(table))
+            shifts = table[ranks]
+            tagged, same_root = shifts[0], shifts[1:][roots[1:] == roots[0]]
+            event = classify_tagged_collision(tagged, same_root)
+            free = tagged[~shared_components(tagged, same_root)].tolist()
+
+            pairs = [(int(a), tuple(b.tolist())) for a, b in zip(roots, shifts)]
+            want_event, want_shared = classify_collision_sets(pairs[0], pairs[1:])
+            assert event == want_event
+            assert free == [v for v in pairs[0][1] if v not in want_shared]
+            seen.add((event, l, len(want_shared)))
+        assert {e for e, _, _ in seen} == {EVENT_IDENTICAL, EVENT_E0, EVENT_E1, EVENT_E2}
+        assert (EVENT_E2, 3, 2) in seen
 
 
 class TestMatchedFilter:
@@ -205,8 +240,9 @@ class TestCorrelatorAlgebra:
             root_i, shifts_i = pool.root_and_shifts(int(i))
             root_j, shifts_j = pool.root_and_shifts(int(j))
             fast = corr.coefficient(
-                root_i, shifts_i, 1.0 / math.sqrt(pool.l), root_j, shifts_j
-            )
+                np.array([root_i]), np.array([shifts_i]), 1.0 / math.sqrt(pool.l),
+                root_j, np.array(shifts_j),
+            )[0]
             wav_i = pool.pattern_at(int(i)).waveform
             base_j = generate_root_sequence(ZcConfig(N_ZC, pool.roots[root_j]))
             despread = sum(
@@ -219,20 +255,48 @@ class TestCorrelatorAlgebra:
     def test_same_root_disjoint_patterns_cancel(self, pool):
         corr = _PatternCorrelator(pool)
         scale = 1.0 / math.sqrt(2)
-        assert corr.coefficient(0, (2, 3), scale, 0, (0, 1)) == pytest.approx(0, abs=1e-9)
+        coef = corr.coefficient(np.array([0]), rows((2, 3)), scale, 0, np.array([0, 1]))
+        assert coef[0] == pytest.approx(0, abs=1e-9)
 
     def test_shared_component_amplitude(self, pool):
         # One shared shift despread alone: (1/sqrt(2)) N / sqrt(N) = sqrt(N/2).
         corr = _PatternCorrelator(pool)
         scale = 1.0 / math.sqrt(2)
-        coef = corr.coefficient(0, (0, 1), scale, 0, (0,))
-        assert coef == pytest.approx(math.sqrt(N_ZC / 2), abs=1e-9)
+        coef = corr.coefficient(np.array([0]), rows((0, 1)), scale, 0, np.array([0]))
+        assert coef[0] == pytest.approx(math.sqrt(N_ZC / 2), abs=1e-9)
+
+    def test_matches_scalar_loop_bit_for_bit(self, pool):
+        """Every UE's coefficient equals the per-UE double loop of lookups,
+        added a outer, b inner from 0, to the last bit."""
+        corr = _PatternCorrelator(pool)
+        table = _root_pair_profiles(N_ZC, pool.roots)
+        rng = np.random.default_rng(13)
+        for l in (1, 2, 3, 4):
+            shift_rows = combination_table(pool.n_ss, l)
+            scale = 1.0 / math.sqrt(l)
+            for _ in range(20):
+                n = int(rng.integers(1, 12))
+                roots = rng.integers(0, len(pool.roots), n)
+                shifts = shift_rows[rng.integers(0, len(shift_rows), n)]
+                d_root = int(rng.integers(0, len(pool.roots)))
+                d_row = shift_rows[rng.integers(0, len(shift_rows))]
+                d_shifts = d_row[: rng.integers(1, l + 1)]
+                loop = []
+                for r, s in zip(roots, shifts):
+                    total = 0.0 + 0.0j
+                    for a in s:
+                        for b in d_shifts:
+                            total += table[r, d_root][(a - b) * pool.plan.n_cs % N_ZC]
+                    loop.append(scale * total / math.sqrt(len(d_shifts) * N_ZC))
+                fast = corr.coefficient(roots, shifts, scale, d_root, d_shifts)
+                assert fast.tobytes() == np.array(loop).tobytes()
 
     def test_fast_path_matches_matrix_route(self, pool):
         """Full estimate: explicit Y-despreading vs coefficient superposition."""
         rng = np.random.default_rng(6)
         m = 4
         assigned = [(0, (0, 1)), (0, (1, 7)), (2, (3, 9))]
+        roots, shifts = np.array([0, 0, 2]), rows((0, 1), (1, 7), (3, 9))
         h = (rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))) / math.sqrt(2)
         p_lin = db_to_linear(5.0)
         plan = pool.plan
@@ -252,9 +316,7 @@ class TestCorrelatorAlgebra:
 
         corr = _PatternCorrelator(pool)
         scale = 1.0 / math.sqrt(2)
-        coefs = np.array([
-            corr.coefficient(r, s, scale, 0, (0,)) for r, s in assigned
-        ])
+        coefs = corr.coefficient(roots, shifts, scale, 0, np.array([0]))
         g_fast = math.sqrt(p_lin) * (coefs @ h)
         np.testing.assert_allclose(g_fast, g_explicit, atol=1e-9)
 
