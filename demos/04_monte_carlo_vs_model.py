@@ -10,7 +10,7 @@ from pdra import analytic_reference, build_scenario, run_campaign
 grid = [
     {
         "n_ss": 32, "l": 2, "r_roots": r, "m_antennas": m, "rho": 0.0,
-        "channel_kind": "iid", "alpha_th_db": 5.0, "snr_db": -12.0, "n_active": 10,
+        "alpha_th_db": 5.0, "snr_db": -12.0, "n_active": 10,
     }
     for r in (1, 2, 3, 4)
     for m in (128, 512)

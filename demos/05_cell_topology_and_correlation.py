@@ -39,7 +39,7 @@ print(f"\n{m}-antenna correlation matrix, rho={rho}: "
 f = correlation_factor(m, rho, delta=0.3)
 print(f"factor reproduces R: {np.allclose(f @ f.conj().T, r)}")
 
-spec = ChannelModelSpec(kind="correlated", m_antennas=m, rho=rho)
+spec = ChannelModelSpec(m_antennas=m, rho=rho)
 place = UePlacement(x_m=100 * np.cos(0.3), y_m=100 * np.sin(0.3))
 samples = np.array([sample_channel(spec, rng, place) for _ in range(20000)])
 emp = samples.T @ samples.conj() / len(samples)

@@ -54,11 +54,9 @@ from .simulate import (
     SweepResult,
     TrialOutcome,
     analytic_reference,
-    build_received_pilot,
     build_scenario,
     classify_tagged_collision,
     detect_data_symbol,
-    mf_channel_estimate,
     mf_sinr,
     no_closed_form_reason,
     run_campaign,
@@ -78,8 +76,6 @@ from .zc import (
     default_roots,
     generate_root_sequence,
     make_shift_plan,
-    periodic_crosscorrelation,
-    plan_from_subset_size,
 )
 
 __version__ = "0.1.0"

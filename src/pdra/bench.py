@@ -30,8 +30,9 @@ from .analytic import (
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
 )
-from .geometry import CellLayout, drop_ue
+from .geometry import drop_ue
 from .simulate import (
+    CELL_LAYOUT,
     ScenarioConfig,
     SweepResult,
     analytic_reference,
@@ -166,11 +167,9 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-# Scalar spec fields a config file may set; list fields are the grid axes.
+# A config file may set any spec field; these list fields are the grid axes.
 _AXIS_KEYS = {"n_ss", "l", "r_roots", "m_antennas", "rho", "alpha_th_db",
               "snr_db", "n_active", "p_a"}
-_SCALAR_KEYS = {"mode", "metric", "n_zc", "population", "trials",
-                "master_seed", "threads", "out", "preset"}
 _INT_AXES = {"n_ss", "l", "r_roots", "m_antennas", "n_active"}
 
 
@@ -192,7 +191,7 @@ def parse_config(path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise SchemaError(f"config must be a flat key-value mapping, got {type(raw).__name__}")
-    known = _AXIS_KEYS | _SCALAR_KEYS
+    known = {f.name for f in dataclasses.fields(ExperimentSpec)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise SchemaError(
@@ -398,8 +397,8 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
 
 
 def run_topology(out: str, master_seed: int, echo=print) -> int:
-    """Export the two-tier cell grid and one seeded UE drop as CSV."""
-    layout = CellLayout()
+    """Export the cell grid of the correlated trials and one seeded UE drop as CSV."""
+    layout = CELL_LAYOUT
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
     ue = drop_ue(layout, rng)
     columns = ["kind", "index", "x_m", "y_m", "cell_radius_m", "min_dist_m"]
@@ -465,32 +464,23 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        seed = args.seed if args.seed is not None else _env_int("PDRA_SEED")
         if args.preset == "topology":
-            out = args.out or "pdra-topology.csv"
-            seed = args.seed
-            if seed is None:
-                seed = _env_int("PDRA_SEED")
-            if seed is None:
-                seed = 1
-            return run_topology(out, seed)
+            return run_topology(args.out or "pdra-topology.csv",
+                                1 if seed is None else seed)
         config_fields = parse_config(args.config) if args.config else {}
         flag_fields = {
             "mode": args.mode,
             "out": args.out,
             "trials": args.trials,
-            "master_seed": (
-                args.seed if args.seed is not None else _env_int("PDRA_SEED")
-            ),
+            "master_seed": seed,
             "threads": (
                 args.threads if args.threads is not None else _env_int("PDRA_THREADS")
             ),
         }
         spec = build_spec(args.preset, config_fields, flag_fields)
         return run_experiment(spec)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # SchemaError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

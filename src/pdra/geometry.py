@@ -75,15 +75,13 @@ class UePlacement:
 
 @dataclass(frozen=True)
 class ChannelModelSpec:
-    """Antenna count and spatial correlation of the UE-to-BS channel."""
+    """Antenna count and spatial correlation of the UE-to-BS channel; rho = 0
+    is i.i.d. fading."""
 
-    kind: str  # "iid" or "correlated"
     m_antennas: int
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("iid", "correlated"):
-            raise ValueError(f"kind must be 'iid' or 'correlated', got {self.kind!r}")
         if self.m_antennas < 1:
             raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
         if not 0.0 <= self.rho < 1.0:
@@ -172,11 +170,11 @@ def sample_channel(
 ) -> np.ndarray:
     """One CN(0, R) channel vector of length m_antennas.
 
-    The iid model ignores placement; the correlated model steers the
-    correlation matrix by the UE departure angle.
+    At rho = 0 the draw is i.i.d. and ignores placement; otherwise the UE
+    departure angle steers the correlation matrix.
     """
     raw = rng.standard_normal((1, 2, spec.m_antennas))
-    if spec.kind == "iid":
+    if spec.rho == 0.0:
         return (raw[0, 0] + 1j * raw[0, 1]) / math.sqrt(2.0)
     if placement is None:
         raise ValueError("correlated channels need a UE placement for the angle")

@@ -18,7 +18,6 @@ from itertools import chain, combinations
 import numpy as np
 
 from .zc import (
-    ShiftPlan,
     ZcConfig,
     ZcSequence,
     cyclic_shift,
@@ -85,15 +84,14 @@ class Pattern:
         self.waveform.setflags(write=False)
 
 
-def build_pattern(root_seq: ZcSequence, shifts: tuple[int, ...], plan: ShiftPlan) -> Pattern:
-    """Superimpose the given distinct shifts of one root, scaled by 1/sqrt(L)."""
+def build_pattern(root_seq: ZcSequence, shifts: tuple[int, ...], n_cs: int) -> Pattern:
+    """Superimpose the given distinct shifts of one root at step n_cs, scaled
+    by 1/sqrt(L); cyclic_shift rejects a shift beyond the root's length."""
     if len(set(shifts)) != len(shifts) or len(shifts) == 0:
         raise ValueError(f"shifts must be distinct and nonempty, got {shifts}")
-    if any(not 0 <= v < plan.n_ss for v in shifts):
-        raise ValueError(f"shift indices must lie in [0, {plan.n_ss}), got {shifts}")
     acc = np.zeros(root_seq.config.n_zc, dtype=complex)
     for v in shifts:
-        acc += cyclic_shift(root_seq, v, plan.n_cs).samples
+        acc += cyclic_shift(root_seq, v, n_cs).samples
     acc /= math.sqrt(len(shifts))
     return Pattern(root_u=root_seq.config.root_u, shifts=tuple(sorted(shifts)), waveform=acc)
 
@@ -106,22 +104,24 @@ class PilotPool:
     n_ss: int
     l: int
     n_zc: int
-    plan: ShiftPlan
 
     def __post_init__(self):
+        if not 2 <= self.n_ss <= self.n_zc:
+            raise ValueError(f"n_ss must satisfy 2 <= n_ss <= n_zc, got {self.n_ss}")
         if len(set(self.roots)) != len(self.roots) or not self.roots:
             raise ValueError(f"roots must be distinct and nonempty, got {self.roots}")
         if not 0 < self.l <= self.n_ss:
             raise ValueError(f"need 0 < l <= n_ss, got l={self.l}, n_ss={self.n_ss}")
-        if self.plan.n_ss < self.n_ss:
-            raise ValueError(
-                f"shift plan provides {self.plan.n_ss} shifts, pool needs {self.n_ss}"
-            )
         if self.n_ps > MAX_PATTERNS_PER_ROOT:
             raise ValueError(
                 f"C({self.n_ss}, {self.l}) = {self.n_ps} patterns per root exceeds "
                 f"the shift-table limit of {MAX_PATTERNS_PER_ROOT} (2**20)"
             )
+
+    @property
+    def n_cs(self) -> int:
+        """Shift step: the largest that fits n_ss shifts into one root."""
+        return self.n_zc // self.n_ss
 
     @property
     def n_ps(self) -> int:
@@ -147,12 +147,7 @@ class PilotPool:
 
     def pattern_at(self, i: int) -> Pattern:
         root_idx, shifts = self.root_and_shifts(i)
-        return build_pattern(self._root_sequence(root_idx), shifts, self.plan)
-
-    def index_of(self, root_idx: int, shifts: tuple[int, ...]) -> int:
-        if not 0 <= root_idx < len(self.roots):
-            raise ValueError(f"root index {root_idx} out of range")
-        return root_idx * self.n_ps + rank_combination(tuple(sorted(shifts)), self.n_ss)
+        return build_pattern(self._root_sequence(root_idx), shifts, self.n_cs)
 
     def _root_sequence(self, root_idx: int) -> ZcSequence:
         return _cached_root_sequence(self.n_zc, self.roots[root_idx])
@@ -160,18 +155,6 @@ class PilotPool:
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Batched uniform pattern index draws (the simulator's hot path)."""
         return rng.integers(0, self.n_p, size=size)
-
-    def descriptor(self) -> dict:
-        """Structured record of the pool identity, for run provenance."""
-        return {
-            "roots": list(self.roots),
-            "n_ss": self.n_ss,
-            "l": self.l,
-            "n_ps": self.n_ps,
-            "n_p": self.n_p,
-            "n_zc": self.n_zc,
-            "n_cs": self.plan.n_cs,
-        }
 
 
 @lru_cache(maxsize=64)
@@ -187,11 +170,8 @@ def build_pool(
     roots: tuple[int, ...] | None = None,
 ) -> PilotPool:
     """Pool over the first n_roots coprime roots (or an explicit root set)."""
-    from .zc import plan_from_subset_size
-
     if roots is None:
         roots = default_roots(n_zc, n_roots)
     elif len(roots) != n_roots:
         raise ValueError(f"explicit roots {roots} disagree with n_roots={n_roots}")
-    plan = plan_from_subset_size(n_zc, n_ss)
-    return PilotPool(roots=tuple(roots), n_ss=n_ss, l=l, n_zc=n_zc, plan=plan)
+    return PilotPool(roots=tuple(roots), n_ss=n_ss, l=l, n_zc=n_zc)

@@ -13,8 +13,8 @@ statistic.  The matched filter sees the received block only through its
 projection onto the unit-norm despreading vector, so trials synthesize
 g = sqrt(P) sum_n coef_n h_n + w directly, with coef_n the exact pilot
 cross-correlations and w ~ CN(0, I).  This is an algebraic identity, not an
-approximation; build_received_pilot realizes the full M x N_ZC block for
-validation and exploratory use.
+approximation, which tests/oracles.py checks against the full M x N_ZC
+received block.
 
 build_scenario turns one grid point into a ScenarioConfig.  run_campaign only
 simulates: it takes scenarios keyed by grid index (the point id of their
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Union
 
@@ -55,6 +55,9 @@ EVENT_E1 = "e1"
 EVENT_E2 = "e2-both-components"
 
 Z_95 = 1.959963984540054
+
+# Correlated trials drop their UEs in the center cell of this grid.
+CELL_LAYOUT = CellLayout()
 
 
 @dataclass(frozen=True)
@@ -89,33 +92,19 @@ Activity = Union[FixedActivity, RandomActivity]
 class ScenarioConfig:
     """Full description of one Monte-Carlo grid point."""
 
-    m_antennas: int
     activity: Activity
     pool: PilotPool
     channel: ChannelModelSpec
     snr_db: float
     alpha_th_db: float
-    n_zc: int
     trials: int
     master_seed: int
-    layout: CellLayout = field(default_factory=CellLayout)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        if self.m_antennas < 1:
-            raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
-        if self.channel.m_antennas != self.m_antennas:
-            raise ValueError(
-                f"channel spec is for {self.channel.m_antennas} antennas, "
-                f"scenario has {self.m_antennas}"
-            )
-        if self.pool.n_zc != self.n_zc:
-            raise ValueError(
-                f"pool built for n_zc={self.pool.n_zc}, scenario has {self.n_zc}"
-            )
 
 
 @dataclass(frozen=True)
@@ -139,27 +128,21 @@ def build_scenario(
 ) -> ScenarioConfig:
     """Scenario of one full grid point, as bench.expand_grid yields it.
 
-    The point sets n_ss, l, r_roots, m_antennas, rho, channel_kind,
-    alpha_th_db, snr_db and either n_active (fixed activity) or p_a with
-    population (random activity).
+    The point sets n_ss, l, r_roots, m_antennas, rho, alpha_th_db, snr_db
+    and either n_active (fixed activity) or p_a with population (random
+    activity).
     """
     if "n_active" in point:
         activity = FixedActivity(point["n_active"])
     else:
         activity = RandomActivity(point["population"], point["p_a"])
     return ScenarioConfig(
-        m_antennas=point["m_antennas"],
         activity=activity,
         pool=build_pool(n_zc, n_roots=point["r_roots"],
                         n_ss=point["n_ss"], l=point["l"]),
-        channel=ChannelModelSpec(
-            kind=point["channel_kind"],
-            m_antennas=point["m_antennas"],
-            rho=point["rho"],
-        ),
+        channel=ChannelModelSpec(point["m_antennas"], rho=point["rho"]),
         snr_db=point["snr_db"],
         alpha_th_db=point["alpha_th_db"],
-        n_zc=n_zc,
         trials=trials,
         master_seed=master_seed,
     )
@@ -195,32 +178,6 @@ def trial_rng(master_seed: int, point_id: int, trial_index: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(ss))
 
 
-def build_received_pilot(
-    channels: np.ndarray,
-    waveforms: np.ndarray,
-    snr_linear: float,
-    rng: np.random.Generator,
-    noise_variance: float = 1.0,
-) -> np.ndarray:
-    """Received pilot block Y = sum_n sqrt(P) h_n s_n^T + W, shape (M, N_ZC)."""
-    channels = np.atleast_2d(np.asarray(channels))
-    waveforms = np.atleast_2d(np.asarray(waveforms))
-    if channels.shape[0] != waveforms.shape[0]:
-        raise ValueError(
-            f"need one waveform per channel, got {channels.shape[0]} channels "
-            f"and {waveforms.shape[0]} waveforms"
-        )
-    m = channels.shape[1]
-    n_zc = waveforms.shape[1]
-    y = np.zeros((m, n_zc), dtype=complex)
-    if channels.shape[0]:
-        y += math.sqrt(snr_linear) * (channels.T @ waveforms)
-    if noise_variance > 0.0:
-        w = rng.standard_normal((m, n_zc)) + 1j * rng.standard_normal((m, n_zc))
-        y += math.sqrt(noise_variance / 2.0) * w
-    return y
-
-
 def shared_components(tagged: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Mask of the tagged shifts that appear in any row of others, (n, L)."""
     return (tagged[:, None] == others.ravel()).any(1)
@@ -241,14 +198,6 @@ def classify_tagged_collision(tagged: np.ndarray, others: np.ndarray) -> str:
     if n_shared == len(tagged) and (others == tagged).all(1).any():
         return EVENT_IDENTICAL
     return (EVENT_E0, EVENT_E1, EVENT_E2)[min(n_shared, 2)]
-
-
-def mf_channel_estimate(y: np.ndarray, despread: np.ndarray) -> np.ndarray:
-    """Matched-filter estimate g = Y conj(despread) / ||despread||."""
-    norm = float(np.linalg.norm(despread))
-    if norm == 0.0:
-        raise ValueError("despreading vector must be nonzero")
-    return (y @ np.conj(despread)) / norm
 
 
 def mf_sinr(g: np.ndarray, true_channels: np.ndarray, snr_linear: float) -> float:
@@ -280,7 +229,7 @@ class _PatternCorrelator:
     def __init__(self, pool: PilotPool):
         self.pool = pool
         self.n_zc = pool.n_zc
-        self.n_cs = pool.plan.n_cs
+        self.n_cs = pool.n_cs
         self._table = _root_pair_profiles(pool.n_zc, pool.roots)
 
     def coefficient(
@@ -322,14 +271,14 @@ def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
 
 
 def _draw_channels(
-    channel: ChannelModelSpec, layout: CellLayout, n: int, rng: np.random.Generator
+    channel: ChannelModelSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n, M) channel rows: every UE's normals first, then, when correlated,
-    one drop per UE whose angle steers its row."""
+    one drop per UE in the cell of CELL_LAYOUT whose angle steers its row."""
     raw = rng.standard_normal((n, 2, channel.m_antennas))
-    if channel.kind == "iid":
+    if channel.rho == 0.0:
         return (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0)
-    angles = [drop_ue(layout, rng).angle_rad for _ in range(n)]
+    angles = [drop_ue(CELL_LAYOUT, rng).angle_rad for _ in range(n)]
     return correlated_channels(raw, channel.rho, angles)
 
 
@@ -389,7 +338,7 @@ def run_trial(
     if event in (EVENT_E0, EVENT_E1):
         # E0 despreads by the whole tagged pattern, E1 by its free component
         despread = (roots[0], tagged[~shared_components(tagged, same_root)])
-        h = _draw_channels(config.channel, config.layout, n_active, rng)
+        h = _draw_channels(config.channel, n_active, rng)
         sinr, _ = _tagged_sinr(
             correlator, roots, shifts, despread, h, db_to_linear(config.snr_db), rng
         )
@@ -436,7 +385,7 @@ def run_forced_interference_trial(
         ranks.append(int(rng.integers(0, pool.n_ps)))
     shifts = pool.shift_table[ranks]
 
-    h = _draw_channels(ChannelModelSpec("iid", m_antennas), CellLayout(), len(roots), rng)
+    h = _draw_channels(ChannelModelSpec(m_antennas), len(roots), rng)
     sinr, coefs = _tagged_sinr(
         correlator, np.array(roots), shifts, (0, shifts[0]), h, db_to_linear(snr_db), rng
     )
@@ -465,7 +414,7 @@ def analytic_reference(config: ScenarioConfig) -> float | None:
         n_active=activity.n_active if fixed else 1,
         r_roots=len(config.pool.roots),
         n_ss=config.pool.n_ss,
-        n_zc=config.n_zc,
+        n_zc=config.pool.n_zc,
         alpha_th=db_to_linear(config.alpha_th_db),
     )
     scheme = "pdra" if config.pool.l == 2 else "conventional"

@@ -122,28 +122,6 @@ def make_shift_plan(n_zc: int, n_cs: int) -> ShiftPlan:
     return ShiftPlan(n_cs=n_cs, n_ss=n_zc // n_cs)
 
 
-def plan_from_subset_size(n_zc: int, n_ss: int) -> ShiftPlan:
-    """Plan realizing exactly n_ss shifts, using the largest step that fits."""
-    if not 2 <= n_ss <= n_zc:
-        raise ValueError(f"n_ss must satisfy 2 <= n_ss <= n_zc, got {n_ss}")
-    n_cs = n_zc // n_ss
-    if n_cs < 1:
-        raise ValueError(f"n_ss={n_ss} exceeds the number of samples {n_zc}")
-    plan = make_shift_plan(n_zc, n_cs)
-    if plan.n_ss < n_ss:
-        raise ValueError(f"no shift step realizes n_ss={n_ss} for n_zc={n_zc}")
-    # floor(n_zc / floor(n_zc / n_ss)) can exceed n_ss; keep the requested count.
-    return ShiftPlan(n_cs=n_cs, n_ss=n_ss)
-
-
-def periodic_crosscorrelation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
-    """Periodic cross-correlation sum_l a[l] * conj(b[(l + lag) mod N])."""
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"a and b must be 1-d arrays of equal length, got {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    return complex(np.dot(a, np.conj(np.roll(b, -(lag % n)))))
-
-
 def correlation_profile(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Periodic cross-correlation at every lag 0..N-1 (direct summation)."""
     if a.shape != b.shape or a.ndim != 1:

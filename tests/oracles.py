@@ -2,11 +2,15 @@
 
 Everything here is written for clarity, not speed: exact rational
 enumeration over the full event space, set-based collision classification,
-no shortcuts shared with the library implementation.
+the full received pilot block in the waveform domain, no shortcuts shared
+with the library implementation.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 
 def enumerate_collision_events(n_others: int, n_ss: int) -> tuple[Fraction, Fraction]:
@@ -93,3 +97,49 @@ def classify_collision_sets(
     if len(shared) == 1:
         return "e1", shared
     return "e2-both-components", shared
+
+
+def periodic_crosscorrelation(a: np.ndarray, b: np.ndarray, lag: int) -> complex:
+    """Periodic cross-correlation sum_l a[l] * conj(b[(l + lag) mod N])."""
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"a and b must be 1-d arrays of equal length, got {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    return complex(np.dot(a, np.conj(np.roll(b, -(lag % n)))))
+
+
+def build_received_pilot(
+    channels: np.ndarray,
+    waveforms: np.ndarray,
+    snr_linear: float,
+    rng: np.random.Generator,
+    noise_variance: float = 1.0,
+) -> np.ndarray:
+    """Received pilot block Y = sum_n sqrt(P) h_n s_n^T + W, shape (M, N_ZC).
+
+    With mf_channel_estimate it is the waveform-domain route to the estimate
+    that trials synthesize from pilot cross-correlations.
+    """
+    channels = np.atleast_2d(np.asarray(channels))
+    waveforms = np.atleast_2d(np.asarray(waveforms))
+    if channels.shape[0] != waveforms.shape[0]:
+        raise ValueError(
+            f"need one waveform per channel, got {channels.shape[0]} channels "
+            f"and {waveforms.shape[0]} waveforms"
+        )
+    m = channels.shape[1]
+    n_zc = waveforms.shape[1]
+    y = np.zeros((m, n_zc), dtype=complex)
+    if channels.shape[0]:
+        y += math.sqrt(snr_linear) * (channels.T @ waveforms)
+    if noise_variance > 0.0:
+        w = rng.standard_normal((m, n_zc)) + 1j * rng.standard_normal((m, n_zc))
+        y += math.sqrt(noise_variance / 2.0) * w
+    return y
+
+
+def mf_channel_estimate(y: np.ndarray, despread: np.ndarray) -> np.ndarray:
+    """Matched-filter estimate g = Y conj(despread) / ||despread||."""
+    norm = float(np.linalg.norm(despread))
+    if norm == 0.0:
+        raise ValueError("despreading vector must be nonzero")
+    return (y @ np.conj(despread)) / norm

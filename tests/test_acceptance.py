@@ -55,7 +55,7 @@ def grid_scenario(trials: int, master_seed: int, **fields) -> ScenarioConfig:
     SNR -12 dB and a 5 dB threshold unless fields say otherwise; fields must
     set the activity (n_active, or p_a with population)."""
     point = dict(
-        n_ss=32, l=2, r_roots=1, m_antennas=128, rho=0.0, channel_kind="iid",
+        n_ss=32, l=2, r_roots=1, m_antennas=128, rho=0.0,
         alpha_th_db=5.0, snr_db=-12.0,
     )
     point.update(fields)
@@ -221,10 +221,10 @@ def test_criterion_08_spatial_correlation_degradation():
     pid = 200
     for m in (128, 256):
         for r in (1, 2, 3, 4):
-            for rho, kind in ((0.0, "iid"), (0.7, "correlated")):
+            for rho in (0.0, 0.7):
                 cfg = grid_scenario(
                     15_000, 103, p_a=0.001, population=10_000,
-                    r_roots=r, m_antennas=m, rho=rho, channel_kind=kind,
+                    r_roots=r, m_antennas=m, rho=rho,
                 )
                 s, n = run_point(cfg, point_id=pid)
                 pid += 1

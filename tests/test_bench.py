@@ -240,15 +240,15 @@ class TestRunExperiment:
             assert fa.read() != fb.read()
 
     def test_bad_point_isolates_and_flags_exit(self, tmp_path):
-        # n_ss=900 exceeds the largest shift plan for N_ZC=839 at one point.
-        spec = tiny_spec(tmp_path, n_ss=(16, 900))
+        # N_ZC=839 holds neither 900 shifts per root nor a family of one.
+        spec = tiny_spec(tmp_path, n_ss=(16, 900, 1))
         code = run_experiment(spec, echo=lambda *_: None)
         assert code == 1
         with open(spec.out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         statuses = [row["status"] for row in rows]
-        assert sum(s == "ok" for s in statuses) == 2
-        assert sum(s.startswith("error:") for s in statuses) == 2
+        bad = "error: n_ss must satisfy 2 <= n_ss <= n_zc, got {}"
+        assert statuses == ["ok", "ok"] + [bad.format(900)] * 2 + [bad.format(1)] * 2
 
     def test_analytic_only_leaves_sim_columns_empty(self, tmp_path):
         spec = tiny_spec(tmp_path, mode="analytic")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
-from pdra.geometry import ChannelModelSpec, CellLayout, correlated_channels, drop_ue
+from pdra.geometry import ChannelModelSpec, correlated_channels, drop_ue
 from pdra.pool import build_pattern, build_pool, combination_table
 from pdra.simulate import (
     EVENT_E0,
@@ -19,12 +19,11 @@ from pdra.simulate import (
     _PatternCorrelator,
     _draw_channels,
     _root_pair_profiles,
+    CELL_LAYOUT,
     analytic_reference,
-    build_received_pilot,
     build_scenario,
     classify_tagged_collision,
     detect_data_symbol,
-    mf_channel_estimate,
     mf_sinr,
     run_campaign,
     run_forced_interference_trial,
@@ -35,26 +34,22 @@ from pdra.simulate import (
     wilson_interval,
 )
 
-from oracles import classify_collision_sets
+from oracles import build_received_pilot, classify_collision_sets, mf_channel_estimate
 
 N_ZC = 839
 
 
-def small_config(**overrides) -> ScenarioConfig:
+def small_config(m_antennas: int = 8, **overrides) -> ScenarioConfig:
     fields = dict(
-        m_antennas=8,
         activity=FixedActivity(10),
         pool=build_pool(N_ZC, n_roots=2, n_ss=16, l=2),
+        channel=ChannelModelSpec(m_antennas=m_antennas),
         snr_db=0.0,
         alpha_th_db=5.0,
-        n_zc=N_ZC,
         trials=100,
         master_seed=42,
     )
     fields.update(overrides)
-    fields.setdefault(
-        "channel", ChannelModelSpec(kind="iid", m_antennas=fields["m_antennas"])
-    )
     return ScenarioConfig(**fields)
 
 
@@ -246,7 +241,7 @@ class TestCorrelatorAlgebra:
             wav_i = pool.pattern_at(int(i)).waveform
             base_j = generate_root_sequence(ZcConfig(N_ZC, pool.roots[root_j]))
             despread = sum(
-                np.roll(base_j.samples, -v * pool.plan.n_cs) for v in shifts_j
+                np.roll(base_j.samples, -v * pool.n_cs) for v in shifts_j
             )
             despread = despread / np.linalg.norm(despread)
             direct = complex(np.sum(wav_i * np.conj(despread)))
@@ -286,7 +281,7 @@ class TestCorrelatorAlgebra:
                     total = 0.0 + 0.0j
                     for a in s:
                         for b in d_shifts:
-                            total += table[r, d_root][(a - b) * pool.plan.n_cs % N_ZC]
+                            total += table[r, d_root][(a - b) * pool.n_cs % N_ZC]
                     loop.append(scale * total / math.sqrt(len(d_shifts) * N_ZC))
                 fast = corr.coefficient(roots, shifts, scale, d_root, d_shifts)
                 assert fast.tobytes() == np.array(loop).tobytes()
@@ -299,12 +294,11 @@ class TestCorrelatorAlgebra:
         roots, shifts = np.array([0, 0, 2]), rows((0, 1), (1, 7), (3, 9))
         h = (rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))) / math.sqrt(2)
         p_lin = db_to_linear(5.0)
-        plan = pool.plan
         from pdra.zc import ZcConfig, generate_root_sequence
 
         waveforms = np.array([
             build_pattern(
-                generate_root_sequence(ZcConfig(N_ZC, pool.roots[r])), s, plan
+                generate_root_sequence(ZcConfig(N_ZC, pool.roots[r])), s, pool.n_cs
             ).waveform
             for r, s in assigned
         ])
@@ -326,16 +320,15 @@ class TestDrawChannels:
         """All normals first, then one drop per UE whose angle steers its row
         (rows against the factor oracle: tests/test_geometry.py)."""
         m, n = 16, 4
-        channel = ChannelModelSpec(kind="correlated", m_antennas=m, rho=0.7)
-        layout = CellLayout()
-        h = _draw_channels(channel, layout, n, np.random.default_rng(8))
+        channel = ChannelModelSpec(m_antennas=m, rho=0.7)
+        h = _draw_channels(channel, n, np.random.default_rng(8))
         twin = np.random.default_rng(8)
         raw = twin.standard_normal((n, 2, m))
-        angles = [drop_ue(layout, twin).angle_rad for _ in range(n)]
+        angles = [drop_ue(CELL_LAYOUT, twin).angle_rad for _ in range(n)]
         np.testing.assert_array_equal(h, correlated_channels(raw, 0.7, angles))
-        iid = ChannelModelSpec(kind="iid", m_antennas=m)
+        iid = ChannelModelSpec(m_antennas=m)
         np.testing.assert_array_equal(
-            _draw_channels(iid, layout, n, np.random.default_rng(8)),
+            _draw_channels(iid, n, np.random.default_rng(8)),
             (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0),
         )
 
@@ -401,7 +394,6 @@ class TestRunTrial:
             m_antennas=128,
             activity=FixedActivity(10),
             pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=2),
-            channel=ChannelModelSpec(kind="iid", m_antennas=128),
             snr_db=10.0,
             trials=4000,
         )
@@ -476,15 +468,14 @@ class TestCampaign:
     def test_point_builds_pool_and_channel(self):
         point = {
             "n_ss": 32, "l": 1, "r_roots": 3, "m_antennas": 16, "rho": 0.5,
-            "channel_kind": "correlated", "alpha_th_db": 3.0, "snr_db": -4.0,
+            "alpha_th_db": 3.0, "snr_db": -4.0,
             "p_a": 0.1, "population": 50,
         }
         new = build_scenario(point, N_ZC, trials=7, master_seed=3)
         assert new.pool.n_ss == 32 and new.pool.l == 1
         assert len(new.pool.roots) == 3
-        assert new.channel.kind == "correlated"
-        assert new.channel.m_antennas == 16
-        assert new.m_antennas == 16
+        assert new.channel == ChannelModelSpec(m_antennas=16, rho=0.5)
+        assert new.pool.n_zc == N_ZC
         assert new.activity == RandomActivity(population=50, p_a=0.1)
         assert (new.snr_db, new.alpha_th_db, new.trials, new.master_seed) == (-4.0, 3.0, 7, 3)
 

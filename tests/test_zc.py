@@ -14,9 +14,10 @@ from pdra.zc import (
     default_roots,
     generate_root_sequence,
     make_shift_plan,
-    periodic_crosscorrelation,
-    plan_from_subset_size,
 )
+from pdra.pool import build_pool
+
+from oracles import periodic_crosscorrelation
 
 NZC = 839
 
@@ -60,7 +61,7 @@ def test_profile_matches_single_lag_op():
 
 
 def test_cyclic_shift_sample_mapping():
-    plan = plan_from_subset_size(NZC, 32)
+    plan = make_shift_plan(NZC, 26)
     seq = generate_root_sequence(ZcConfig(n_zc=NZC, root_u=5))
     shifted = cyclic_shift(seq, 3, plan.n_cs)
     assert shifted.shift_v == 3
@@ -71,7 +72,7 @@ def test_cyclic_shift_sample_mapping():
 
 
 def test_distinct_shifts_are_orthogonal():
-    plan = plan_from_subset_size(NZC, 32)
+    plan = make_shift_plan(NZC, 26)
     seq = generate_root_sequence(ZcConfig(n_zc=NZC, root_u=1))
     a = cyclic_shift(seq, 4, plan.n_cs).samples
     b = cyclic_shift(seq, 9, plan.n_cs).samples
@@ -128,10 +129,8 @@ def test_compute_ncs_rejects_oversized_cell():
 
 
 def test_shift_plans_for_preset_sizes():
-    plan32 = plan_from_subset_size(NZC, 32)
-    assert (plan32.n_cs, plan32.n_ss) == (26, 32)
-    plan64 = plan_from_subset_size(NZC, 64)
-    assert (plan64.n_cs, plan64.n_ss) == (13, 64)
+    assert build_pool(NZC, 1, n_ss=32, l=2).n_cs == 26
+    assert build_pool(NZC, 1, n_ss=64, l=2).n_cs == 13
     assert make_shift_plan(NZC, 26).n_ss == 32
 
 
