@@ -9,13 +9,12 @@ import numpy as np
 
 from pdra import (
     CellLayout,
-    ChannelModelSpec,
     UePlacement,
+    correlated_channels,
     correlation_factor,
     correlation_matrix,
     drop_ue,
     pathloss_db,
-    sample_channel,
 )
 
 layout = CellLayout()
@@ -39,9 +38,9 @@ print(f"\n{m}-antenna correlation matrix, rho={rho}: "
 f = correlation_factor(m, rho, delta=0.3)
 print(f"factor reproduces R: {np.allclose(f @ f.conj().T, r)}")
 
-spec = ChannelModelSpec(m_antennas=m, rho=rho)
 place = UePlacement(x_m=100 * np.cos(0.3), y_m=100 * np.sin(0.3))
-samples = np.array([sample_channel(spec, rng, place) for _ in range(20000)])
+samples = correlated_channels(rng.standard_normal((20000, 2, m)), rho,
+                              [place.angle_rad] * 20000)
 emp = samples.T @ samples.conj() / len(samples)
 print(f"sample covariance of 20k draws matches R within "
       f"{np.max(np.abs(emp - r)):.3f} (Monte Carlo error)")

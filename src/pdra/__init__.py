@@ -33,11 +33,11 @@ from .geometry import (
     CellLayout,
     ChannelModelSpec,
     UePlacement,
+    correlated_channels,
     correlation_factor,
     correlation_matrix,
     drop_ue,
     pathloss_db,
-    sample_channel,
 )
 from .pool import (
     Pattern,

@@ -87,6 +87,8 @@ class ExperimentSpec:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.metric not in METRICS:
             raise SchemaError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.n_zc < 3 or self.n_zc % 2 == 0:
+            raise SchemaError(f"n_zc must be an odd integer >= 3, got {self.n_zc}")
         if (self.n_active is None) == (self.p_a is None):
             raise SchemaError(
                 "exactly one of n_active (fixed count) and p_a (random activity) "

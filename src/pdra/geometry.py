@@ -88,27 +88,38 @@ class ChannelModelSpec:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
 
 
-def _inside_hexagon(x: float, y: float, radius: float) -> bool:
+def _inside_hexagon(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
     # flat-top hexagon with vertices at (+-radius, 0), (+-radius/2, +-sqrt(3)/2 radius)
     s3 = math.sqrt(3.0)
     return (
-        abs(y) <= s3 * radius / 2.0 + 1e-12
-        and abs(s3 * x + y) <= s3 * radius + 1e-12
-        and abs(s3 * x - y) <= s3 * radius + 1e-12
+        (np.abs(y) <= s3 * radius / 2.0 + 1e-12)
+        & (np.abs(s3 * x + y) <= s3 * radius + 1e-12)
+        & (np.abs(s3 * x - y) <= s3 * radius + 1e-12)
     )
 
 
-def drop_ue(layout: CellLayout, rng: np.random.Generator) -> UePlacement:
-    """Uniform drop in the center hexagon outside the BS exclusion disk."""
+def drop_positions(layout: CellLayout, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2) uniform drops in the center hexagon outside the BS exclusion disk.
+
+    Rejection over arrays: each round draws one (x, y) candidate per missing
+    drop, uniform in the bounding square, and keeps those that land in the
+    cell; the first n accepted, in draw order, are the drops.
+    """
     r = layout.radius_m
-    while True:
-        x = rng.uniform(-r, r)
-        y = rng.uniform(-r, r)
-        if not _inside_hexagon(x, y, r):
-            continue
-        if math.hypot(x, y) < layout.min_dist_m:
-            continue
-        return UePlacement(x_m=x, y_m=y)
+    kept = np.empty((0, 2))
+    while len(kept) < n:
+        xy = rng.uniform(-r, r, size=(n - len(kept), 2))
+        ok = _inside_hexagon(xy[:, 0], xy[:, 1], r) & (
+            np.hypot(xy[:, 0], xy[:, 1]) >= layout.min_dist_m
+        )
+        kept = np.concatenate([kept, xy[ok]])
+    return kept
+
+
+def drop_ue(layout: CellLayout, rng: np.random.Generator) -> UePlacement:
+    """One uniform drop: drop_positions with n = 1, one (x, y) per attempt."""
+    x, y = drop_positions(layout, rng, 1)[0]
+    return UePlacement(x_m=float(x), y_m=float(y))
 
 
 def correlation_matrix(m: int, rho: float, delta: float) -> np.ndarray:
@@ -154,31 +165,15 @@ def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
 
     Row i equals correlation_factor(M, rho, angles[i]) @ w_i with
     w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the real factor filters real
-    and imaginary parts of every row in one product, then each row takes the
-    phase ramp e^{-j delta k} of its angle.
+    and imaginary parts of every row in one matrix product, then each row
+    takes the phase ramp e^{-j delta k} of its angle, built as the running
+    product of e^{-j delta} along the antennas.
     """
     m = raw.shape[-1]
-    x = raw @ _toeplitz_factor(m, rho).T
-    ramps = np.exp(-1j * np.multiply.outer(angles, np.arange(m)))
-    return ramps * (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
-
-
-def sample_channel(
-    spec: ChannelModelSpec,
-    rng: np.random.Generator,
-    placement: UePlacement | None = None,
-) -> np.ndarray:
-    """One CN(0, R) channel vector of length m_antennas.
-
-    At rho = 0 the draw is i.i.d. and ignores placement; otherwise the UE
-    departure angle steers the correlation matrix.
-    """
-    raw = rng.standard_normal((1, 2, spec.m_antennas))
-    if spec.rho == 0.0:
-        return (raw[0, 0] + 1j * raw[0, 1]) / math.sqrt(2.0)
-    if placement is None:
-        raise ValueError("correlated channels need a UE placement for the angle")
-    return correlated_channels(raw, spec.rho, [placement.angle_rad])[0]
+    x = (raw.reshape(-1, m) @ _toeplitz_factor(m, rho).T).reshape(raw.shape)
+    ramps = np.ones((len(angles), m), dtype=complex)
+    ramps[:, 1:] = np.exp(-1j * np.asarray(angles, dtype=float))[:, None]
+    return ramps.cumprod(axis=1) * (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
 
 
 def pathloss_db(distance_m: float, scenario: str = "nlos") -> float:

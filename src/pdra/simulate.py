@@ -1,24 +1,55 @@
 """Monte-Carlo engine for one-shot random access with pattern-domain pilots.
 
-Each trial realizes an access opportunity end-to-end: activity draw, uniform
-pattern assignment, collision classification for the tagged UE, matched-filter
-channel estimation from the superimposed pilots, the pre-limit SINR, and the
-success decision SINR >= alpha_th.  No data symbol enters that decision, so
-trials draw none.  Trials derive independent random substreams from
-(master_seed, grid-point id, trial index), so results are bit-reproducible
-under any degree of parallelism.
+Each trial realizes an access opportunity: activity draw, uniform pattern
+assignment, collision classification for the tagged UE (index 0), the
+matched-filter estimate from the superimposed pilots, the pre-limit SINR, and
+the success decision SINR >= alpha_th.  No data symbol enters that decision,
+so trials draw none.
+
+RNG contract v2.  Trials run in blocks of BLOCK_TRIALS = 64.  Block b of the
+point with id p draws from its own stream,
+Philox(SeedSequence(master_seed, spawn_key=(p, b))), so results are
+bit-reproducible under any degree of parallelism.  Every block draws all 64
+rows, a partial last block too: trial t is row t mod 64 of block t // 64, its
+outcome does not depend on the point's trial count, and run_trial replays it
+alone.  Draw order within a block:
+
+1. random activity only: 64 counts, 1 + Binomial(population - 1, p_a);
+2. a (64, n_max) array of pool indices, n_max the block's largest count;
+   column 0 is the tagged UE, and the entries past a row's count are padding
+   that a validity mask hides;
+3. for the rows whose tagged UE met E0 or E1 (the live rows), in row order:
+   i.i.d., Gamma(M, 1) per live row, then one (live, 2, n_max + 1) array of
+   normals for zeta below; correlated, the drop positions of every active UE
+   of the live rows (rejection over arrays), then per live row one
+   (n + 1, 2, M) array of normals: its UEs' channels, then the noise.
 
 Power convention: sigma^2 = 1 and P = linear SNR; only the ratio enters any
 statistic.  The matched filter sees the received block only through its
-projection onto the unit-norm despreading vector, so trials synthesize
-g = sqrt(P) sum_n coef_n h_n + w directly, with coef_n the exact pilot
-cross-correlations and w ~ CN(0, I).  This is an algebraic identity, not an
-approximation, which tests/oracles.py checks against the full M x N_ZC
-received block.
+projection onto the unit-norm despreading vector, so the estimate is
+g = sqrt(P) sum_n c_n h_n + w, with c_n the exact pilot cross-correlations
+and w ~ CN(0, I_M).  This is an algebraic identity, not an approximation,
+which tests/oracles.py checks against the full M x N_ZC received block.  The
+tagged SINR is P |h_0^H g|^2 / (P sum_{n>0} |h_n^H g|^2 + ||g||^2).
+
+Rank-one law for i.i.d. channels (rho = 0).  Write A = [h_0 ... h_{n-1}, w],
+an M x (n+1) matrix of i.i.d. CN(0, 1) entries, v = [sqrt(P) c, 1] and
+u = v / ||v||, so that g = A v.  For a unitary U whose first column is u, A U
+is again i.i.d. CN(0, 1).  Its first column a = A u gives g = ||v|| a and
+||g||^2 = ||v||^2 gamma with gamma = ||a||^2 ~ Gamma(M, 1).  Its other columns
+are independent of a, so their inner products with a are CN(0, gamma) given
+gamma; rotated back, they are sqrt(gamma) (zeta - u u^H zeta) with
+zeta ~ CN(0, I_{n+1}), the projection of white noise off u.  Hence
+
+    A^H g = ||v|| (gamma u + sqrt(gamma) (zeta - u (u^H zeta))),
+
+and ||v|| cancels from the SINR.  The law is exact for every M >= 1, and a
+trial costs O(n) draws whatever M is.  Correlated channels (rho > 0) are
+drawn explicitly and reduced by mf_sinr, one trial at a time.
 
 build_scenario turns one grid point into a ScenarioConfig.  run_campaign only
 simulates: it takes scenarios keyed by grid index (the point id of their
-substreams) and returns success counts with Wilson intervals.  The closed-form
+streams) and returns success counts with Wilson intervals.  The closed-form
 value of a scenario is a separate call, analytic_reference.
 """
 
@@ -43,7 +74,8 @@ from .geometry import (
     ChannelModelSpec,
     CellLayout,
     correlated_channels,
-    # no longer called here; kept as the module attribute perfbench/traced.py wraps
+    drop_positions,
+    # not called here; kept as module attributes perfbench/traced.py wraps
     correlation_factor,
     drop_ue,
 )
@@ -53,6 +85,11 @@ EVENT_IDENTICAL = "identical-pattern-collision"
 EVENT_E0 = "e0"
 EVENT_E1 = "e1"
 EVENT_E2 = "e2-both-components"
+# Event codes of the block engine: the index into this tuple.
+EVENTS = (EVENT_E0, EVENT_E1, EVENT_E2, EVENT_IDENTICAL)
+
+# Trials per block, the unit of the RNG contract.
+BLOCK_TRIALS = 64
 
 Z_95 = 1.959963984540054
 
@@ -172,9 +209,13 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return lo, hi
 
 
-def trial_rng(master_seed: int, point_id: int, trial_index: int) -> np.random.Generator:
-    """Counter-keyed substream: bit-reproducible at any parallelism."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_id, trial_index))
+def trial_rng(master_seed: int, point_id: int, index: int) -> np.random.Generator:
+    """Counter-keyed Philox stream of (master_seed, point id, index).
+
+    run_block keys it by block index, run_forced_interference_trial by trial
+    index; either way it is bit-reproducible at any parallelism.
+    """
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_id, index))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -198,6 +239,27 @@ def classify_tagged_collision(tagged: np.ndarray, others: np.ndarray) -> str:
     if n_shared == len(tagged) and (others == tagged).all(1).any():
         return EVENT_IDENTICAL
     return (EVENT_E0, EVENT_E1, EVENT_E2)[min(n_shared, 2)]
+
+
+def classify_block(
+    roots: np.ndarray, shifts: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """classify_tagged_collision and shared_components for every row of a block.
+
+    Row r holds the roots (n,) and shift rows (n, L) of its UEs, the tagged UE
+    first; valid marks its active UEs.  Returns the event codes (index into
+    EVENTS), the (B, L) mask of tagged shifts that a same-root other holds,
+    and the count of same-root others, per row.
+    """
+    same = valid & (roots == roots[:, :1])
+    same[:, 0] = False
+    tagged = shifts[:, 0]
+    hits = (tagged[:, :, None, None] == shifts[:, None]) & same[:, None, :, None]
+    shared = hits.any(axis=(2, 3))
+    identical = ((shifts == tagged[:, None]).all(axis=2) & same).any(axis=1)
+    events = np.where(identical, EVENTS.index(EVENT_IDENTICAL),
+                      np.minimum(shared.sum(axis=1), 2))
+    return events, shared, same.sum(axis=1)
 
 
 def mf_sinr(g: np.ndarray, true_channels: np.ndarray, snr_linear: float) -> float:
@@ -237,20 +299,29 @@ class _PatternCorrelator:
         roots: np.ndarray,
         shifts: np.ndarray,
         scale: float,
-        despread_root_idx: int,
+        despread_root_idx,
         despread_shifts: np.ndarray,
+        despread_used: np.ndarray | None = None,
     ) -> np.ndarray:
         """Every UE's <pattern, unit despread>: scale * sum of lookups / ||despread||.
 
-        UE n holds shift row shifts[n] of root roots[n].  Its L x L' lookups
-        add in sequence (despread shift fastest), as a scalar loop adds them;
-        a pairwise sum would associate them differently and move last bits.
+        UE n holds shift row shifts[..., n, :] of root roots[..., n]; leading
+        axes, if any, are rows of a block, each with its own despreading root
+        and shifts.  despread_used masks the despreading shifts in use (all
+        of them when None).  Each UE's L x L' lookups add in sequence
+        (despread shift fastest), as a scalar loop adds them; a pairwise sum
+        would associate them differently and move last bits.
         """
-        lags = (shifts[:, :, None] - despread_shifts) * self.n_cs % self.n_zc
-        terms = self._table[roots[:, None, None], despread_root_idx, lags]
-        total = terms.reshape(len(roots), -1).cumsum(axis=1)[:, -1]
-        norm = math.sqrt(len(despread_shifts) * self.n_zc)
-        return scale * total / norm
+        offsets = shifts[..., None] - despread_shifts[..., None, None, :]
+        lags = offsets * self.n_cs % self.n_zc
+        d_root = np.asarray(despread_root_idx)[..., None, None, None]
+        terms = self._table[roots[..., None, None], d_root, lags]
+        n_used = despread_shifts.shape[-1]
+        if despread_used is not None:
+            terms = terms * despread_used[..., None, None, :]
+            n_used = despread_used.sum(axis=-1)[..., None]
+        total = terms.reshape(*roots.shape, -1).cumsum(axis=-1)[..., -1]
+        return scale * total / np.sqrt(n_used * self.n_zc)
 
 
 @lru_cache(maxsize=16)
@@ -270,39 +341,122 @@ def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
     return _root_pair_profiles_cached(n_zc, tuple(roots))
 
 
-def _draw_channels(
-    channel: ChannelModelSpec, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(n, M) channel rows: every UE's normals first, then, when correlated,
-    one drop per UE in the cell of CELL_LAYOUT whose angle steers its row."""
-    raw = rng.standard_normal((n, 2, channel.m_antennas))
-    if channel.rho == 0.0:
-        return (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0)
-    angles = [drop_ue(CELL_LAYOUT, rng).angle_rad for _ in range(n)]
-    return correlated_channels(raw, channel.rho, angles)
-
-
-def _tagged_sinr(
-    correlator: _PatternCorrelator,
-    roots: np.ndarray,
-    shifts: np.ndarray,
-    despread: tuple[int, np.ndarray],
-    h: np.ndarray,
-    p_lin: float,
+def _rank_one_sinr(
+    coefs: np.ndarray, n_active: np.ndarray, p_lin: float, m: int,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """Pre-limit SINR of UE 0 and the pilot coefficients of every UE.
+) -> np.ndarray:
+    """Tagged SINR of each row over i.i.d. channels, by the rank-one law.
 
-    UE n sends shift row shifts[n] of root roots[n]; despread = (root index,
-    shifts).  The despreading-projected pilot noise is the one draw, then
-    g = sqrt(P) sum_n coef_n h_n + w feeds mf_sinr.
+    Row r has pilot coefficients coefs[r, :n_active[r]]; the rest is padding.
+    Draws gamma ~ Gamma(M, 1) per row, then zeta ~ CN(0, I) of width n + 1 per
+    row, and returns P |x_0|^2 / (P sum_{0<i<n} |x_i|^2 + gamma) with
+    x = gamma u + sqrt(gamma) (zeta - u (u^H zeta)) (module docstring).
     """
-    scale = 1.0 / math.sqrt(correlator.pool.l)
-    coefs = correlator.coefficient(roots, shifts, scale, *despread)
-    m = h.shape[1]
-    noise = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
-    g = math.sqrt(p_lin) * (coefs @ h) + noise
-    return float(mf_sinr(g, h, p_lin)), coefs
+    rows, n = coefs.shape
+    gamma = rng.standard_gamma(m, size=(rows, 1))
+    z = rng.standard_normal((rows, 2, n + 1))
+    zeta = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    v = np.concatenate([math.sqrt(p_lin) * coefs, np.ones((rows, 1))], axis=1)
+    u = v / np.linalg.norm(v, axis=1, keepdims=True)
+    along_u = np.sum(np.conj(u) * zeta, axis=1, keepdims=True)
+    x = gamma * u + np.sqrt(gamma) * (zeta - u * along_u)
+    power = np.abs(x[:, :n]) ** 2 * (np.arange(n) < n_active[:, None])
+    return p_lin * power[:, 0] / (p_lin * power[:, 1:].sum(axis=1) + gamma[:, 0])
+
+
+def _correlated_sinr(
+    coefs: np.ndarray, angles: np.ndarray, channel: ChannelModelSpec,
+    p_lin: float, rng: np.random.Generator,
+) -> float:
+    """Tagged SINR of one trial over explicit CN(0, R) channels.
+
+    One (n + 1, 2, M) draw of normals holds the n UE rows, each steered by its
+    drop angle, then the noise w of g = sqrt(P) sum_n c_n h_n + w.
+    """
+    raw = rng.standard_normal((len(coefs) + 1, 2, channel.m_antennas))
+    h = correlated_channels(raw[:-1], channel.rho, angles)
+    noise = (raw[-1, 0] + 1j * raw[-1, 1]) / math.sqrt(2.0)
+    return mf_sinr(math.sqrt(p_lin) * (coefs @ h) + noise, h, p_lin)
+
+
+@dataclass(frozen=True)
+class BlockOutcome:
+    """Per-row arrays of the BLOCK_TRIALS trials of one block."""
+
+    n_active: np.ndarray
+    events: np.ndarray  # index into EVENTS
+    n_same_root_others: np.ndarray
+    sinr_linear: np.ndarray  # NaN where the event leaves no SINR
+    success: np.ndarray
+
+    def trial(self, row: int) -> TrialOutcome:
+        n_active = int(self.n_active[row])
+        n_same = int(self.n_same_root_others[row])
+        sinr = float(self.sinr_linear[row])
+        return TrialOutcome(
+            n_active=n_active,
+            tagged_event=EVENTS[self.events[row]],
+            sinr_linear=None if math.isnan(sinr) else sinr,
+            success=bool(self.success[row]),
+            k_other_roots=n_active - 1 - n_same,
+            n_same_root_others=n_same,
+        )
+
+
+def run_block(
+    config: ScenarioConfig,
+    block_index: int,
+    point_id: int = 0,
+    correlator: _PatternCorrelator | None = None,
+) -> BlockOutcome:
+    """Trials BLOCK_TRIALS * block_index onward of one point, all rows at once.
+
+    Draws in the order of the module docstring.  E0 despreads by the whole
+    tagged pattern, E1 by its free components; identical and E2 rows draw no
+    channel and fail.
+    """
+    rng = trial_rng(config.master_seed, point_id, block_index)
+    if correlator is None:
+        correlator = _PatternCorrelator(config.pool)
+    pool, activity = config.pool, config.activity
+
+    if isinstance(activity, FixedActivity):
+        n_active = np.full(BLOCK_TRIALS, activity.n_active)
+    else:
+        n_active = 1 + rng.binomial(activity.population - 1, activity.p_a, BLOCK_TRIALS)
+    valid = np.arange(n_active.max()) < n_active[:, None]
+    roots, ranks = divmod(pool.sample_indices(rng, valid.shape), pool.n_ps)
+    shifts = pool.shift_table[ranks]
+    events, shared, n_same = classify_block(roots, shifts, valid)
+
+    live = events < 2  # E0 and E1, the events with a SINR
+    sinr = np.full(BLOCK_TRIALS, np.nan)
+    if live.any():
+        p_lin = db_to_linear(config.snr_db)
+        coefs = correlator.coefficient(
+            roots[live], shifts[live], 1.0 / math.sqrt(pool.l),
+            roots[live, 0], shifts[live, 0], ~shared[live],
+        ) * valid[live]
+        sinr[live] = _live_sinr(config.channel, coefs, n_active[live], p_lin, rng)
+    return BlockOutcome(
+        n_active, events, n_same, sinr, sinr >= db_to_linear(config.alpha_th_db)
+    )
+
+
+def _live_sinr(
+    channel: ChannelModelSpec, coefs: np.ndarray, n_active: np.ndarray,
+    p_lin: float, rng: np.random.Generator,
+) -> np.ndarray:
+    """Tagged SINR of the live rows: the rank-one law when i.i.d., else one
+    explicit trial per row after the drops of all their UEs."""
+    if channel.rho == 0.0:
+        return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng)
+    xy = drop_positions(CELL_LAYOUT, rng, int(n_active.sum()))
+    angles = np.split(np.arctan2(xy[:, 1], xy[:, 0]), np.cumsum(n_active)[:-1])
+    return np.array([
+        _correlated_sinr(row[:n], a, channel, p_lin, rng)
+        for row, n, a in zip(coefs, n_active, angles)
+    ])
 
 
 def run_trial(
@@ -311,46 +465,10 @@ def run_trial(
     point_id: int = 0,
     correlator: _PatternCorrelator | None = None,
 ) -> TrialOutcome:
-    """One access opportunity for the tagged UE (index 0).
-
-    Draw order within the trial substream: activity count, pattern indices,
-    then, unless the tagged UE met an identical pattern or an E2 collision,
-    the channel normals of every UE, one drop angle per UE when correlated,
-    and the despreading-projected pilot noise.
-    """
-    rng = trial_rng(config.master_seed, point_id, trial_index)
-    if correlator is None:
-        correlator = _PatternCorrelator(config.pool)
-    pool = config.pool
-
-    if isinstance(config.activity, FixedActivity):
-        n_active = config.activity.n_active
-    else:
-        n_active = 1 + int(rng.binomial(config.activity.population - 1, config.activity.p_a))
-
-    roots, ranks = divmod(pool.sample_indices(rng, n_active), pool.n_ps)
-    shifts = pool.shift_table[ranks]
-    tagged = shifts[0]
-    same_root = shifts[1:][roots[1:] == roots[0]]
-    event = classify_tagged_collision(tagged, same_root)
-
-    sinr = None
-    if event in (EVENT_E0, EVENT_E1):
-        # E0 despreads by the whole tagged pattern, E1 by its free component
-        despread = (roots[0], tagged[~shared_components(tagged, same_root)])
-        h = _draw_channels(config.channel, n_active, rng)
-        sinr, _ = _tagged_sinr(
-            correlator, roots, shifts, despread, h, db_to_linear(config.snr_db), rng
-        )
-
-    return TrialOutcome(
-        n_active=n_active,
-        tagged_event=event,
-        sinr_linear=sinr,
-        success=sinr is not None and sinr >= db_to_linear(config.alpha_th_db),
-        k_other_roots=(n_active - 1) - len(same_root),
-        n_same_root_others=len(same_root),
-    )
+    """One access opportunity for the tagged UE: row trial_index mod
+    BLOCK_TRIALS of its block, which is drawn whole."""
+    block, row = divmod(trial_index, BLOCK_TRIALS)
+    return run_block(config, block, point_id, correlator).trial(row)
 
 
 def run_forced_interference_trial(
@@ -368,9 +486,9 @@ def run_forced_interference_trial(
     The tagged UE draws a uniform pattern on root 0; each interferer draws a
     uniform pattern on a uniform other root, which is the conditional law of
     the free-running pipeline given K.  Returns the realized pre-limit SINR
-    and its pattern-conditional large-M limit N_ZC / sum_k |coef_k|^2.
-    Draw order: tagged pattern, (root, pattern) per interferer, i.i.d.
-    channel normals, despreading-projected pilot noise.
+    over i.i.d. channels and its pattern-conditional large-M limit
+    N_ZC / sum_k |coef_k|^2.  Draw order in the trial's own stream: K + 1
+    pattern ranks, K interferer roots, then the rank-one law's draws.
     """
     if len(pool.roots) < 2:
         raise ValueError("forced different-root interference needs at least 2 roots")
@@ -378,21 +496,16 @@ def run_forced_interference_trial(
     if correlator is None:
         correlator = _PatternCorrelator(pool)
 
-    roots = [0]
-    ranks = [int(rng.integers(0, pool.n_ps))]
-    for _ in range(k_different_root):
-        roots.append(1 + int(rng.integers(0, len(pool.roots) - 1)))
-        ranks.append(int(rng.integers(0, pool.n_ps)))
-    shifts = pool.shift_table[ranks]
-
-    h = _draw_channels(ChannelModelSpec(m_antennas), len(roots), rng)
-    sinr, coefs = _tagged_sinr(
-        correlator, np.array(roots), shifts, (0, shifts[0]), h, db_to_linear(snr_db), rng
-    )
+    shifts = pool.shift_table[rng.integers(0, pool.n_ps, k_different_root + 1)]
+    roots = np.append(0, 1 + rng.integers(0, len(pool.roots) - 1, k_different_root))
+    coefs = correlator.coefficient(roots, shifts, 1.0 / math.sqrt(pool.l), 0, shifts[0])
+    sinr = _rank_one_sinr(
+        coefs[None], np.array([len(roots)]), db_to_linear(snr_db), m_antennas, rng
+    )[0]
 
     interf_power = float(np.sum(np.abs(coefs[1:]) ** 2))
     limit = math.inf if interf_power == 0.0 else pool.n_zc / interf_power
-    return sinr, limit
+    return float(sinr), limit
 
 
 def no_closed_form_reason(config: ScenarioConfig) -> str | None:
@@ -428,11 +541,13 @@ def analytic_reference(config: ScenarioConfig) -> float | None:
 
 
 def run_point(config: ScenarioConfig, point_id: int = 0) -> tuple[int, int]:
-    """Execute all trials of one grid point; returns (successes, trials)."""
+    """Execute all trials of one grid point, block by block; returns
+    (successes, trials).  A partial last block counts its leading rows."""
     correlator = _PatternCorrelator(config.pool)
     successes = 0
-    for t in range(config.trials):
-        successes += run_trial(config, t, point_id, correlator).success
+    for block, start in enumerate(range(0, config.trials, BLOCK_TRIALS)):
+        outcome = run_block(config, block, point_id, correlator)
+        successes += int(np.count_nonzero(outcome.success[: config.trials - start]))
     return successes, config.trials
 
 

@@ -143,3 +143,20 @@ def mf_channel_estimate(y: np.ndarray, despread: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("despreading vector must be nonzero")
     return (y @ np.conj(despread)) / norm
+
+
+def explicit_iid_sinr(
+    coefs: np.ndarray, snr_linear: float, m: int, rng: np.random.Generator
+) -> float:
+    """Tagged SINR over explicit i.i.d. CN(0, 1) channels of length m.
+
+    Draws every UE's channel h_n and the noise w, forms the estimate
+    g = sqrt(P) sum_n c_n h_n + w and returns the matched-filter ratio
+    P |h_0^H g|^2 / (P sum_{n>0} |h_n^H g|^2 + ||g||^2) of UE 0.
+    """
+    n = len(coefs)
+    h = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
+    w = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+    g = math.sqrt(snr_linear) * (coefs @ h) + w
+    power = np.abs(h.conj() @ g) ** 2
+    return snr_linear * power[0] / (snr_linear * power[1:].sum() + np.vdot(g, g).real)

@@ -5,7 +5,7 @@ measured numbers and then asserts.  The lines are replayed in a terminal
 summary section by conftest so they stay visible under default capture.
 The Monte-Carlo criteria use frozen seeds and trial counts chosen so
 their margins sit several binomial sigma away from the thresholds; total
-runtime is roughly ten minutes on one core.
+runtime is about a minute on one core.
 """
 
 import math

@@ -12,9 +12,9 @@ from pdra.geometry import (
     correlated_channels,
     correlation_factor,
     correlation_matrix,
+    drop_positions,
     drop_ue,
     pathloss_db,
-    sample_channel,
 )
 
 
@@ -58,6 +58,25 @@ def test_drops_respect_cell_and_exclusion():
         assert abs(s3 * p.x_m + p.y_m) <= s3 * layout.radius_m + 1e-9
         assert abs(s3 * p.x_m - p.y_m) <= s3 * layout.radius_m + 1e-9
         assert -math.pi <= p.angle_rad <= math.pi
+
+
+def test_array_drops_keep_first_accepted_candidates():
+    """The n drops are the first n candidates, in draw order, of one stream of
+    uniform (x, y) pairs that land in the cell; drop_ue is the case n = 1."""
+    layout = CellLayout()
+    s3 = math.sqrt(3.0)
+    for n in (1, 7, 500):
+        got = drop_positions(layout, np.random.default_rng(n), n)
+        cands = np.random.default_rng(n).uniform(-500.0, 500.0, size=(4 * n + 60, 2))
+        want = [
+            (x, y) for x, y in cands
+            if abs(y) <= s3 * 250 + 1e-12 and abs(s3 * x + y) <= s3 * 500 + 1e-12
+            and abs(s3 * x - y) <= s3 * 500 + 1e-12 and math.hypot(x, y) >= 30.0
+        ][:n]
+        assert got.shape == (n, 2)
+        np.testing.assert_array_equal(got, np.array(want))
+    ue = drop_ue(layout, np.random.default_rng(1))
+    assert (ue.x_m, ue.y_m) == tuple(drop_positions(layout, np.random.default_rng(1), 1)[0])
 
 
 def test_exclusion_disk_area_fraction():
@@ -131,44 +150,35 @@ def test_channel_rows_match_factor_oracle(m, rho):
             row, correlation_factor(m, rho, angle) @ w, rtol=0, atol=1e-12
         )
 
-    # one (2, m) draw holds the same values as two draws of m; at rho = 0 the
-    # channel is i.i.d., so the placement does not steer it
+    # one (1, 2, m) draw holds the same values as two draws of m
     place = UePlacement(x_m=-120.0, y_m=40.0)
-    spec = ChannelModelSpec(m_antennas=m, rho=rho)
     twin = np.random.default_rng(5)
     w = (twin.standard_normal(m) + 1j * twin.standard_normal(m)) / np.sqrt(2.0)
-    want = w if rho == 0.0 else correlation_factor(m, rho, place.angle_rad) @ w
+    row = correlated_channels(
+        np.random.default_rng(5).standard_normal((1, 2, m)), rho, [place.angle_rad]
+    )[0]
     np.testing.assert_allclose(
-        sample_channel(spec, np.random.default_rng(5), place), want,
-        rtol=0, atol=1e-12,
+        row, correlation_factor(m, rho, place.angle_rad) @ w, rtol=0, atol=1e-12
     )
 
 
 def test_iid_channel_statistics():
-    spec = ChannelModelSpec(m_antennas=8)
     rng = np.random.default_rng(3)
-    h = np.array([sample_channel(spec, rng) for _ in range(20000)])
+    h = correlated_channels(rng.standard_normal((20000, 2, 8)), 0.0, np.zeros(20000))
     cov = h.T.conj() @ h / len(h)
     np.testing.assert_allclose(cov, np.eye(8), atol=0.05)
     assert abs(np.mean(h)) < 0.01
 
 
 def test_correlated_channel_adjacent_correlation():
-    spec = ChannelModelSpec(m_antennas=16, rho=0.7)
     place = UePlacement(x_m=100.0, y_m=150.0)
     delta = place.angle_rad
     rng = np.random.default_rng(5)
-    h = np.array([sample_channel(spec, rng, place) for _ in range(20000)])
+    h = correlated_channels(rng.standard_normal((20000, 2, 16)), 0.7, [delta] * 20000)
     adj = np.mean(h[:, :-1] * np.conj(h[:, 1:]))
     assert abs(adj - 0.7 * np.exp(1j * delta)) < 0.02
     # per-antenna power stays normalized
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
-
-
-def test_correlated_channel_requires_placement():
-    spec = ChannelModelSpec(m_antennas=8, rho=0.7)
-    with pytest.raises(ValueError, match="placement"):
-        sample_channel(spec, np.random.default_rng(0))
 
 
 def test_channel_spec_validation():

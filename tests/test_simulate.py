@@ -1,14 +1,17 @@
 """Monte-Carlo engine tests: receiver algebra, event law, and determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
-from pdra.geometry import ChannelModelSpec, correlated_channels, drop_ue
+from pdra.geometry import ChannelModelSpec, correlated_channels
 from pdra.pool import build_pattern, build_pool, combination_table
 from pdra.simulate import (
+    BLOCK_TRIALS,
+    EVENTS,
     EVENT_E0,
     EVENT_E1,
     EVENT_E2,
@@ -17,15 +20,17 @@ from pdra.simulate import (
     RandomActivity,
     ScenarioConfig,
     _PatternCorrelator,
-    _draw_channels,
+    _correlated_sinr,
+    _rank_one_sinr,
     _root_pair_profiles,
-    CELL_LAYOUT,
     analytic_reference,
     build_scenario,
+    classify_block,
     classify_tagged_collision,
     detect_data_symbol,
     mf_sinr,
     run_campaign,
+    run_block,
     run_forced_interference_trial,
     run_point,
     run_trial,
@@ -34,7 +39,12 @@ from pdra.simulate import (
     wilson_interval,
 )
 
-from oracles import build_received_pilot, classify_collision_sets, mf_channel_estimate
+from oracles import (
+    build_received_pilot,
+    classify_collision_sets,
+    explicit_iid_sinr,
+    mf_channel_estimate,
+)
 
 N_ZC = 839
 
@@ -317,20 +327,50 @@ class TestCorrelatorAlgebra:
 
 class TestDrawChannels:
     def test_draw_order_and_rows(self):
-        """All normals first, then one drop per UE whose angle steers its row
-        (rows against the factor oracle: tests/test_geometry.py)."""
-        m, n = 16, 4
+        """One (n + 1, 2, M) draw: the UE rows, steered by their angles (rows
+        against the factor oracle: tests/test_geometry.py), then the noise."""
+        m, n, p_lin = 16, 4, 0.5
         channel = ChannelModelSpec(m_antennas=m, rho=0.7)
-        h = _draw_channels(channel, n, np.random.default_rng(8))
-        twin = np.random.default_rng(8)
-        raw = twin.standard_normal((n, 2, m))
-        angles = [drop_ue(CELL_LAYOUT, twin).angle_rad for _ in range(n)]
-        np.testing.assert_array_equal(h, correlated_channels(raw, 0.7, angles))
-        iid = ChannelModelSpec(m_antennas=m)
-        np.testing.assert_array_equal(
-            _draw_channels(iid, n, np.random.default_rng(8)),
-            (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0),
-        )
+        coefs = np.array([3.0, 1.0 - 1.0j, 0.5j, -2.0])
+        angles = np.array([0.3, -1.2, 2.0, 0.0])
+        got = _correlated_sinr(coefs, angles, channel, p_lin, np.random.default_rng(8))
+        raw = np.random.default_rng(8).standard_normal((n + 1, 2, m))
+        h = correlated_channels(raw[:n], 0.7, angles)
+        g = math.sqrt(p_lin) * (coefs @ h) + (raw[n, 0] + 1j * raw[n, 1]) / math.sqrt(2.0)
+        assert got == mf_sinr(g, h, p_lin)
+
+
+class TestRankOneLaw:
+    @pytest.mark.parametrize("m, n", [(1, 3), (4, 6), (64, 6)])
+    def test_matches_explicit_channels(self, m, n):
+        """Two-sample KS test of the tagged SINR: the rank-one law against
+        explicit i.i.d. channels, 20,000 draws each, fixed coefficients.
+        M = 1 and M = 4 lie below n + 1, where no Wishart factor exists."""
+        from scipy.stats import ks_2samp
+
+        c = np.array([math.sqrt(N_ZC), 1.3 * np.exp(0.4j), 0.7j, -1.1,
+                      0.2 - 0.9j, 2.0 * np.exp(-2.0j)])[:n]
+        p_lin, draws = 0.1, 20_000
+        fast = _rank_one_sinr(np.tile(c, (draws, 1)), np.full(draws, n), p_lin, m,
+                              np.random.default_rng(100 + m))
+        rng = np.random.default_rng(200 + m)
+        slow = [explicit_iid_sinr(c, p_lin, m, rng) for _ in range(draws)]
+        assert ks_2samp(fast, slow).pvalue > 0.01
+
+    def test_padding_is_ignored(self):
+        """A row padded with zero coefficients gives the SINR of the unpadded
+        row from the same gamma and the same leading zeta entries."""
+        c = np.array([[5.0, 1.0 + 1.0j, 0.0, 0.0]])
+        padded = _rank_one_sinr(c, np.array([2]), 0.3, 8, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        gamma = rng.standard_gamma(8, size=(1, 1))
+        z = rng.standard_normal((1, 2, 5))
+        zeta = ((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))[:, [0, 1, 4]]
+        v = np.array([[math.sqrt(0.3) * 5.0, math.sqrt(0.3) * (1.0 + 1.0j), 1.0]])
+        u = v / np.linalg.norm(v)
+        x = gamma * u + np.sqrt(gamma) * (zeta - u * np.sum(u.conj() * zeta))
+        want = 0.3 * abs(x[0, 0]) ** 2 / (0.3 * abs(x[0, 1]) ** 2 + gamma[0, 0])
+        assert padded[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestRunTrial:
@@ -374,10 +414,11 @@ class TestRunTrial:
         cfg = small_config(m_antennas=2, activity=FixedActivity(10))
         n_ss = cfg.pool.n_ss
         per_n: dict[int, list[str]] = {}
-        for t in range(20_000):
-            out = run_trial(cfg, t)
-            if out.tagged_event != EVENT_IDENTICAL:
-                per_n.setdefault(out.n_same_root_others, []).append(out.tagged_event)
+        for block in range(20_000 // BLOCK_TRIALS):
+            out = run_block(cfg, block)
+            for code, n_same in zip(out.events, out.n_same_root_others):
+                if EVENTS[code] != EVENT_IDENTICAL:
+                    per_n.setdefault(int(n_same), []).append(EVENTS[code])
         for n in (3, 4, 5):
             events = per_n[n]
             assert len(events) > 1500
@@ -401,6 +442,74 @@ class TestRunTrial:
         ref = analytic_reference(cfg)
         sigma = math.sqrt(ref * (1 - ref) / n)
         assert s / n == pytest.approx(ref, abs=4 * sigma)
+
+
+def block_configs():
+    """Random activity (padded rows) over i.i.d. and correlated channels."""
+    activity = RandomActivity(population=2000, p_a=0.004)
+    return [small_config(activity=activity, channel=ChannelModelSpec(16, rho), snr_db=-3.0)
+            for rho in (0.0, 0.7)]
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("cfg", block_configs())
+    def test_run_trial_replays_its_row(self, cfg):
+        for t in (0, 5, 63, 64, 130):
+            block = run_block(cfg, t // BLOCK_TRIALS, point_id=3)
+            assert run_trial(cfg, t, point_id=3) == block.trial(t % BLOCK_TRIALS)
+
+    @pytest.mark.parametrize("cfg", block_configs())
+    def test_run_point_counts_each_trial_once(self, cfg):
+        """A point of 150 trials is two whole blocks and 22 rows of a third."""
+        cfg = dataclasses.replace(cfg, trials=150)
+        want = sum(run_trial(cfg, t, point_id=2).success for t in range(150))
+        assert run_point(cfg, point_id=2) == (want, 150)
+
+    def test_outcomes_do_not_depend_on_trial_count(self):
+        short, long = (small_config(activity=RandomActivity(2000, 0.004), trials=n)
+                       for n in (64, 200))
+        assert ([run_trial(short, t) for t in range(64)]
+                == [run_trial(long, t) for t in range(64)])
+        assert run_point(short)[0] == sum(run_trial(long, t).success for t in range(64))
+
+    def test_block_streams_differ_across_blocks_and_points(self):
+        cfg = block_configs()[0]
+        base = run_block(cfg, 0, point_id=0)
+        for other in (run_block(cfg, 1, point_id=0), run_block(cfg, 0, point_id=1)):
+            assert not np.array_equal(base.n_active, other.n_active)
+            assert not np.array_equal(base.sinr_linear, other.sinr_linear, equal_nan=True)
+
+    def test_classify_block_matches_row_classifier(self):
+        """Per row: the event, the shared mask and the same-root count of
+        classify_tagged_collision on that row's valid same-root others."""
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            r, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            table = combination_table(int(rng.integers(l, l + 4)), l)
+            n_active = rng.integers(1, 12, size=8)
+            valid = np.arange(n_active.max()) < n_active[:, None]
+            roots, ranks = divmod(rng.integers(0, r * len(table), valid.shape), len(table))
+            shifts = table[ranks]
+            events, shared, n_same = classify_block(roots, shifts, valid)
+            for b, n in enumerate(n_active):
+                same = shifts[b, 1:n][roots[b, 1:n] == roots[b, 0]]
+                assert EVENTS[events[b]] == classify_tagged_collision(shifts[b, 0], same)
+                assert shared[b].tolist() == shared_components(shifts[b, 0], same).tolist()
+                assert n_same[b] == len(same)
+
+    def test_block_coefficients_match_rows(self, pool):
+        """Rows despread by their free tagged shifts give, to the last bit, the
+        coefficients of the one-row call on those shifts alone."""
+        corr = _PatternCorrelator(pool)
+        rng = np.random.default_rng(22)
+        roots = rng.integers(0, len(pool.roots), (16, 7))
+        shifts = pool.shift_table[rng.integers(0, pool.n_ps, (16, 7))]
+        used = rng.random((16, 2)) < 0.7
+        used[:, 0] |= ~used[:, 1]
+        block = corr.coefficient(roots, shifts, 0.5, roots[:, 0], shifts[:, 0], used)
+        for b in range(16):
+            row = corr.coefficient(roots[b], shifts[b], 0.5, roots[b, 0], shifts[b, 0][used[b]])
+            assert block[b].tobytes() == row.tobytes()
 
 
 class TestForcedInterference:
