@@ -40,5 +40,5 @@ for r in (1, 2, 3, 4):
 
 base = AnalyticParams(n_active=1, r_roots=2, n_ss=32, n_zc=839,
                       alpha_th=db_to_linear(5.0))
-mixed = success_probability_random_activity(0.001, 10_000, base, scheme="pdra")
+mixed = success_probability_random_activity(0.001, 10_000, base)
 print(f"\nrandom activity (10k devices at 0.1%): success = {mixed:.6f}")

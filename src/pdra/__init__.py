@@ -48,8 +48,6 @@ from .pool import (
     rank_combination,
 )
 from .simulate import (
-    FixedActivity,
-    RandomActivity,
     ScenarioConfig,
     SweepResult,
     TrialOutcome,

@@ -1,26 +1,21 @@
-"""Closed-form success probability of pattern-domain random access (L = 2).
+"""Closed-form success probability of pattern-domain random access.
 
 The tagged UE succeeds when no other UE drew its exact pattern, the pattern
-collision events leave at least one component recoverable (E0: neither shift
-shared, E1: exactly one shared), and the post-despreading SINR clears the
-detection threshold.  With matched-filter reception and a large antenna
-array the SINR condition reduces to a cap on the number K of other-root
-interferers, so
+collision events leave at least one of its L components recoverable (for
+L = 2, E0: neither shift shared, E1: exactly one shared), and the
+post-despreading SINR clears the detection threshold.  With matched-filter
+reception and a large antenna array the SINR condition reduces to a cap Kcap
+on the number K of other-root interferers, so for L = 2
 
     P_MF = P_S * sum_{K=0..Kcap} P(K) * (p_e0(K) + p_e1(K))
 
-By the binomial theorem that sum is a difference of two binomial CDFs F
-(``scipy.special.bdtr``).  With n other UEs, o = (R-1)*N_PS other-root
-patterns, a = N_SS-2 same-root patterns sharing one given tagged shift and
-d = C(N_SS-2, 2) sharing neither,
-
-    P_MF = 2 (s1/N_P)^n F(Kcap; n, o/s1) - (s2/N_P)^n F(Kcap; n, o/s2)
-
-where s1 = o+a+d patterns leave a given tagged shift free and s2 = o+d
-leave both free (inclusion-exclusion over the two shifts).  Under binomial
-random activity the binomial generating function turns each term into the
-same form over all population-1 candidate UEs, so no formula here sums over
-K, over the active count, or over the shared-component count.
+By the binomial theorem and inclusion-exclusion over the L tagged shifts
+that sum is a signed sum of L binomial CDFs (``scipy.special.bdtr``), one
+per number of shifts held free (_success_probability); the single-shift
+baseline is L = 1.  Under binomial random activity the binomial generating
+function turns each term into the same form over all population-1 candidate
+UEs, and fixed activity is its p_a = 1 case, so no formula here sums over K,
+over the active count, or over the shared-component count.
 """
 
 from __future__ import annotations
@@ -87,14 +82,10 @@ class CollisionEventProbs:
 
 
 def p_no_pattern_collision(n_active: int, n_p: int) -> float:
-    """P_S = (1 - 1/N_P)^(N-1): no other UE drew the tagged pattern."""
-    if n_active < 1 or n_p < 1:
-        raise ValueError(f"need n_active >= 1 and n_p >= 1, got {n_active}, {n_p}")
-    if n_active == 1:
-        return 1.0
-    if n_p == 1:
-        return 0.0
-    return math.exp((n_active - 1) * math.log1p(-1.0 / n_p))
+    """P_S = (1 - 1/N_P)^(N-1): no other UE drew the tagged pattern (p_a = 1)."""
+    if n_active < 1:
+        raise ValueError(f"need n_active >= 1, got {n_active}")
+    return p_no_pattern_collision_binomial(1.0, n_active, n_p)
 
 
 def p_no_pattern_collision_binomial(p_a: float, population: int, n_p: int) -> float:
@@ -107,6 +98,10 @@ def p_no_pattern_collision_binomial(p_a: float, population: int, n_p: int) -> fl
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
     if population < 1 or n_p < 1:
         raise ValueError(f"need population >= 1 and n_p >= 1, got {population}, {n_p}")
+    if population == 1:
+        return 1.0
+    if p_a / n_p == 1.0:
+        return 0.0
     return math.exp((population - 1) * math.log1p(-p_a / n_p))
 
 
@@ -177,20 +172,14 @@ def asymptotic_sinr(n_zc: int, k_different_root: int) -> float:
 def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
     """Largest K whose asymptotic SINR still clears the linear threshold.
 
-    Two-component patterns tolerate K <= N_ZC / (4 * alpha_th) other-root
-    interferers; plain single-shift pilots tolerate K <= N_ZC / alpha_th.
-    Boundary K with equality counts as admissible.
+    L-component patterns tolerate K <= N_ZC / (L^2 * alpha_th) other-root
+    interferers, L in {1, 2}.  Boundary K with equality counts as admissible.
     """
-    if l == 2:
-        limit = n_zc / (4.0 * alpha_th)
-        step = 4.0
-    elif l == 1:
-        limit = n_zc / alpha_th
-        step = 1.0
-    else:
+    if l not in (1, 2):
         raise ValueError(f"asymptotic SINR cap defined only for l in {{1, 2}}, got l={l}")
-    cap = int(math.floor(limit))
-    # guard the floating-point boundary: equality 4*K*alpha = N_ZC is admissible;
+    step = l * l
+    cap = int(math.floor(n_zc / (step * alpha_th)))
+    # guard the floating-point boundary: equality L^2*K*alpha = N_ZC is admissible;
     # the rounded quotient is off by at most one from the exact product test
     if step * (cap + 1) * alpha_th <= n_zc:
         cap += 1
@@ -200,32 +189,28 @@ def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
 
 
 def _success_probability(
-    params: AnalyticParams, scheme: str, p_a: float, n_others: int
+    params: AnalyticParams, l: int, p_a: float, n_others: int
 ) -> float:
     """Success probability against n_others candidate UEs, each active w.p. p_a.
 
-    An active candidate draws one of the N_P patterns uniformly.  Term j of
-    the inclusion-exclusion over the tagged components is c_j times the
-    probability that every candidate is inactive or lands in a set S_j of
-    harmless patterns, with at most Kcap of them on other roots.  Per
-    candidate that first event has probability x_j = 1 - p_a(N_P - |S_j|)/N_P
+    An active candidate draws one of the N_P = R*C(N_SS, L) patterns
+    uniformly.  Term j = 1..L of the inclusion-exclusion over the tagged
+    shifts is (-1)^(j+1) C(L, j) times the probability that every candidate
+    is inactive or lands in the set S_j of patterns leaving j given tagged
+    shifts free (the o = (R-1)*C(N_SS, L) other-root ones and C(N_SS-j, L) on
+    the tagged root), with at most Kcap of them on other roots.  Per
+    candidate the first event has probability x_j = 1 - p_a(N_P - |S_j|)/N_P
     and, given it, a candidate sits on another root with probability
     p_a*o/(N_P*x_j), so term j is c_j * x_j^n * F(Kcap; n, p_a*o/(N_P*x_j)).
     Fixed activity is p_a = 1; then x_j^n carries P_S.
     """
-    if scheme == "pdra":
-        n_p = params.n_p
-        o = (params.r_roots - 1) * params.n_ps
-        a = params.n_ss - 2
-        d = math.comb(params.n_ss - 2, 2)
-        coef, sizes = np.array([2.0, -1.0]), np.array([o + a + d, o + d])
-        l = 2
-    else:
-        n_p = params.r_roots * params.n_ss
-        o = (params.r_roots - 1) * params.n_ss
-        coef, sizes = np.array([1.0]), np.array([n_p - 1])
-        l = 1
     k_cap = sinr_limited_k_cap(params.n_zc, params.alpha_th, l=l)
+    n_ps = math.comb(params.n_ss, l)
+    n_p = params.r_roots * n_ps
+    o = (params.r_roots - 1) * n_ps
+    j = range(1, l + 1)
+    coef = np.array([(-1) ** (i + 1) * math.comb(l, i) for i in j], dtype=float)
+    sizes = np.array([o + math.comb(params.n_ss - i, l) for i in j])
     log_x = np.log1p(-p_a * (n_p - sizes) / n_p)
     cdf = bdtr(min(k_cap, n_others), n_others, p_a * o / n_p / np.exp(log_x))
     return float(coef @ (np.exp(n_others * log_x) * cdf))
@@ -233,37 +218,37 @@ def _success_probability(
 
 def success_probability_pdra(params: AnalyticParams) -> float:
     """Closed-form matched-filter success probability for two-component patterns."""
-    return _success_probability(params, "pdra", 1.0, params.n_active - 1)
+    return _success_probability(params, 2, 1.0, params.n_active - 1)
 
 
 def success_probability_conventional(params: AnalyticParams) -> float:
     """Single-shift pilot baseline under the same activity and threshold.
 
-    Each UE draws one of R*N_SS plain cyclic shifts.  Non-identical pilots
-    never partially collide, so the event bracket is 1 and only the exact
-    collision term and the other-root SINR cap remain:
+    Each UE draws one of R*N_SS plain cyclic shifts: the L = 1 case.
+    Non-identical pilots never partially collide, so the event bracket is 1
+    and only the exact collision term and the other-root SINR cap remain:
     P_S * F(Kcap; n, o/(R*N_SS - 1)) with o = (R-1)*N_SS.
     """
-    return _success_probability(params, "conventional", 1.0, params.n_active - 1)
+    return _success_probability(params, 1, 1.0, params.n_active - 1)
 
 
 def success_probability_random_activity(
     p_a: float,
     population: int,
     params: AnalyticParams,
-    scheme: str = "pdra",
+    l: int = 2,
 ) -> float:
     """Fixed-N model averaged over binomial random activity, in closed form.
 
     The tagged UE is active by construction; the other population - 1 UEs
     are active independently with probability p_a.  The average over the
-    active count is exact (binomial generating function), with no truncation.
-    params.n_active is ignored.
+    active count is exact (binomial generating function), with no truncation;
+    p_a = 1 is the fixed-N model at N = population, and params.n_active is
+    ignored.  l shifts per pattern: 2 for pattern-domain pilots, 1 for the
+    single-shift baseline; any other l raises.
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
-    if scheme not in ("pdra", "conventional"):
-        raise ValueError(f"scheme must be 'pdra' or 'conventional', got {scheme!r}")
-    return _success_probability(params, scheme, p_a, population - 1)
+    return _success_probability(params, l, p_a, population - 1)

@@ -14,7 +14,8 @@ rows, a partial last block too: trial t is row t mod 64 of block t // 64, its
 outcome does not depend on the point's trial count, and run_trial replays it
 alone.  Draw order within a block:
 
-1. random activity only: 64 counts, 1 + Binomial(population - 1, p_a);
+1. p_a < 1 only: 64 counts, 1 + Binomial(population - 1, p_a); at p_a = 1
+   every row holds the whole population and nothing is drawn;
 2. a (64, n_max) array of pool indices, n_max the block's largest count;
    column 0 is the tagged UE, and the entries past a row's count are padding
    that a validity mask hides;
@@ -59,16 +60,16 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Union
 
 import numpy as np
 
 from .analytic import (
     AnalyticParams,
     db_to_linear,
+    success_probability_random_activity,
+    # not called here; kept as module attributes perfbench/traced.py wraps
     success_probability_conventional,
     success_probability_pdra,
-    success_probability_random_activity,
 )
 from .geometry import (
     ChannelModelSpec,
@@ -98,38 +99,13 @@ CELL_LAYOUT = CellLayout()
 
 
 @dataclass(frozen=True)
-class FixedActivity:
-    """Exactly n_active UEs access in every trial (tagged included)."""
-
-    n_active: int
-
-    def __post_init__(self):
-        if self.n_active < 1:
-            raise ValueError(f"n_active must be >= 1, got {self.n_active}")
-
-
-@dataclass(frozen=True)
-class RandomActivity:
-    """Tagged UE active plus Binomial(population - 1, p_a) others."""
+class ScenarioConfig:
+    """Full description of one Monte-Carlo grid point.  The tagged UE is
+    active plus Binomial(population - 1, p_a) others; N fixed UEs are
+    population = N at p_a = 1."""
 
     population: int
     p_a: float
-
-    def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if not 0.0 <= self.p_a <= 1.0:
-            raise ValueError(f"p_a must lie in [0, 1], got {self.p_a}")
-
-
-Activity = Union[FixedActivity, RandomActivity]
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Full description of one Monte-Carlo grid point."""
-
-    activity: Activity
     pool: PilotPool
     channel: ChannelModelSpec
     snr_db: float
@@ -138,6 +114,10 @@ class ScenarioConfig:
     master_seed: int
 
     def __post_init__(self):
+        if self.population < 1:
+            raise ValueError(f"population must be >= 1, got {self.population}")
+        if not 0.0 <= self.p_a <= 1.0:
+            raise ValueError(f"p_a must lie in [0, 1], got {self.p_a}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not math.isfinite(self.snr_db):
@@ -166,15 +146,16 @@ def build_scenario(
     """Scenario of one full grid point, as bench.expand_grid yields it.
 
     The point sets n_ss, l, r_roots, m_antennas, rho, alpha_th_db, snr_db
-    and either n_active (fixed activity) or p_a with population (random
-    activity).
+    and either n_active (fixed activity, mapped to population = n_active at
+    p_a = 1) or p_a with population (random activity).
     """
     if "n_active" in point:
-        activity = FixedActivity(point["n_active"])
+        population, p_a = point["n_active"], 1.0
     else:
-        activity = RandomActivity(point["population"], point["p_a"])
+        population, p_a = point["population"], point["p_a"]
     return ScenarioConfig(
-        activity=activity,
+        population=population,
+        p_a=p_a,
         pool=build_pool(n_zc, n_roots=point["r_roots"],
                         n_ss=point["n_ss"], l=point["l"]),
         channel=ChannelModelSpec(point["m_antennas"], rho=point["rho"]),
@@ -292,36 +273,34 @@ class _PatternCorrelator:
         self.pool = pool
         self.n_zc = pool.n_zc
         self.n_cs = pool.n_cs
+        self.scale = 1.0 / math.sqrt(pool.l)
         self._table = _root_pair_profiles(pool.n_zc, pool.roots)
 
     def coefficient(
         self,
         roots: np.ndarray,
         shifts: np.ndarray,
-        scale: float,
         despread_root_idx,
         despread_shifts: np.ndarray,
-        despread_used: np.ndarray | None = None,
+        despread_used: np.ndarray,
     ) -> np.ndarray:
         """Every UE's <pattern, unit despread>: scale * sum of lookups / ||despread||.
 
         UE n holds shift row shifts[..., n, :] of root roots[..., n]; leading
         axes, if any, are rows of a block, each with its own despreading root
-        and shifts.  despread_used masks the despreading shifts in use (all
-        of them when None).  Each UE's L x L' lookups add in sequence
-        (despread shift fastest), as a scalar loop adds them; a pairwise sum
-        would associate them differently and move last bits.
+        and shifts.  despread_used masks the despreading shifts in use; scale
+        is the pool's pattern amplitude 1/sqrt(L).  Each UE's L x L' lookups
+        add in sequence (despread shift fastest), as a scalar loop adds them;
+        a pairwise sum would associate them differently and move last bits.
         """
         offsets = shifts[..., None] - despread_shifts[..., None, None, :]
         lags = offsets * self.n_cs % self.n_zc
         d_root = np.asarray(despread_root_idx)[..., None, None, None]
         terms = self._table[roots[..., None, None], d_root, lags]
-        n_used = despread_shifts.shape[-1]
-        if despread_used is not None:
-            terms = terms * despread_used[..., None, None, :]
-            n_used = despread_used.sum(axis=-1)[..., None]
+        terms = terms * despread_used[..., None, None, :]
+        n_used = despread_used.sum(axis=-1)[..., None]
         total = terms.reshape(*roots.shape, -1).cumsum(axis=-1)[..., -1]
-        return scale * total / np.sqrt(n_used * self.n_zc)
+        return self.scale * total / np.sqrt(n_used * self.n_zc)
 
 
 @lru_cache(maxsize=16)
@@ -418,12 +397,12 @@ def run_block(
     rng = trial_rng(config.master_seed, point_id, block_index)
     if correlator is None:
         correlator = _PatternCorrelator(config.pool)
-    pool, activity = config.pool, config.activity
+    pool = config.pool
 
-    if isinstance(activity, FixedActivity):
-        n_active = np.full(BLOCK_TRIALS, activity.n_active)
+    if config.p_a < 1.0:
+        n_active = 1 + rng.binomial(config.population - 1, config.p_a, BLOCK_TRIALS)
     else:
-        n_active = 1 + rng.binomial(activity.population - 1, activity.p_a, BLOCK_TRIALS)
+        n_active = np.full(BLOCK_TRIALS, config.population)
     valid = np.arange(n_active.max()) < n_active[:, None]
     roots, ranks = divmod(pool.sample_indices(rng, valid.shape), pool.n_ps)
     shifts = pool.shift_table[ranks]
@@ -434,8 +413,7 @@ def run_block(
     if live.any():
         p_lin = db_to_linear(config.snr_db)
         coefs = correlator.coefficient(
-            roots[live], shifts[live], 1.0 / math.sqrt(pool.l),
-            roots[live, 0], shifts[live, 0], ~shared[live],
+            roots[live], shifts[live], roots[live, 0], shifts[live, 0], ~shared[live]
         ) * valid[live]
         sinr[live] = _live_sinr(config.channel, coefs, n_active[live], p_lin, rng)
     return BlockOutcome(
@@ -498,7 +476,7 @@ def run_forced_interference_trial(
 
     shifts = pool.shift_table[rng.integers(0, pool.n_ps, k_different_root + 1)]
     roots = np.append(0, 1 + rng.integers(0, len(pool.roots) - 1, k_different_root))
-    coefs = correlator.coefficient(roots, shifts, 1.0 / math.sqrt(pool.l), 0, shifts[0])
+    coefs = correlator.coefficient(roots, shifts, 0, shifts[0], np.ones(pool.l, bool))
     sinr = _rank_one_sinr(
         coefs[None], np.array([len(roots)]), db_to_linear(snr_db), m_antennas, rng
     )[0]
@@ -521,23 +499,16 @@ def analytic_reference(config: ScenarioConfig) -> float | None:
     """Closed-form success probability for this scenario, when one exists."""
     if no_closed_form_reason(config) is not None:
         return None
-    activity = config.activity
-    fixed = isinstance(activity, FixedActivity)
     params = AnalyticParams(
-        n_active=activity.n_active if fixed else 1,
+        n_active=config.population,
         r_roots=len(config.pool.roots),
         n_ss=config.pool.n_ss,
         n_zc=config.pool.n_zc,
         alpha_th=db_to_linear(config.alpha_th_db),
     )
-    scheme = "pdra" if config.pool.l == 2 else "conventional"
-    if not fixed:
-        return success_probability_random_activity(
-            activity.p_a, activity.population, params, scheme=scheme
-        )
-    if scheme == "pdra":
-        return success_probability_pdra(params)
-    return success_probability_conventional(params)
+    return success_probability_random_activity(
+        config.p_a, config.population, params, l=config.pool.l
+    )
 
 
 def run_point(config: ScenarioConfig, point_id: int = 0) -> tuple[int, int]:

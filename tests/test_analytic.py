@@ -15,6 +15,7 @@ from pdra.analytic import (
     db_to_linear,
     p_k_other_roots,
     p_no_pattern_collision,
+    p_no_pattern_collision_binomial,
     sinr_limited_k_cap,
     success_probability_conventional,
     success_probability_pdra,
@@ -36,6 +37,22 @@ def test_no_collision_probability():
     expected = (1.0 - 1.0 / 992.0) ** 9
     assert abs(p_no_pattern_collision(10, 992) - expected) < 1e-15
     assert abs(expected - 0.990963) < 1e-6
+
+
+def test_no_collision_binomial_edges():
+    # one UE has no one to collide with; p_a/N_P = 1 puts every other UE on it
+    assert p_no_pattern_collision_binomial(0.5, 1, 1) == 1.0
+    assert p_no_pattern_collision_binomial(1.0, 1, 1) == 1.0
+    assert p_no_pattern_collision_binomial(1.0, 5, 1) == 0.0
+    assert p_no_pattern_collision_binomial(0.5, 5, 1) == 0.5**4
+
+
+def test_fixed_no_collision_is_binomial_at_full_activity():
+    for n in (1, 2, 3, 10, 40, 10000):
+        for n_p in (1, 2, 3, 31, 992, 10**6):
+            assert p_no_pattern_collision(n, n_p) == p_no_pattern_collision_binomial(
+                1.0, n, n_p
+            )
 
 
 def test_derived_pool_sizes():
@@ -181,12 +198,10 @@ def test_random_activity_edges():
     for r_roots in (1, 3):
         p = params(r_roots=r_roots)
         fixed = params(n_active=40, r_roots=r_roots)
-        assert success_probability_random_activity(1.0, 40, p) == pytest.approx(
-            success_probability_pdra(fixed), rel=1e-14
-        )
-        assert success_probability_random_activity(
-            1.0, 40, p, scheme="conventional"
-        ) == pytest.approx(success_probability_conventional(fixed), rel=1e-14)
+        assert (success_probability_random_activity(1.0, 40, p)
+                == success_probability_pdra(fixed))
+        assert (success_probability_random_activity(1.0, 40, p, l=1)
+                == success_probability_conventional(fixed))
 
 
 def test_random_activity_matches_full_summation():
@@ -194,16 +209,14 @@ def test_random_activity_matches_full_summation():
     from scipy.stats import binom
 
     weights = binom(9999, 0.001).pmf(np.arange(10000))
-    fixed_n = {"pdra": success_probability_pdra,
-               "conventional": success_probability_conventional}
+    fixed_n = {2: success_probability_pdra, 1: success_probability_conventional}
     # R=1 has no other-root patterns; 20 dB caps K at 2 (pdra) and 8 (baseline)
-    for scheme, r_roots, alpha in (("pdra", 2, ALPHA_5DB), ("pdra", 1, ALPHA_5DB),
-                                   ("pdra", 3, 100.0), ("conventional", 3, 100.0)):
+    for l, r_roots, alpha in ((2, 2, ALPHA_5DB), (2, 1, ALPHA_5DB),
+                              (2, 3, 100.0), (1, 3, 100.0)):
         p = params(r_roots=r_roots, alpha_th=alpha)
-        got = success_probability_random_activity(0.001, 10000, p, scheme=scheme)
+        got = success_probability_random_activity(0.001, 10000, p, l=l)
         oracle = sum(
-            float(w) * fixed_n[scheme](params(n_active=n + 1, r_roots=r_roots,
-                                              alpha_th=alpha))
+            float(w) * fixed_n[l](params(n_active=n + 1, r_roots=r_roots, alpha_th=alpha))
             for n, w in enumerate(weights)
             if w > 0.0
         )
@@ -229,13 +242,13 @@ def test_import_does_not_load_scipy_module(module):
 
 def test_figure_orderings_analytic():
     """Pattern pool beats plain shifts; double-size plain pool loses for R > 2."""
-    mix = lambda n_ss, scheme, r: success_probability_random_activity(
-        0.001, 10000, params(r_roots=r, n_ss=n_ss), scheme=scheme
+    mix = lambda n_ss, l, r: success_probability_random_activity(
+        0.001, 10000, params(r_roots=r, n_ss=n_ss), l=l
     )
     for r in (1, 2, 3, 4):
-        assert mix(32, "pdra", r) > mix(32, "conventional", r)
+        assert mix(32, 2, r) > mix(32, 1, r)
     for r in (3, 4):
-        assert mix(32, "pdra", r) >= mix(64, "conventional", r)
+        assert mix(32, 2, r) >= mix(64, 1, r)
 
 
 def test_validation_errors():
@@ -250,4 +263,4 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         success_probability_random_activity(1.5, 100, params())
     with pytest.raises(ValueError):
-        success_probability_random_activity(0.1, 100, params(), scheme="other")
+        success_probability_random_activity(0.1, 100, params(), l=3)

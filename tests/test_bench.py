@@ -363,6 +363,19 @@ class TestMainCli:
         assert f"n_zc must be an odd integer >= 3, got {n_zc}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_collision_with_every_ue_on_one_pattern(self, tmp_path):
+        """One pattern (C(2, 2) = 1, R = 1) and p_a = 1: the other four UEs
+        all hold the tagged pattern, so P_S is 0, not a math domain error."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("metric: collision\nmode: analytic\nn_ss: [2]\nl: [2]\n"
+                       "r_roots: [1]\np_a: [1.0]\npopulation: 5\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert float(row["p_success_analytic"]) == 0.0
+        assert row["analytic_note"] == "collision-free-only"
+
     def test_l3_analytic_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("mode: analytic\nl: 3\n")

@@ -16,8 +16,6 @@ from pdra.simulate import (
     EVENT_E1,
     EVENT_E2,
     EVENT_IDENTICAL,
-    FixedActivity,
-    RandomActivity,
     ScenarioConfig,
     _PatternCorrelator,
     _correlated_sinr,
@@ -51,7 +49,8 @@ N_ZC = 839
 
 def small_config(m_antennas: int = 8, **overrides) -> ScenarioConfig:
     fields = dict(
-        activity=FixedActivity(10),
+        population=10,
+        p_a=1.0,
         pool=build_pool(N_ZC, n_roots=2, n_ss=16, l=2),
         channel=ChannelModelSpec(m_antennas=m_antennas),
         snr_db=0.0,
@@ -153,7 +152,7 @@ class TestClassification:
     def test_cross_root_copy_is_e0(self):
         # one pattern per root: the other UE copies it on its own root or not
         pool = build_pool(N_ZC, n_roots=2, n_ss=4, l=4)
-        cfg = small_config(activity=FixedActivity(2), pool=pool)
+        cfg = small_config(population=2, pool=pool)
         events = {(out.n_same_root_others, out.tagged_event)
                   for out in (run_trial(cfg, t) for t in range(20))}
         assert events == {(0, EVENT_E0), (1, EVENT_IDENTICAL)}
@@ -245,8 +244,8 @@ class TestCorrelatorAlgebra:
             root_i, shifts_i = pool.root_and_shifts(int(i))
             root_j, shifts_j = pool.root_and_shifts(int(j))
             fast = corr.coefficient(
-                np.array([root_i]), np.array([shifts_i]), 1.0 / math.sqrt(pool.l),
-                root_j, np.array(shifts_j),
+                np.array([root_i]), np.array([shifts_i]), root_j, np.array(shifts_j),
+                np.ones(len(shifts_j), bool),
             )[0]
             wav_i = pool.pattern_at(int(i)).waveform
             base_j = generate_root_sequence(ZcConfig(N_ZC, pool.roots[root_j]))
@@ -259,24 +258,22 @@ class TestCorrelatorAlgebra:
 
     def test_same_root_disjoint_patterns_cancel(self, pool):
         corr = _PatternCorrelator(pool)
-        scale = 1.0 / math.sqrt(2)
-        coef = corr.coefficient(np.array([0]), rows((2, 3)), scale, 0, np.array([0, 1]))
+        coef = corr.coefficient(np.array([0]), rows((2, 3)), 0, np.array([0, 1]), np.ones(2, bool))
         assert coef[0] == pytest.approx(0, abs=1e-9)
 
     def test_shared_component_amplitude(self, pool):
         # One shared shift despread alone: (1/sqrt(2)) N / sqrt(N) = sqrt(N/2).
         corr = _PatternCorrelator(pool)
-        scale = 1.0 / math.sqrt(2)
-        coef = corr.coefficient(np.array([0]), rows((0, 1)), scale, 0, np.array([0]))
+        coef = corr.coefficient(np.array([0]), rows((0, 1)), 0, np.array([0]), np.ones(1, bool))
         assert coef[0] == pytest.approx(math.sqrt(N_ZC / 2), abs=1e-9)
 
     def test_matches_scalar_loop_bit_for_bit(self, pool):
         """Every UE's coefficient equals the per-UE double loop of lookups,
         added a outer, b inner from 0, to the last bit."""
-        corr = _PatternCorrelator(pool)
         table = _root_pair_profiles(N_ZC, pool.roots)
         rng = np.random.default_rng(13)
         for l in (1, 2, 3, 4):
+            corr = _PatternCorrelator(dataclasses.replace(pool, l=l))
             shift_rows = combination_table(pool.n_ss, l)
             scale = 1.0 / math.sqrt(l)
             for _ in range(20):
@@ -293,7 +290,8 @@ class TestCorrelatorAlgebra:
                         for b in d_shifts:
                             total += table[r, d_root][(a - b) * pool.n_cs % N_ZC]
                     loop.append(scale * total / math.sqrt(len(d_shifts) * N_ZC))
-                fast = corr.coefficient(roots, shifts, scale, d_root, d_shifts)
+                used = np.ones(len(d_shifts), bool)
+                fast = corr.coefficient(roots, shifts, d_root, d_shifts, used)
                 assert fast.tobytes() == np.array(loop).tobytes()
 
     def test_fast_path_matches_matrix_route(self, pool):
@@ -319,8 +317,7 @@ class TestCorrelatorAlgebra:
         g_explicit = mf_channel_estimate(y, despread)
 
         corr = _PatternCorrelator(pool)
-        scale = 1.0 / math.sqrt(2)
-        coefs = corr.coefficient(roots, shifts, scale, 0, np.array([0]))
+        coefs = corr.coefficient(roots, shifts, 0, np.array([0]), np.ones(1, bool))
         g_fast = math.sqrt(p_lin) * (coefs @ h)
         np.testing.assert_allclose(g_fast, g_explicit, atol=1e-9)
 
@@ -375,7 +372,7 @@ class TestRankOneLaw:
 
 class TestRunTrial:
     def test_single_ue_always_succeeds(self):
-        cfg = small_config(activity=FixedActivity(1), m_antennas=64, snr_db=0.0)
+        cfg = small_config(population=1, m_antennas=64, snr_db=0.0)
         for t in range(20):
             out = run_trial(cfg, t)
             assert out.tagged_event == EVENT_E0
@@ -385,7 +382,7 @@ class TestRunTrial:
     def test_degenerate_pool_always_collides(self):
         pool = build_pool(N_ZC, n_roots=1, n_ss=4, l=4)
         assert pool.n_p == 1
-        cfg = small_config(activity=FixedActivity(2), pool=pool)
+        cfg = small_config(population=2, pool=pool)
         for t in range(10):
             out = run_trial(cfg, t)
             assert out.tagged_event == EVENT_IDENTICAL
@@ -400,10 +397,8 @@ class TestRunTrial:
         assert run_point(cfg, 1) == run_point(cfg, 1)
 
     def test_random_activity_count_law(self):
-        cfg = small_config(
-            activity=RandomActivity(population=500, p_a=0.01), m_antennas=2
-        )
-        counts = [run_trial(cfg, t).n_active for t in range(2000)]
+        cfg = small_config(population=500, p_a=0.01, m_antennas=2)
+        counts = np.concatenate([run_block(cfg, b).n_active for b in range(32)])[:2000]
         # n_active - 1 ~ Binomial(499, 0.01): mean 4.99, never below 1 total.
         assert min(counts) >= 1
         assert np.mean(counts) == pytest.approx(1 + 499 * 0.01, abs=0.2)
@@ -411,7 +406,7 @@ class TestRunTrial:
     def test_event_frequencies_match_conditional_law(self):
         """Conditioned on n same-root others and no identical draw, the
         e0 frequency must match the closed form within Monte Carlo error."""
-        cfg = small_config(m_antennas=2, activity=FixedActivity(10))
+        cfg = small_config(m_antennas=2, population=10)
         n_ss = cfg.pool.n_ss
         per_n: dict[int, list[str]] = {}
         for block in range(20_000 // BLOCK_TRIALS):
@@ -433,7 +428,7 @@ class TestRunTrial:
     def test_success_rate_tracks_analytic_reference(self):
         cfg = small_config(
             m_antennas=128,
-            activity=FixedActivity(10),
+            population=10,
             pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=2),
             snr_db=10.0,
             trials=4000,
@@ -446,8 +441,8 @@ class TestRunTrial:
 
 def block_configs():
     """Random activity (padded rows) over i.i.d. and correlated channels."""
-    activity = RandomActivity(population=2000, p_a=0.004)
-    return [small_config(activity=activity, channel=ChannelModelSpec(16, rho), snr_db=-3.0)
+    return [small_config(population=2000, p_a=0.004, channel=ChannelModelSpec(16, rho),
+                         snr_db=-3.0)
             for rho in (0.0, 0.7)]
 
 
@@ -466,7 +461,7 @@ class TestBlockEngine:
         assert run_point(cfg, point_id=2) == (want, 150)
 
     def test_outcomes_do_not_depend_on_trial_count(self):
-        short, long = (small_config(activity=RandomActivity(2000, 0.004), trials=n)
+        short, long = (small_config(population=2000, p_a=0.004, trials=n)
                        for n in (64, 200))
         assert ([run_trial(short, t) for t in range(64)]
                 == [run_trial(long, t) for t in range(64)])
@@ -506,9 +501,10 @@ class TestBlockEngine:
         shifts = pool.shift_table[rng.integers(0, pool.n_ps, (16, 7))]
         used = rng.random((16, 2)) < 0.7
         used[:, 0] |= ~used[:, 1]
-        block = corr.coefficient(roots, shifts, 0.5, roots[:, 0], shifts[:, 0], used)
+        block = corr.coefficient(roots, shifts, roots[:, 0], shifts[:, 0], used)
         for b in range(16):
-            row = corr.coefficient(roots[b], shifts[b], 0.5, roots[b, 0], shifts[b, 0][used[b]])
+            row = corr.coefficient(roots[b], shifts[b], roots[b, 0], shifts[b, 0][used[b]],
+                                   np.ones(used[b].sum(), bool))
             assert block[b].tobytes() == row.tobytes()
 
 
@@ -585,11 +581,21 @@ class TestCampaign:
         assert len(new.pool.roots) == 3
         assert new.channel == ChannelModelSpec(m_antennas=16, rho=0.5)
         assert new.pool.n_zc == N_ZC
-        assert new.activity == RandomActivity(population=50, p_a=0.1)
+        assert (new.population, new.p_a) == (50, 0.1)
         assert (new.snr_db, new.alpha_th_db, new.trials, new.master_seed) == (-4.0, 3.0, 7, 3)
 
 
 class TestAnalyticReference:
+    def test_fixed_count_is_full_activity(self):
+        """A point with n_active N and one with p_a = 1 over N UEs are one
+        scenario: the same trials and the same closed form."""
+        base = {"n_ss": 16, "l": 2, "r_roots": 2, "m_antennas": 8, "rho": 0.0,
+                "alpha_th_db": 5.0, "snr_db": 0.0}
+        fixed, full = (build_scenario({**base, **act}, N_ZC, trials=300, master_seed=5)
+                       for act in ({"n_active": 6}, {"p_a": 1.0, "population": 6}))
+        assert run_point(fixed, 4) == run_point(full, 4)
+        assert analytic_reference(fixed) == analytic_reference(full)
+
     def test_l3_has_no_closed_form(self):
         cfg = small_config(pool=build_pool(N_ZC, n_roots=1, n_ss=16, l=3))
         assert analytic_reference(cfg) is None
