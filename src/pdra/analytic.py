@@ -10,12 +10,12 @@ on the number K of other-root interferers, so for L = 2
     P_MF = P_S * sum_{K=0..Kcap} P(K) * (p_e0(K) + p_e1(K))
 
 By the binomial theorem and inclusion-exclusion over the L tagged shifts
-that sum is a signed sum of L binomial CDFs (``scipy.special.bdtr``), one
-per number of shifts held free (_success_probability); the single-shift
-baseline is L = 1.  Under binomial random activity the binomial generating
-function turns each term into the same form over all population-1 candidate
-UEs, and fixed activity is its p_a = 1 case, so no formula here sums over K,
-over the active count, or over the shared-component count.
+that sum is a signed sum of L binomial CDFs (_binom_cdf, summed in the log
+domain), one per number of shifts held free (_success_probability); the
+single-shift baseline is L = 1.  Under binomial random activity the binomial
+generating function turns each term into the same form over all population-1
+candidate UEs, and fixed activity is its p_a = 1 case, so no formula here
+sums over K, over the active count, or over the shared-component count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, gammaln
 
 
 def db_to_linear(x_db: float) -> float:
@@ -32,7 +31,31 @@ def db_to_linear(x_db: float) -> float:
 
 
 def _ln_comb(n: int, k: int) -> float:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _binom_cdf(k: int, n: int, p: float | np.ndarray) -> np.ndarray:
+    """P(Binomial(n, p) <= k) for every entry of p, with k >= 0.
+
+    The pmf terms t_0..t_k are summed in the log domain: log t_0 = n log(1-p)
+    and log t_(i+1) = log t_i + log((n-i)/(i+1)) + log p - log(1-p).  The sum
+    is rescaled by its largest term before exp, so no term underflows where
+    (1-p)^n alone would.  k >= n, p = 0 (CDF 1) and p = 1 (CDF 0) are exact.
+    """
+    p = np.asarray(p, dtype=float)
+    if k >= n:
+        return np.ones_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)[..., None]
+    log_1mq = np.log1p(-q)
+    i = np.arange(k)
+    # log(t_i / t_0), i = 0..k
+    log_t = np.zeros(q.shape[:-1] + (k + 1,))
+    np.cumsum(np.log((n - i) / (i + 1)) + (np.log(q) - log_1mq), axis=-1,
+              out=log_t[..., 1:])
+    top = log_t.max(axis=-1, keepdims=True)
+    cdf = np.exp(top + n * log_1mq)[..., 0] * np.exp(log_t - top).sum(axis=-1)
+    return np.where(inner, np.minimum(cdf, 1.0), p == 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,7 +149,7 @@ def p_k_other_roots(k: int, params: AnalyticParams) -> float:
         log_p += k * math.log(other_root)
     if n_others - k > 0:
         log_p += (n_others - k) * math.log(same_root)
-    return math.exp(float(log_p))
+    return math.exp(log_p)
 
 
 def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventProbs:
@@ -212,7 +235,7 @@ def _success_probability(
     coef = np.array([(-1) ** (i + 1) * math.comb(l, i) for i in j], dtype=float)
     sizes = np.array([o + math.comb(params.n_ss - i, l) for i in j])
     log_x = np.log1p(-p_a * (n_p - sizes) / n_p)
-    cdf = bdtr(min(k_cap, n_others), n_others, p_a * o / n_p / np.exp(log_x))
+    cdf = _binom_cdf(min(k_cap, n_others), n_others, p_a * o / n_p / np.exp(log_x))
     return float(coef @ (np.exp(n_others * log_x) * cdf))
 
 

@@ -22,8 +22,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-import yaml
+import scipy  # only its version, for the sidecar
 
 from .analytic import (
     db_to_linear,
@@ -112,6 +111,12 @@ class ExperimentSpec:
             raise SchemaError("grid axis n_active is empty")
         if self.p_a is not None and len(self.p_a) == 0:
             raise SchemaError("grid axis p_a is empty")
+        bad = sorted(n for n in self.n_active or () if n < 1)
+        if bad:
+            raise SchemaError(f"n_active entries must be >= 1, got {bad}")
+        bad = sorted(p for p in self.p_a or () if not 0.0 <= p <= 1.0)
+        if bad:
+            raise SchemaError(f"p_a entries must lie in [0, 1], got {bad}")
         if self.trials < 1:
             raise SchemaError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
@@ -187,6 +192,8 @@ def _as_tuple(key: str, value) -> tuple:
 
 def parse_config(path: str) -> dict:
     """Read a flat YAML mapping of spec fields; unknown keys are rejected."""
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if raw is None:

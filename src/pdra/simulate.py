@@ -57,11 +57,14 @@ value of a scenario is a separate call, analytic_reference.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+# numpy loads these submodules on first use; importing them here keeps that
+# cost out of the first block of a campaign
+from numpy.fft import fft, ifft
+from numpy.random import Generator, Philox, SeedSequence
 
 from .analytic import (
     AnalyticParams,
@@ -190,14 +193,14 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return lo, hi
 
 
-def trial_rng(master_seed: int, point_id: int, index: int) -> np.random.Generator:
+def trial_rng(master_seed: int, point_id: int, index: int) -> Generator:
     """Counter-keyed Philox stream of (master_seed, point id, index).
 
     run_block keys it by block index, run_forced_interference_trial by trial
     index; either way it is bit-reproducible at any parallelism.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_id, index))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=master_seed, spawn_key=(point_id, index))
+    return Generator(Philox(ss))
 
 
 def shared_components(tagged: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -310,8 +313,8 @@ def _root_pair_profiles_cached(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
     seqs = np.array(
         [generate_root_sequence(ZcConfig(n_zc, u)).samples for u in roots]
     )
-    f = np.fft.fft(seqs, axis=1)
-    out = np.fft.ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=2)
+    f = fft(seqs, axis=1)
+    out = ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=2)
     out.setflags(write=False)
     return out
 
@@ -322,7 +325,7 @@ def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
 
 def _rank_one_sinr(
     coefs: np.ndarray, n_active: np.ndarray, p_lin: float, m: int,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> np.ndarray:
     """Tagged SINR of each row over i.i.d. channels, by the rank-one law.
 
@@ -345,7 +348,7 @@ def _rank_one_sinr(
 
 def _correlated_sinr(
     coefs: np.ndarray, angles: np.ndarray, channel: ChannelModelSpec,
-    p_lin: float, rng: np.random.Generator,
+    p_lin: float, rng: Generator,
 ) -> float:
     """Tagged SINR of one trial over explicit CN(0, R) channels.
 
@@ -423,7 +426,7 @@ def run_block(
 
 def _live_sinr(
     channel: ChannelModelSpec, coefs: np.ndarray, n_active: np.ndarray,
-    p_lin: float, rng: np.random.Generator,
+    p_lin: float, rng: Generator,
 ) -> np.ndarray:
     """Tagged SINR of the live rows: the rank-one law when i.i.d., else one
     explicit trial per row after the drops of all their UEs."""
@@ -540,6 +543,8 @@ def run_campaign(
     worker fails gets an error status instead of stopping the campaign.
     """
     if threads > 1 and len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool_exec:
             futures = {
                 pid: pool_exec.submit(run_point, cfg, pid) for pid, cfg in configs.items()

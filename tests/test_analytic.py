@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import enumerate_collision_events, naive_success_pdra
 from pdra.analytic import (
     AnalyticParams,
+    _binom_cdf,
     asymptotic_sinr,
     collision_event_probs,
     db_to_linear,
@@ -223,8 +224,11 @@ def test_random_activity_matches_full_summation():
         assert abs(got - oracle) < 1e-10
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special",
+                                    "yaml", "concurrent.futures.process"])
 def test_import_does_not_load_scipy_module(module):
+    """The CLI module, and so pdra itself, loads none of these: the closed form
+    needs no scipy, and only a config file or a process pool needs the rest."""
     import os
     import subprocess
     import sys
@@ -234,10 +238,64 @@ def test_import_does_not_load_scipy_module(module):
     src = os.path.dirname(os.path.dirname(pdra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = f"import sys, pdra; print({module!r} in sys.modules)"
+    code = f"import sys, pdra.bench; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.1, 0.5, 0.75, 1.0])
+def test_binom_cdf_matches_exact_sum(p):
+    exact_p = Fraction(p)
+    for n in range(61):
+        pmf = [math.comb(n, i) * exact_p**i * (1 - exact_p) ** (n - i)
+               for i in range(n + 1)]
+        got = _binom_cdf(n, n, p)
+        assert got == 1.0
+        for k in range(n):
+            exact = sum(pmf[: k + 1])
+            got = float(_binom_cdf(k, n, p))
+            if exact == 0:
+                assert got == 0.0
+            else:
+                assert abs(Fraction(got) - exact) <= 1e-13 * exact, (k, n)
+
+
+def test_binom_cdf_where_the_first_term_underflows():
+    """At n = 9999 and p >= 0.1, (1-p)^n is below the smallest double, so a
+    recurrence from it would give 0; the log-domain sum keeps every value."""
+    import numpy as np
+    from scipy.special import bdtr
+
+    n = 9999
+    assert (1 - 0.1) ** n == 0.0
+    ps = np.array([1e-4, 0.01, 0.05, 0.1, 0.12, 0.15, 0.25, 0.5, 0.75])
+    for k in (*range(0, 1679, 13), 999, 1000, 1678):
+        got, oracle = _binom_cdf(k, n, ps), bdtr(k, n, ps)
+        normal = oracle > 1e-300
+        assert np.all(np.abs(got - oracle)[normal] <= 1e-9 * oracle[normal]), k
+        assert np.all(got[~normal] < 1e-290), k
+
+
+def test_closed_form_matches_scipy_cdf(monkeypatch):
+    """The closed form with _binom_cdf agrees with the same sum over
+    scipy.special.bdtr, the CDF it used before."""
+    import itertools
+
+    import pdra.analytic as analytic
+    from scipy.special import bdtr
+
+    cases = list(itertools.product((1e-3, 0.1, 0.5, 1.0), (2, 100, 10_000),
+                                   (1, 2, 4), (1.0, ALPHA_5DB), (1, 2)))
+
+    def values():
+        return [success_probability_random_activity(
+            p_a, population, params(r_roots=r, alpha_th=alpha), l=l)
+            for p_a, population, r, alpha, l in cases]
+
+    ours = values()
+    monkeypatch.setattr(analytic, "_binom_cdf", bdtr)
+    assert ours == pytest.approx(values(), rel=1e-9, abs=1e-300)
 
 
 def test_figure_orderings_analytic():

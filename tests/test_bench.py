@@ -363,6 +363,21 @@ class TestMainCli:
         assert f"n_zc must be an odd integer >= 3, got {n_zc}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("activity, message", [
+        ("n_active: [0, 2]\n", "n_active entries must be >= 1, got [0]"),
+        ("p_a: [1.5]\n", "p_a entries must lie in [0, 1], got [1.5]"),
+        ("p_a: [0.001, -0.5]\n", "p_a entries must lie in [0, 1], got [-0.5]"),
+    ], ids=["n_active-0", "p_a-above-1", "p_a-negative"])
+    def test_bad_activity_entry_exits_two_before_any_output(
+        self, tmp_path, capsys, activity, message
+    ):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: both\nr_roots: [1]\nn_ss: [16]\ntrials: 5\n" + activity)
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_collision_with_every_ue_on_one_pattern(self, tmp_path):
         """One pattern (C(2, 2) = 1, R = 1) and p_a = 1: the other four UEs
         all hold the tagged pattern, so P_S is 0, not a math domain error."""
