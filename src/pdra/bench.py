@@ -195,7 +195,10 @@ def parse_config(path: str) -> dict:
     import yaml
 
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise SchemaError(f"config {path} is not valid YAML: {exc}") from None
     if raw is None:
         return {}
     if not isinstance(raw, dict):

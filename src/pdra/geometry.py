@@ -160,20 +160,91 @@ def correlation_factor(m: int, rho: float, delta: float) -> np.ndarray:
     return phases[:, None] * _toeplitz_factor(m, rho)
 
 
+def _blocks(m: int) -> tuple[int, int]:
+    """Block length B, the power of two nearest above sqrt(m), and the number
+    of blocks ceil(m / B) that cover m antennas."""
+    b = 1 << (((m - 1).bit_length() + 1) // 2)
+    return b, -(-m // b)
+
+
+def ramp_tables(angles, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two short tables whose outer product (expand_ramps) is the phase ramp
+    e^{j delta k}, k = 0..m-1, of each angle, for angles of any shape: the
+    (..., M/B, 1) factors e^{j delta B k_hi} and the (..., 1, B) factors
+    e^{j delta k_lo}, with k = B k_hi + k_lo (_blocks).
+
+    Each table is a running product of one phasor, e^{j delta} or
+    e^{j delta B}: one complex exponential per angle, since a complex
+    multiply costs a fraction of a complex exp.
+    """
+    b, h = _blocks(m)
+    step = np.exp(1j * np.asarray(angles, dtype=float))[..., None]
+    lo = np.ones(step.shape[:-1] + (b,), dtype=complex)
+    lo[..., 1:] = step
+    lo = lo.cumprod(axis=-1)
+    hi = np.ones(step.shape[:-1] + (h,), dtype=complex)
+    hi[..., 1:] = lo[..., -1:] * step
+    return hi.cumprod(axis=-1)[..., :, None], lo[..., None, :]
+
+
+def expand_ramps(hi: np.ndarray, lo: np.ndarray, m: int) -> np.ndarray:
+    """(..., m) phase ramps from ramp_tables: one product per entry."""
+    ramps = hi * lo
+    *lead, h, b = ramps.shape
+    return ramps.reshape(*lead, h * b)[..., :m]
+
+
+@lru_cache(maxsize=32)
+def _ar1_tables(m: int, rho: float) -> tuple[np.ndarray, ...]:
+    """Input scale, in-block filter, block-to-block filter and carry of the
+    blocked AR(1) filter in toeplitz_channels."""
+    b, h = _blocks(m)
+    scale = np.full(m, math.sqrt((1.0 - rho * rho) / 2.0))
+    scale[0] = math.sqrt(0.5)
+    t = np.arange(b)
+    within = np.triu(rho ** np.maximum(t[None, :] - t[:, None], 0))
+    k = np.arange(h)
+    across = np.triu(rho ** (b * np.maximum(k[None, :] - k[:, None], 0)))
+    carry = rho ** (t + 1.0)
+    for table in (scale, within, across, carry):
+        table.setflags(write=False)
+    return scale, within, across, carry
+
+
+def toeplitz_channels(raw: np.ndarray, rho: float) -> np.ndarray:
+    """CN(0, T) rows from (n, 2, M) standard normals, T[i, j] = rho^|j-i|.
+
+    Row i equals _toeplitz_factor(M, rho) @ w_i with
+    w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2), computed as the AR(1) filter
+    x_0 = w_0, x_k = rho x_{k-1} + sqrt(1 - rho^2) w_k in blocks of B
+    antennas: one (B, B) product filters each block from a zero state, one
+    (M/B, M/B) product carries the blocks' last outputs across blocks, and
+    entry t of each block then adds rho^(t+1) times the last output of the
+    block before it.  That is O(M sqrt(M)) work per row where the dense
+    factor takes O(M^2).
+    """
+    n, m = len(raw), raw.shape[-1]
+    scale, within, across, carry = _ar1_tables(m, rho)
+    b, h = len(within), len(across)
+    v = np.zeros((2 * n * h, b))
+    np.multiply(raw.reshape(2 * n, m), scale, out=v.reshape(2 * n, h * b)[:, :m])
+    y = (v @ within).reshape(2 * n, h, b)
+    y[:, 1:] += (y[:, :, -1] @ across)[:, :-1, None] * carry
+    x = y.reshape(n, 2, h * b)[:, :, :m]
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
     """CN(0, R) rows from (n, 2, M) standard normals, one steering angle per row.
 
     Row i equals correlation_factor(M, rho, angles[i]) @ w_i with
-    w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the real factor filters real
-    and imaginary parts of every row in one matrix product, then each row
-    takes the phase ramp e^{-j delta k} of its angle, built as the running
-    product of e^{-j delta} along the antennas.
+    w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the real Toeplitz factor
+    filters every row (toeplitz_channels), then each row takes the phase ramp
+    e^{-j delta k} of its angle (ramp_tables).
     """
     m = raw.shape[-1]
-    x = (raw.reshape(-1, m) @ _toeplitz_factor(m, rho).T).reshape(raw.shape)
-    ramps = np.ones((len(angles), m), dtype=complex)
-    ramps[:, 1:] = np.exp(-1j * np.asarray(angles, dtype=float))[:, None]
-    return ramps.cumprod(axis=1) * (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
+    ramps = expand_ramps(*ramp_tables(-np.asarray(angles, dtype=float), m), m)
+    return ramps * toeplitz_channels(raw, rho)
 
 
 def pathloss_db(distance_m: float, scenario: str = "nlos") -> float:

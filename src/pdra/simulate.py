@@ -6,9 +6,9 @@ matched-filter estimate from the superimposed pilots, the pre-limit SINR, and
 the success decision SINR >= alpha_th.  No data symbol enters that decision,
 so trials draw none.
 
-RNG contract v2.  Trials run in blocks of BLOCK_TRIALS = 64.  Block b of the
+RNG contract v3.  Trials run in blocks of BLOCK_TRIALS = 64.  Block b of the
 point with id p draws from its own stream,
-Philox(SeedSequence(master_seed, spawn_key=(p, b))), so results are
+SFC64(SeedSequence(master_seed, spawn_key=(p, b))), so results are
 bit-reproducible under any degree of parallelism.  Every block draws all 64
 rows, a partial last block too: trial t is row t mod 64 of block t // 64, its
 outcome does not depend on the point's trial count, and run_trial replays it
@@ -23,7 +23,13 @@ alone.  Draw order within a block:
    i.i.d., Gamma(M, 1) per live row, then one (live, 2, n_max + 1) array of
    normals for zeta below; correlated, the drop positions of every active UE
    of the live rows (rejection over arrays), then per live row one
-   (n + 1, 2, M) array of normals: its UEs' channels, then the noise.
+   (k + 1, 2, M) array of normals, k the row's explicit UEs: the tagged UE's
+   channel, its other-root interferers' channels in column order, then the
+   noise; then one Exp(1) per same-root other of the row, in column order.
+
+Contract v2 drew Philox streams and explicit channels for every UE of a
+correlated trial; the same seed now gives different, statistically
+equivalent numbers.
 
 Power convention: sigma^2 = 1 and P = linear SNR; only the ratio enters any
 statistic.  The matched filter sees the received block only through its
@@ -45,8 +51,19 @@ zeta ~ CN(0, I_{n+1}), the projection of white noise off u.  Hence
     A^H g = ||v|| (gamma u + sqrt(gamma) (zeta - u (u^H zeta))),
 
 and ||v|| cancels from the SINR.  The law is exact for every M >= 1, and a
-trial costs O(n) draws whatever M is.  Correlated channels (rho > 0) are
-drawn explicitly and reduced by mf_sinr, one trial at a time.
+trial costs O(n) draws whatever M is.
+
+Same-root law for correlated channels (rho > 0).  UE n
+has h_n ~ CN(0, R_n), R_n[i, j] = rho^|j-i| e^{j delta_n (j-i)} steered by
+its drop angle.  Distinct shifts of one prime-length root are orthogonal, so
+in E0 and E1 every same-root other has c_n = 0 (tests check |c_n| <= 1e-9 of
+the row's largest) and g does not involve h_n.  Only the tagged UE and the
+other-root UEs get explicit channel rows; with the noise they form g.  Given
+g, a same-root other's h_n^H g is CN(0, q_n) with q_n = g^H R_n g, so its
+term is |h_n^H g|^2 = q_n E_n with E_n ~ Exp(1): one exponential in place of
+2M normals.  Every q_n of a trial comes from one autocorrelation of g
+(_same_root_power).  tests/oracles.py keeps the explicit path, which draws
+every UE's channel, and KS tests hold the two to the same law.
 
 build_scenario turns one grid point into a ScenarioConfig.  run_campaign only
 simulates: it takes scenarios keyed by grid index (the point id of their
@@ -64,7 +81,7 @@ import numpy as np
 # numpy loads these submodules on first use; importing them here keeps that
 # cost out of the first block of a campaign
 from numpy.fft import fft, ifft
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .analytic import (
     AnalyticParams,
@@ -77,8 +94,10 @@ from .analytic import (
 from .geometry import (
     ChannelModelSpec,
     CellLayout,
-    correlated_channels,
     drop_positions,
+    expand_ramps,
+    ramp_tables,
+    toeplitz_channels,
     # not called here; kept as module attributes perfbench/traced.py wraps
     correlation_factor,
     drop_ue,
@@ -94,6 +113,9 @@ EVENTS = (EVENT_E0, EVENT_E1, EVENT_E2, EVENT_IDENTICAL)
 
 # Trials per block, the unit of the RNG contract.
 BLOCK_TRIALS = 64
+
+# Correlated rows whose same-root terms share one FFT call.
+FFT_ROWS = 16
 
 Z_95 = 1.959963984540054
 
@@ -194,13 +216,13 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
 
 
 def trial_rng(master_seed: int, point_id: int, index: int) -> Generator:
-    """Counter-keyed Philox stream of (master_seed, point id, index).
+    """Counter-keyed SFC64 stream of (master_seed, point id, index).
 
     run_block keys it by block index, run_forced_interference_trial by trial
     index; either way it is bit-reproducible at any parallelism.
     """
     ss = SeedSequence(entropy=master_seed, spawn_key=(point_id, index))
-    return Generator(Philox(ss))
+    return Generator(SFC64(ss))
 
 
 def shared_components(tagged: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -243,11 +265,14 @@ def classify_block(
     identical = ((shifts == tagged[:, None]).all(axis=2) & same).any(axis=1)
     events = np.where(identical, EVENTS.index(EVENT_IDENTICAL),
                       np.minimum(shared.sum(axis=1), 2))
-    return events, shared, same.sum(axis=1)
+    return events, shared, same
 
 
 def mf_sinr(g: np.ndarray, true_channels: np.ndarray, snr_linear: float) -> float:
-    """Pre-limit SINR of the tagged UE (row 0 of true_channels), sigma^2 = 1."""
+    """Pre-limit SINR of the tagged UE (row 0 of true_channels), sigma^2 = 1.
+
+    Trials do not call it: they form the same ratio from their own terms.
+    """
     true_channels = np.atleast_2d(true_channels)
     cross = true_channels @ np.conj(g)
     signal = snr_linear * abs(cross[0]) ** 2
@@ -347,18 +372,74 @@ def _rank_one_sinr(
 
 
 def _correlated_sinr(
-    coefs: np.ndarray, angles: np.ndarray, channel: ChannelModelSpec,
-    p_lin: float, rng: Generator,
-) -> float:
-    """Tagged SINR of one trial over explicit CN(0, R) channels.
+    coefs: np.ndarray, steer: np.ndarray, n_explicit: np.ndarray,
+    n_active: np.ndarray, rho: float, m: int, p_lin: float, rng: Generator,
+) -> np.ndarray:
+    """Tagged SINR of rows of correlated trials, by the same-root law.
 
-    One (n + 1, 2, M) draw of normals holds the n UE rows, each steered by its
-    drop angle, then the noise w of g = sqrt(P) sum_n c_n h_n + w.
+    Row r holds its n_active[r] UEs in draw order: first its n_explicit[r]
+    explicit UEs (the tagged UE, then its other-root interferers) with
+    coefficients coefs[r], then its same-root others, whose coefficients are
+    zero.  steer[r] holds each UE's signed angle: -delta_n for an explicit UE,
+    whose channel carries e^{-j delta_n k}, and +delta_n for a same-root other.
+
+    Per row, in row order: one (k + 1, 2, M) draw of normals holds the k
+    explicit channels, then the noise w of g = sqrt(P) sum_n c_n h_n + w; then
+    one E_n ~ Exp(1) per same-root other.  A same-root other's h_n is
+    independent of g, so |h_n^H g|^2 = q_n E_n with q_n = g^H R_n g; with
+    R_n[i, j] = rho^|j-i| e^{j delta_n (j-i)}, every q_n of a row comes from
+    the autocorrelation a(k) = sum_i conj(g_i) g_{i+k} of its g, which
+    _same_root_power takes from FFTs over the rows once they are drawn.
     """
-    raw = rng.standard_normal((len(coefs) + 1, 2, channel.m_antennas))
-    h = correlated_channels(raw[:-1], channel.rho, angles)
-    noise = (raw[-1, 0] + 1j * raw[-1, 1]) / math.sqrt(2.0)
-    return mf_sinr(math.sqrt(p_lin) * (coefs @ h) + noise, h, p_lin)
+    rows = len(coefs)
+    # tables of the active UEs only; row r's UEs start at offset start[r]
+    hi, lo = ramp_tables(steer[np.arange(steer.shape[1]) < n_active[:, None]], m)
+    start = np.cumsum(n_active) - n_active
+    g = np.empty((rows, m), dtype=complex)
+    signal, interference = np.empty(rows), np.empty(rows)
+    n_same = n_active - n_explicit
+    exp = np.zeros((rows, n_same.max()))
+    for r, (o, n, k) in enumerate(zip(start, n_active, n_explicit)):
+        raw = rng.standard_normal((k + 1, 2, m))
+        h = expand_ramps(hi[o:o + k], lo[o:o + k], m) * toeplitz_channels(raw[:-1], rho)
+        noise = (raw[-1, 0] + 1j * raw[-1, 1]) / math.sqrt(2.0)
+        g[r] = math.sqrt(p_lin) * (coefs[r, :k] @ h) + noise
+        power = np.abs(h @ g[r].conj()) ** 2
+        signal[r], interference[r] = power[0], power[1:].sum()
+        exp[r, :n - k] = rng.standard_exponential(n - k)
+    if exp.size:
+        interference += _same_root_power(g, exp, hi, lo, start + n_explicit, rho)
+    g_norm2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+    return p_lin * signal / (p_lin * interference + g_norm2)
+
+
+def _same_root_power(
+    g: np.ndarray, exp: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+    first: np.ndarray, rho: float,
+) -> np.ndarray:
+    """sum_n (g^H R_n g) E_n over the same-root others of each row of g.
+
+    Row r's others have the exponentials exp[r] (zero past its count) and
+    the ramp tables hi and lo from index first[r] on.  An FFT of length 2M
+    gives the autocorrelation a(k) of each row, and
+    g^H R_n g = 2 Re sum_{k<M} rho^k e^{j delta_n k} a(k) - a(0).
+    """
+    m = g.shape[1]
+    n_hi, n_lo = hi.shape[-2], lo.shape[-1]
+    weight = rho ** np.arange(n_hi * n_lo)
+    weight[m:] = 0.0  # the FFT's wrapped, negative lags
+    out = np.empty(len(g))
+    # FFT_ROWS rows at a time keep each array near 100 kB at M = 256
+    for c in range(0, len(g), FFT_ROWS):
+        part = slice(c, c + FFT_ROWS)
+        spec = fft(g[part], 2 * m, axis=1)
+        a = ifft(spec.real ** 2 + spec.imag ** 2, axis=1)[:, :n_hi * n_lo]
+        same = np.minimum(first[part, None] + np.arange(exp.shape[1]), len(hi) - 1)
+        # sum_k rho^k e^{j delta k} a(k), with k = B k_hi + k_lo
+        w = (weight * a).reshape(len(a), n_hi, n_lo).transpose(0, 2, 1)
+        poly = ((lo[same, 0] @ w) * hi[same, :, 0]).sum(axis=2)
+        out[part] = np.sum((2.0 * poly.real - a[:, :1].real) * exp[part], axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -409,7 +490,7 @@ def run_block(
     valid = np.arange(n_active.max()) < n_active[:, None]
     roots, ranks = divmod(pool.sample_indices(rng, valid.shape), pool.n_ps)
     shifts = pool.shift_table[ranks]
-    events, shared, n_same = classify_block(roots, shifts, valid)
+    events, shared, same = classify_block(roots, shifts, valid)
 
     live = events < 2  # E0 and E1, the events with a SINR
     sinr = np.full(BLOCK_TRIALS, np.nan)
@@ -418,26 +499,35 @@ def run_block(
         coefs = correlator.coefficient(
             roots[live], shifts[live], roots[live, 0], shifts[live, 0], ~shared[live]
         ) * valid[live]
-        sinr[live] = _live_sinr(config.channel, coefs, n_active[live], p_lin, rng)
-    return BlockOutcome(
-        n_active, events, n_same, sinr, sinr >= db_to_linear(config.alpha_th_db)
-    )
+        sinr[live] = _live_sinr(config.channel, coefs, valid[live], same[live],
+                                p_lin, rng)
+    return BlockOutcome(n_active, events, same.sum(axis=1), sinr,
+                        sinr >= db_to_linear(config.alpha_th_db))
 
 
 def _live_sinr(
-    channel: ChannelModelSpec, coefs: np.ndarray, n_active: np.ndarray,
-    p_lin: float, rng: Generator,
+    channel: ChannelModelSpec, coefs: np.ndarray, valid: np.ndarray,
+    same: np.ndarray, p_lin: float, rng: Generator,
 ) -> np.ndarray:
     """Tagged SINR of the live rows: the rank-one law when i.i.d., else one
-    explicit trial per row after the drops of all their UEs."""
+    trial per row after the drops of all their UEs.  valid marks each row's
+    active UEs (a prefix of the row) and same its same-root others."""
+    n_active = valid.sum(axis=1)
     if channel.rho == 0.0:
         return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng)
     xy = drop_positions(CELL_LAYOUT, rng, int(n_active.sum()))
-    angles = np.split(np.arctan2(xy[:, 1], xy[:, 0]), np.cumsum(n_active)[:-1])
-    return np.array([
-        _correlated_sinr(row[:n], a, channel, p_lin, rng)
-        for row, n, a in zip(coefs, n_active, angles)
-    ])
+    # h_n carries e^{-j delta_n k}, the quadratic form of a same-root other
+    # e^{+j delta_n k}: one signed angle per UE
+    signed = np.zeros(valid.shape)
+    signed[valid] = np.arctan2(xy[:, 1], xy[:, 0])
+    signed[~same] *= -1.0
+    # each row in draw order: explicit UEs, then same-root others, each in
+    # column order, then padding
+    order = np.argsort(same | ~valid, axis=1, kind="stable")
+    return _correlated_sinr(
+        np.take_along_axis(coefs, order, axis=1), np.take_along_axis(signed, order, axis=1),
+        n_active - same.sum(axis=1), n_active, channel.rho, channel.m_antennas, p_lin, rng,
+    )
 
 
 def run_trial(

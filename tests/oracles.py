@@ -160,3 +160,29 @@ def explicit_iid_sinr(
     g = math.sqrt(snr_linear) * (coefs @ h) + w
     power = np.abs(h.conj() @ g) ** 2
     return snr_linear * power[0] / (snr_linear * power[1:].sum() + np.vdot(g, g).real)
+
+
+def explicit_correlated_sinr(
+    coefs: np.ndarray, angles: np.ndarray, rho: float, m: int,
+    snr_linear: float, rng: np.random.Generator, draws: int,
+) -> np.ndarray:
+    """Tagged SINR of independent trials over explicit CN(0, R_n) channels.
+
+    Each draw takes one (n + 1, 2, m) array of normals: every UE's channel,
+    whatever its coefficient, steered by its angle through
+    pdra.geometry.correlated_channels (checked against the dense closed-form
+    factor in tests/test_geometry.py), then the noise w.  The estimate is
+    g = sqrt(P) sum_n c_n h_n + w, and each draw returns
+    P |h_0^H g|^2 / (P sum_{n>0} |h_n^H g|^2 + ||g||^2).
+    """
+    from pdra.geometry import correlated_channels
+
+    n = len(coefs)
+    raw = rng.standard_normal((draws, n + 1, 2, m))
+    h = correlated_channels(raw[:, :n].reshape(-1, 2, m), rho,
+                            np.tile(angles, draws)).reshape(draws, n, m)
+    w = (raw[:, n, 0] + 1j * raw[:, n, 1]) / math.sqrt(2.0)
+    g = math.sqrt(snr_linear) * np.einsum("n,dnm->dm", coefs, h) + w
+    power = np.abs(np.einsum("dnm,dm->dn", h.conj(), g)) ** 2
+    noise = np.sum(np.abs(g) ** 2, axis=1)
+    return snr_linear * power[:, 0] / (snr_linear * power[:, 1:].sum(axis=1) + noise)

@@ -128,7 +128,7 @@ def test_correlation_factor_reproduces_matrix():
         )
 
 
-@pytest.mark.parametrize("m", [1, 2, 128, 1024])
+@pytest.mark.parametrize("m", [1, 2, 5, 100, 128, 1024])
 @pytest.mark.parametrize("rho", [0.0, 0.3, 0.7, 0.99])
 def test_channel_rows_match_factor_oracle(m, rho):
     from scipy.linalg import cholesky

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
-from pdra.geometry import ChannelModelSpec, correlated_channels
+from pdra.geometry import ChannelModelSpec, correlated_channels, correlation_matrix
 from pdra.pool import build_pattern, build_pool, combination_table
 from pdra.simulate import (
     BLOCK_TRIALS,
@@ -40,6 +40,7 @@ from pdra.simulate import (
 from oracles import (
     build_received_pilot,
     classify_collision_sets,
+    explicit_correlated_sinr,
     explicit_iid_sinr,
     mf_channel_estimate,
 )
@@ -322,19 +323,115 @@ class TestCorrelatorAlgebra:
         np.testing.assert_allclose(g_fast, g_explicit, atol=1e-9)
 
 
+def correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, n_explicit, m, p_lin):
+    """The SINR of each row of _correlated_sinr from its own normals and
+    exponentials: correlated_channels for the explicit UEs, and the dense
+    quadratic form g^H R_n g for each same-root other."""
+    out = []
+    for raw, exp, c, a, k in zip(raw_rows, exp_rows, coefs, angles, n_explicit):
+        h = correlated_channels(raw[:k], 0.7, a[:k])
+        g = math.sqrt(p_lin) * (c[:k] @ h) + (raw[k, 0] + 1j * raw[k, 1]) / math.sqrt(2.0)
+        same = [np.vdot(g, correlation_matrix(m, 0.7, d) @ g).real for d in a[k:]]
+        cross = np.abs(h.conj() @ g) ** 2
+        out.append(p_lin * cross[0] / (
+            p_lin * (cross[1:].sum() + np.dot(same, exp)) + np.vdot(g, g).real))
+    return np.array(out)
+
+
 class TestDrawChannels:
     def test_draw_order_and_rows(self):
-        """One (n + 1, 2, M) draw: the UE rows, steered by their angles (rows
-        against the factor oracle: tests/test_geometry.py), then the noise."""
-        m, n, p_lin = 16, 4, 0.5
-        channel = ChannelModelSpec(m_antennas=m, rho=0.7)
-        coefs = np.array([3.0, 1.0 - 1.0j, 0.5j, -2.0])
-        angles = np.array([0.3, -1.2, 2.0, 0.0])
-        got = _correlated_sinr(coefs, angles, channel, p_lin, np.random.default_rng(8))
-        raw = np.random.default_rng(8).standard_normal((n + 1, 2, m))
-        h = correlated_channels(raw[:n], 0.7, angles)
-        g = math.sqrt(p_lin) * (coefs @ h) + (raw[n, 0] + 1j * raw[n, 1]) / math.sqrt(2.0)
-        assert got == mf_sinr(g, h, p_lin)
+        """Row by row: one (k + 1, 2, M) draw of normals, the k explicit UE
+        rows steered by their angles (rows against the factor oracle:
+        tests/test_geometry.py) and then the noise; then one exponential per
+        same-root other, whose term is (g^H R_n g) E_n."""
+        m, p_lin = 16, 0.5
+        coefs = np.array([[3.0, 1.0 - 1.0j, 0.5j, 0.0, 0.0],
+                          [2.0, -1.5, 0.0, 0.0, 0.0]])
+        angles = np.array([[0.3, -1.2, 2.0, 0.7, -2.9],
+                           [1.1, 0.4, -0.6, 2.5, 0.0]])
+        n_explicit, n_active = np.array([3, 2]), np.array([5, 4])
+        steer = np.where(np.arange(5) < n_explicit[:, None], -angles, angles)
+        got = _correlated_sinr(coefs, steer, n_explicit, n_active, 0.7, m, p_lin,
+                               np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        raw_rows, exp_rows = [], []
+        for k, n in zip(n_explicit, n_active):
+            raw_rows.append(rng.standard_normal((k + 1, 2, m)))
+            exp_rows.append(rng.standard_exponential(n - k))
+        angles = [a[:n] for a, n in zip(angles, n_active)]
+        want = correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, n_explicit, m, p_lin)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 5, 32, 100, 256])
+    def test_same_root_terms_match_dense_matrix(self, m):
+        """The FFT autocorrelation and the factored ramps give each same-root
+        term g^H R_n g of the dense correlation matrix, at any M."""
+        coefs = np.array([[2.0, 0.0, 0.0, 0.0]])
+        angles = np.array([[0.4, 0.0, -2.2, 3.1]])
+        steer = np.append(-angles[:, :1], angles[:, 1:], axis=1)
+        got = _correlated_sinr(coefs, steer, np.array([1]), np.array([4]), 0.7, m, 0.8,
+                               np.random.default_rng(m))
+        rng = np.random.default_rng(m)
+        raw, exp = rng.standard_normal((2, 2, m)), rng.standard_exponential(3)
+        want = correlated_rows_by_hand([raw], [exp], coefs, angles, [1], m, 0.8)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+class TestSameRootLaw:
+    """The reduced correlated trial against explicit channels for every UE."""
+
+    @pytest.mark.parametrize("m", [4, 32, 256])
+    @pytest.mark.parametrize("n_same", [0, 2, 4])
+    def test_matches_explicit_channels(self, m, n_same):
+        """Two-sample KS test of the tagged SINR, 20,000 draws each, fixed
+        coefficients and drop angles.  The row holds the tagged UE, 4 - n_same
+        other-root UEs and n_same same-root others (coefficient 0): no, some
+        or only same-root others."""
+        from scipy.stats import ks_2samp
+
+        coefs = np.array([math.sqrt(N_ZC), 1.3 * np.exp(0.4j), -1.1, 0.2 - 0.9j, 0.7j])
+        angles = np.array([0.5, -1.9, 2.6, 0.1, -0.8])
+        k = 5 - n_same
+        p_lin, draws, chunk = 0.3, 20_000, 500
+        steer = np.tile(np.append(-angles[:k], angles[k:]), (chunk, 1))
+        rows = np.full(chunk, k), np.full(chunk, 5)
+        rng = np.random.default_rng(300 + m + n_same)
+        fast = np.concatenate([
+            _correlated_sinr(np.tile(coefs, (chunk, 1)), steer, *rows, 0.7, m, p_lin, rng)
+            for _ in range(draws // chunk)
+        ])
+        explicit = np.append(coefs[:k], np.zeros(n_same))
+        rng = np.random.default_rng(400 + m + n_same)
+        slow = np.concatenate([
+            explicit_correlated_sinr(explicit, angles, 0.7, m, p_lin, rng, chunk)
+            for _ in range(draws // chunk)
+        ])
+        assert ks_2samp(fast, slow).pvalue > 0.01
+
+    def test_same_root_coefficients_vanish(self):
+        """The premise of the law: in every E0 or E1 row of a block, each
+        same-root other's coefficient is at most 1e-9 of the row's largest."""
+        rng = np.random.default_rng(23)
+        checked = 0
+        for n_zc in (139, N_ZC):
+            for _ in range(40):
+                l = int(rng.integers(1, 4))
+                pool = build_pool(n_zc, n_roots=int(rng.integers(1, 5)),
+                                  n_ss=int(rng.integers(max(l, 2), 17)), l=l)
+                n_active = rng.integers(1, 16, size=BLOCK_TRIALS)
+                valid = np.arange(n_active.max()) < n_active[:, None]
+                roots, ranks = divmod(pool.sample_indices(rng, valid.shape), pool.n_ps)
+                shifts = pool.shift_table[ranks]
+                events, shared, same = classify_block(roots, shifts, valid)
+                live = events < 2
+                coefs = np.abs(_PatternCorrelator(pool).coefficient(
+                    roots[live], shifts[live], roots[live, 0], shifts[live, 0],
+                    ~shared[live]) * valid[live])
+                largest = coefs.max(axis=1, keepdims=True)
+                assert np.all(coefs[same[live]] <= 1e-9 * np.broadcast_to(
+                    largest, coefs.shape)[same[live]])
+                checked += int(same[live].sum())
+        assert checked > 1000
 
 
 class TestRankOneLaw:
@@ -475,8 +572,8 @@ class TestBlockEngine:
             assert not np.array_equal(base.sinr_linear, other.sinr_linear, equal_nan=True)
 
     def test_classify_block_matches_row_classifier(self):
-        """Per row: the event, the shared mask and the same-root count of
-        classify_tagged_collision on that row's valid same-root others."""
+        """Per row: the event and the shared mask of classify_tagged_collision
+        on that row's valid same-root others, and the mask of those others."""
         rng = np.random.default_rng(21)
         for _ in range(200):
             r, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -485,12 +582,14 @@ class TestBlockEngine:
             valid = np.arange(n_active.max()) < n_active[:, None]
             roots, ranks = divmod(rng.integers(0, r * len(table), valid.shape), len(table))
             shifts = table[ranks]
-            events, shared, n_same = classify_block(roots, shifts, valid)
+            events, shared, same_mask = classify_block(roots, shifts, valid)
             for b, n in enumerate(n_active):
                 same = shifts[b, 1:n][roots[b, 1:n] == roots[b, 0]]
                 assert EVENTS[events[b]] == classify_tagged_collision(shifts[b, 0], same)
                 assert shared[b].tolist() == shared_components(shifts[b, 0], same).tolist()
-                assert n_same[b] == len(same)
+                want = (roots[b] == roots[b, 0]) & valid[b]
+                want[0] = False
+                assert same_mask[b].tolist() == want.tolist()
 
     def test_block_coefficients_match_rows(self, pool):
         """Rows despread by their free tagged shifts give, to the last bit, the
