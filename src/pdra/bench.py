@@ -18,11 +18,11 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # only its version, for the sidecar
 
 from .analytic import (
     db_to_linear,
@@ -373,7 +373,7 @@ def write_sidecar(csv_path: str, spec: ExperimentSpec, n_points: int) -> str:
         "spec": dataclasses.asdict(spec),
         "environment": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },

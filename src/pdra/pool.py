@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -67,6 +66,8 @@ def combination_table(n: int, l: int) -> np.ndarray:
 
 def expansion_factor(n_ss: int, l: int) -> Fraction:
     """Pattern count over plain-shift count: C(n_ss, l) / n_ss, exact."""
+    from fractions import Fraction  # off the CLI's import path
+
     if not 0 < l <= n_ss:
         raise ValueError(f"need 0 < l <= n_ss, got l={l}, n_ss={n_ss}")
     return Fraction(math.comb(n_ss, l), n_ss)

@@ -260,10 +260,14 @@ def classify_block(
     same = valid & (roots == roots[:, :1])
     same[:, 0] = False
     tagged = shifts[:, 0]
+    # hits[r, i, n, j]: tagged shift i is shift j of same-root other n
     hits = (tagged[:, :, None, None] == shifts[:, None]) & same[:, None, :, None]
-    shared = hits.any(axis=(2, 3))
-    identical = ((shifts == tagged[:, None]).all(axis=2) & same).any(axis=1)
-    events = np.where(identical, EVENTS.index(EVENT_IDENTICAL),
+    shared = hits.reshape(*tagged.shape, -1).any(axis=2)
+    # an identical pattern matches shift for shift: the diagonal i = j
+    identical = hits[:, 0, :, 0]
+    for j in range(1, shifts.shape[2]):
+        identical = identical & hits[:, j, :, j]
+    events = np.where(identical.any(axis=1), EVENTS.index(EVENT_IDENTICAL),
                       np.minimum(shared.sum(axis=1), 2))
     return events, shared, same
 
@@ -294,15 +298,22 @@ class _PatternCorrelator:
 
     X[a, b, tau] = sum_l c_a[(l + tau) mod N] conj(c_b[l]), so the inner
     product of two pool patterns is a sum of L x L' table lookups instead of
-    a length-N_ZC dot product.
+    a length-N_ZC dot product.  Shifts v and w of one pool are tau =
+    (v - w) n_cs mod N_ZC apart, so the correlator keeps only those lags:
+    row a R + b of its lookup table holds X[a, b] at shift difference
+    v - w = -(N_SS - 1) ... N_SS - 1, then N_SS zeros that a masked
+    despreading shift reads.
     """
 
     def __init__(self, pool: PilotPool):
-        self.pool = pool
-        self.n_zc = pool.n_zc
-        self.n_cs = pool.n_cs
+        self.n_zc, self.n_ss, self.n_roots = pool.n_zc, pool.n_ss, len(pool.roots)
         self.scale = 1.0 / math.sqrt(pool.l)
-        self._table = _root_pair_profiles(pool.n_zc, pool.roots)
+        self.width = 3 * pool.n_ss - 1
+        lags = np.arange(1 - pool.n_ss, pool.n_ss) * pool.n_cs % pool.n_zc
+        profiles = _root_pair_profiles(pool.n_zc, pool.roots)
+        table = np.zeros((self.n_roots ** 2, self.width), dtype=complex)
+        table[:, :lags.size] = profiles.reshape(self.n_roots ** 2, -1)[:, lags]
+        self._table = table.ravel()
 
     def coefficient(
         self,
@@ -321,31 +332,46 @@ class _PatternCorrelator:
         add in sequence (despread shift fastest), as a scalar loop adds them;
         a pairwise sum would associate them differently and move last bits.
         """
-        offsets = shifts[..., None] - despread_shifts[..., None, None, :]
-        lags = offsets * self.n_cs % self.n_zc
-        d_root = np.asarray(despread_root_idx)[..., None, None, None]
-        terms = self._table[roots[..., None, None], d_root, lags]
-        terms = terms * despread_used[..., None, None, :]
+        # lookup v - w + N_SS - 1 of row a R + b; a masked w reads a zero.
+        # The shift axes go first, so each (v, w) slice is one array.
+        w = np.where(despread_used, despread_shifts, -self.n_ss)
+        b_start = np.asarray(despread_root_idx) * self.width + self.n_ss - 1
+        start = (roots * (self.n_roots * self.width) + b_start[..., None]
+                 + np.moveaxis(shifts, -1, 0))
+        terms = self._table.take(start[:, None] - np.moveaxis(w, -1, 0)[..., None])
+        terms = terms.reshape(-1, *roots.shape)
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
         n_used = despread_used.sum(axis=-1)[..., None]
-        total = terms.reshape(*roots.shape, -1).cumsum(axis=-1)[..., -1]
         return self.scale * total / np.sqrt(n_used * self.n_zc)
 
 
-@lru_cache(maxsize=16)
-def _root_pair_profiles_cached(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
+# X[a, b] of one root pair, keyed (n_zc, a, b).  Pools of one N_ZC share
+# their pairs, so each is computed once per process whatever root sets
+# come; an FFT row is the same bits alone or in any batch.
+_PAIR_PROFILES: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+@lru_cache(maxsize=64)
+def _root_spectrum(n_zc: int, root_u: int) -> np.ndarray:
     from .zc import ZcConfig, generate_root_sequence
 
-    seqs = np.array(
-        [generate_root_sequence(ZcConfig(n_zc, u)).samples for u in roots]
-    )
-    f = fft(seqs, axis=1)
-    out = ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=2)
-    out.setflags(write=False)
-    return out
+    return fft(generate_root_sequence(ZcConfig(n_zc, root_u)).samples)
 
 
 def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
-    return _root_pair_profiles_cached(n_zc, tuple(roots))
+    """(R, R, N_ZC) table X[a, b, tau] over the root pairs of roots."""
+    pairs = [(n_zc, a, b) for a in roots for b in roots]
+    missing = [key for key in pairs if key not in _PAIR_PROFILES]
+    if missing:
+        products = [_root_spectrum(n_zc, a) * np.conj(_root_spectrum(n_zc, b))
+                    for _, a, b in missing]
+        rows = ifft(np.array(products), axis=1)
+        rows.setflags(write=False)
+        _PAIR_PROFILES.update(zip(missing, rows))
+    return np.array([_PAIR_PROFILES[key] for key in pairs]).reshape(
+        len(roots), len(roots), n_zc)
 
 
 def _rank_one_sinr(
@@ -362,8 +388,14 @@ def _rank_one_sinr(
     rows, n = coefs.shape
     gamma = rng.standard_gamma(m, size=(rows, 1))
     z = rng.standard_normal((rows, 2, n + 1))
-    zeta = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-    v = np.concatenate([math.sqrt(p_lin) * coefs, np.ones((rows, 1))], axis=1)
+    # numpy divides by a complex scalar as a product with its reciprocal, so
+    # these are the bits of (z[:, 0] + 1j z[:, 1]) / sqrt(2)
+    zeta = np.empty((rows, n + 1), dtype=complex)
+    np.multiply(z[:, 0], 1.0 / math.sqrt(2.0), out=zeta.real)
+    np.multiply(z[:, 1], 1.0 / math.sqrt(2.0), out=zeta.imag)
+    v = np.empty((rows, n + 1), dtype=complex)
+    np.multiply(math.sqrt(p_lin), coefs, out=v[:, :n])
+    v[:, n] = 1.0
     u = v / np.linalg.norm(v, axis=1, keepdims=True)
     along_u = np.sum(np.conj(u) * zeta, axis=1, keepdims=True)
     x = gamma * u + np.sqrt(gamma) * (zeta - u * along_u)
@@ -489,17 +521,19 @@ def run_block(
         n_active = np.full(BLOCK_TRIALS, config.population)
     valid = np.arange(n_active.max()) < n_active[:, None]
     roots, ranks = divmod(pool.sample_indices(rng, valid.shape), pool.n_ps)
-    shifts = pool.shift_table[ranks]
+    shifts = pool.shift_table.take(ranks, axis=0)
     events, shared, same = classify_block(roots, shifts, valid)
 
-    live = events < 2  # E0 and E1, the events with a SINR
+    live = np.flatnonzero(events < 2)  # E0 and E1, the events with a SINR
     sinr = np.full(BLOCK_TRIALS, np.nan)
-    if live.any():
+    if live.size:
         p_lin = db_to_linear(config.snr_db)
+        l_roots, l_shifts = roots.take(live, 0), shifts.take(live, 0)
+        l_valid = valid.take(live, 0)
         coefs = correlator.coefficient(
-            roots[live], shifts[live], roots[live, 0], shifts[live, 0], ~shared[live]
-        ) * valid[live]
-        sinr[live] = _live_sinr(config.channel, coefs, valid[live], same[live],
+            l_roots, l_shifts, l_roots[:, 0], l_shifts[:, 0], ~shared.take(live, 0)
+        ) * l_valid
+        sinr[live] = _live_sinr(config.channel, coefs, l_valid, same.take(live, 0),
                                 p_lin, rng)
     return BlockOutcome(n_active, events, same.sum(axis=1), sinr,
                         sinr >= db_to_linear(config.alpha_th_db))

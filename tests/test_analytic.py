@@ -224,11 +224,13 @@ def test_random_activity_matches_full_summation():
         assert abs(got - oracle) < 1e-10
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special",
-                                    "yaml", "concurrent.futures.process"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.linalg",
+                                    "scipy.special", "fractions", "yaml",
+                                    "concurrent.futures.process"])
 def test_import_does_not_load_scipy_module(module):
     """The CLI module, and so pdra itself, loads none of these: the closed form
-    needs no scipy, and only a config file or a process pool needs the rest."""
+    needs no scipy, and only a config file, a process pool or
+    pool.expansion_factor needs the rest."""
     import os
     import subprocess
     import sys

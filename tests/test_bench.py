@@ -4,13 +4,13 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from pdra.bench import (
     CSV_COLUMNS,
@@ -224,7 +224,7 @@ class TestRunExperiment:
         assert "created_utc" in meta and "version" in meta
         assert meta["environment"] == {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             # importing pdra sets it when the user has not
             "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],

@@ -268,32 +268,69 @@ class TestCorrelatorAlgebra:
         coef = corr.coefficient(np.array([0]), rows((0, 1)), 0, np.array([0]), np.ones(1, bool))
         assert coef[0] == pytest.approx(math.sqrt(N_ZC / 2), abs=1e-9)
 
-    def test_matches_scalar_loop_bit_for_bit(self, pool):
+    def test_matches_scalar_loop_bit_for_bit(self):
         """Every UE's coefficient equals the per-UE double loop of lookups,
-        added a outer, b inner from 0, to the last bit."""
-        table = _root_pair_profiles(N_ZC, pool.roots)
+        added a outer, b inner from 0 over the used despreading shifts, to
+        the last bit: one call per row, and all rows as one block.  At every
+        N_SS the one-shift patterns 0 .. N_SS-1 meet the despreading shifts
+        0 and N_SS-1 alone, which reads every shift difference."""
         rng = np.random.default_rng(13)
-        for l in (1, 2, 3, 4):
-            corr = _PatternCorrelator(dataclasses.replace(pool, l=l))
-            shift_rows = combination_table(pool.n_ss, l)
-            scale = 1.0 / math.sqrt(l)
-            for _ in range(20):
-                n = int(rng.integers(1, 12))
-                roots = rng.integers(0, len(pool.roots), n)
-                shifts = shift_rows[rng.integers(0, len(shift_rows), n)]
-                d_root = int(rng.integers(0, len(pool.roots)))
-                d_row = shift_rows[rng.integers(0, len(shift_rows))]
-                d_shifts = d_row[: rng.integers(1, l + 1)]
-                loop = []
-                for r, s in zip(roots, shifts):
-                    total = 0.0 + 0.0j
-                    for a in s:
-                        for b in d_shifts:
-                            total += table[r, d_root][(a - b) * pool.n_cs % N_ZC]
-                    loop.append(scale * total / math.sqrt(len(d_shifts) * N_ZC))
-                used = np.ones(len(d_shifts), bool)
-                fast = corr.coefficient(roots, shifts, d_root, d_shifts, used)
-                assert fast.tobytes() == np.array(loop).tobytes()
+        for n_zc in (139, 839):
+            for n_ss in range(2, 65):
+                base = build_pool(n_zc, n_roots=3, n_ss=n_ss, l=1)
+                table = _root_pair_profiles(n_zc, base.roots)
+
+                def loop(l, roots, shifts, d_root, d_shifts, used):
+                    scale = 1.0 / math.sqrt(l)
+                    out = []
+                    for r, s in zip(roots, shifts):
+                        total = 0.0 + 0.0j
+                        for a in s:
+                            for b in d_shifts[used]:
+                                total += table[r, d_root][(a - b) * base.n_cs % n_zc]
+                        out.append(scale * total / math.sqrt(used.sum() * n_zc))
+                    return np.array(out).tobytes()
+
+                def subset(size):
+                    return np.sort(rng.permutation(n_ss)[:size])
+
+                corr = _PatternCorrelator(base)
+                sweep = np.arange(n_ss)[:, None]
+                for d_root in range(3):
+                    roots = rng.integers(0, 3, n_ss)
+                    for w in (0, n_ss - 1):
+                        args = (roots, sweep, d_root, np.array([w]), np.ones(1, bool))
+                        assert corr.coefficient(*args).tobytes() == loop(1, *args)
+                for l in range(1, min(4, n_ss) + 1):
+                    corr = _PatternCorrelator(dataclasses.replace(base, l=l))
+                    n, n_d = int(rng.integers(1, 12)), int(rng.integers(1, l + 1))
+                    block = []
+                    for _ in range(3):
+                        roots = rng.integers(0, 3, n)
+                        shifts = np.array([subset(l) for _ in range(n)])
+                        d_shifts = subset(n_d)
+                        used = rng.random(n_d) < 0.5
+                        used[rng.integers(0, n_d)] = True
+                        args = (roots, shifts, int(rng.integers(0, 3)), d_shifts, used)
+                        assert corr.coefficient(*args).tobytes() == loop(l, *args)
+                        block.append(args)
+                    stacked = [np.array(column) for column in zip(*block)]
+                    assert corr.coefficient(*stacked).tobytes() == b"".join(
+                        loop(l, *args) for args in block)
+
+    @pytest.mark.parametrize("n_zc", [139, 839])
+    def test_profile_table_matches_direct_fft(self, n_zc):
+        """The root-pair table that pools share equals the FFT of its own
+        root set, bit for bit: the default prefixes R = 1 .. 6 in turn, each
+        mostly cached, then an unordered set that is no prefix."""
+        from pdra.zc import ZcConfig, default_roots, generate_root_sequence
+
+        for roots in [default_roots(n_zc, r) for r in range(1, 7)] + [(5, 2, 7)]:
+            seqs = np.array([generate_root_sequence(ZcConfig(n_zc, u)).samples
+                             for u in roots])
+            f = np.fft.fft(seqs, axis=1)
+            direct = np.fft.ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=2)
+            assert _root_pair_profiles(n_zc, roots).tobytes() == direct.tobytes()
 
     def test_fast_path_matches_matrix_route(self, pool):
         """Full estimate: explicit Y-despreading vs coefficient superposition."""
