@@ -133,31 +133,21 @@ def correlation_matrix(m: int, rho: float, delta: float) -> np.ndarray:
     return rho ** np.abs(diff) * np.exp(1j * delta * diff)
 
 
-@lru_cache(maxsize=32)
-def _toeplitz_factor(m: int, rho: float) -> np.ndarray:
-    """Lower factor L of the real Toeplitz rho^|j-i|, with L L^T equal to it.
-
-    L[i, j] = rho^(i-j) for j <= i, columns j >= 1 scaled by sqrt(1 - rho^2):
-    the AR(1) filter x_0 = w_0, x_i = rho x_{i-1} + sqrt(1 - rho^2) w_i, which
-    is the Cholesky factor.  At rho = 0 it is exactly the identity.
-    """
-    lag = np.subtract.outer(np.arange(m), np.arange(m))
-    out = np.tril(rho ** np.maximum(lag, 0))
-    out[:, 1:] *= math.sqrt(1.0 - rho * rho)
-    out.setflags(write=False)
-    return out
-
-
 def correlation_factor(m: int, rho: float, delta: float) -> np.ndarray:
     """Factor F with F F^H equal to correlation_matrix(m, rho, delta).
 
     R = D T D^H with T the real exponential Toeplitz and D = diag(e^{-j delta i}),
-    so F = D L with L the closed-form lower factor of T.
+    so F = D L with L the Cholesky factor of T: L[i, j] = rho^(i-j) for
+    j <= i, columns j >= 1 scaled by sqrt(1 - rho^2), which is the AR(1)
+    filter x_0 = w_0, x_i = rho x_{i-1} + sqrt(1 - rho^2) w_i.  At rho = 0
+    it is exactly the identity.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    phases = np.exp(-1j * delta * np.arange(m))
-    return phases[:, None] * _toeplitz_factor(m, rho)
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    factor = np.exp(-1j * delta * np.arange(m))[:, None] * np.tril(rho ** np.maximum(lag, 0))
+    factor[:, 1:] *= math.sqrt(1.0 - rho * rho)
+    return factor
 
 
 def _blocks(m: int) -> tuple[int, int]:
@@ -196,42 +186,46 @@ def expand_ramps(hi: np.ndarray, lo: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _ar1_tables(m: int, rho: float) -> tuple[np.ndarray, ...]:
-    """Input scale, in-block filter, block-to-block filter and carry of the
-    blocked AR(1) filter in toeplitz_channels."""
+    """Input scale, in-block filter and (M/B - 1, M) carry of the blocked AR(1)
+    filter: carry[j, i] = rho^(i - e_j) past e_j = (j + 1) B - 1, block j's end."""
     b, h = _blocks(m)
     scale = np.full(m, math.sqrt((1.0 - rho * rho) / 2.0))
     scale[0] = math.sqrt(0.5)
     t = np.arange(b)
     within = np.triu(rho ** np.maximum(t[None, :] - t[:, None], 0))
-    k = np.arange(h)
-    across = np.triu(rho ** (b * np.maximum(k[None, :] - k[:, None], 0)))
-    carry = rho ** (t + 1.0)
-    for table in (scale, within, across, carry):
+    lag = np.arange(m) - np.arange(b - 1, (h - 1) * b, b)[:, None]
+    carry = np.where(lag > 0, rho ** np.maximum(lag, 0), 0.0)
+    for table in (scale, within, carry):
         table.setflags(write=False)
-    return scale, within, across, carry
+    return scale, within, carry
 
 
 def toeplitz_channels(raw: np.ndarray, rho: float) -> np.ndarray:
     """CN(0, T) rows from (n, 2, M) standard normals, T[i, j] = rho^|j-i|.
 
-    Row i equals _toeplitz_factor(M, rho) @ w_i with
+    Row i equals correlation_factor(M, rho, 0) @ w_i with
     w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2), computed as the AR(1) filter
-    x_0 = w_0, x_k = rho x_{k-1} + sqrt(1 - rho^2) w_k in blocks of B
-    antennas: one (B, B) product filters each block from a zero state, one
-    (M/B, M/B) product carries the blocks' last outputs across blocks, and
-    entry t of each block then adds rho^(t+1) times the last output of the
-    block before it.  That is O(M sqrt(M)) work per row where the dense
-    factor takes O(M^2).
+    in blocks of B antennas: one (B, B) product filters each block from a
+    zero state, then one product with the carry adds rho^(i - e) y_e to each
+    later antenna i for each block's last output y_e.  That is O(M sqrt(M))
+    work per row where the dense factor takes O(M^2).  Zeros pad the last
+    block only when B does not divide M.
     """
     n, m = len(raw), raw.shape[-1]
-    scale, within, across, carry = _ar1_tables(m, rho)
-    b, h = len(within), len(across)
-    v = np.zeros((2 * n * h, b))
-    np.multiply(raw.reshape(2 * n, m), scale, out=v.reshape(2 * n, h * b)[:, :m])
-    y = (v @ within).reshape(2 * n, h, b)
-    y[:, 1:] += (y[:, :, -1] @ across)[:, :-1, None] * carry
-    x = y.reshape(n, 2, h * b)[:, :, :m]
-    return x[:, 0] + 1j * x[:, 1]
+    scale, within, carry = _ar1_tables(m, rho)
+    b = len(within)
+    if m % b:
+        v = np.zeros((2 * n, (len(carry) + 1) * b))
+        np.multiply(raw.reshape(2 * n, m), scale, out=v[:, :m])
+    else:
+        v = raw.reshape(2 * n, m) * scale
+    y = (v.reshape(-1, b) @ within).reshape(2 * n, -1)
+    y[:, :m] += y[:, b - 1:len(carry) * b:b] @ carry
+    y = y.reshape(n, 2, -1)
+    x = np.empty((n, m), dtype=complex)
+    np.copyto(x.real, y[:, 0, :m])
+    np.copyto(x.imag, y[:, 1, :m])
+    return x
 
 
 def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
@@ -243,8 +237,9 @@ def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
     e^{-j delta k} of its angle (ramp_tables).
     """
     m = raw.shape[-1]
-    ramps = expand_ramps(*ramp_tables(-np.asarray(angles, dtype=float), m), m)
-    return ramps * toeplitz_channels(raw, rho)
+    rows = toeplitz_channels(raw, rho)
+    rows *= expand_ramps(*ramp_tables(-np.asarray(angles, dtype=float), m), m)
+    return rows
 
 
 def pathloss_db(distance_m: float, scenario: str = "nlos") -> float:

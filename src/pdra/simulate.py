@@ -9,10 +9,9 @@ so trials draw none.
 RNG contract v3.  Trials run in blocks of BLOCK_TRIALS = 64.  Block b of the
 point with id p draws from its own stream,
 SFC64(SeedSequence(master_seed, spawn_key=(p, b))), so results are
-bit-reproducible under any degree of parallelism.  Every block draws all 64
-rows, a partial last block too: trial t is row t mod 64 of block t // 64, its
-outcome does not depend on the point's trial count, and run_trial replays it
-alone.  Draw order within a block:
+bit-reproducible under any degree of parallelism.  Trial t is row t mod 64
+of block t // 64, its outcome does not depend on the point's trial count, and
+run_trial replays it alone.  Draw order within a block:
 
 1. p_a < 1 only: 64 counts, 1 + Binomial(population - 1, p_a); at p_a = 1
    every row holds the whole population and nothing is drawn;
@@ -27,9 +26,12 @@ alone.  Draw order within a block:
    channel, its other-root interferers' channels in column order, then the
    noise; then one Exp(1) per same-root other of the row, in column order.
 
-Contract v2 drew Philox streams and explicit channels for every UE of a
-correlated trial; the same seed now gives different, statistically
-equivalent numbers.
+A row's outcome depends only on its own draws and on n_max, so a block that
+counts only its first r rows (a point's partial last block) draws steps 1
+and 2, the gammas or drops of every live row, and then the rest for its
+counted live rows alone: a prefix of the whole block's draws, which gives
+its first r outcomes bit for bit.  Contract v2 drew Philox streams and
+explicit channels for every UE of a correlated trial.
 
 Power convention: sigma^2 = 1 and P = linear SNR; only the ratio enters any
 statistic.  The matched filter sees the received block only through its
@@ -50,8 +52,13 @@ zeta ~ CN(0, I_{n+1}), the projection of white noise off u.  Hence
 
     A^H g = ||v|| (gamma u + sqrt(gamma) (zeta - u (u^H zeta))),
 
-and ||v|| cancels from the SINR.  The law is exact for every M >= 1, and a
-trial costs O(n) draws whatever M is.
+so, divided by ||v|| sqrt(gamma), entry i < n of A^H g is
+
+    y_i = zeta_i + sqrt(P) c_i (sqrt(gamma) / ||v|| - s / ||v||^2),
+
+with s = v^H zeta = sqrt(P) c^H zeta_{<n} + zeta_n and ||v||^2 = P ||c||^2 + 1,
+and the SINR is P |y_0|^2 / (P sum_{i>0} |y_i|^2 + 1).  The law is exact for
+every M >= 1, and a trial costs O(n) draws whatever M is.
 
 Same-root law for correlated channels (rho > 0).  UE n
 has h_n ~ CN(0, R_n), R_n[i, j] = rho^|j-i| e^{j delta_n (j-i)} steered by
@@ -75,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 # numpy loads these submodules on first use; importing them here keeps that
@@ -113,9 +120,6 @@ EVENTS = (EVENT_E0, EVENT_E1, EVENT_E2, EVENT_IDENTICAL)
 
 # Trials per block, the unit of the RNG contract.
 BLOCK_TRIALS = 64
-
-# Correlated rows whose same-root terms share one FFT call.
-FFT_ROWS = 16
 
 Z_95 = 1.959963984540054
 
@@ -277,12 +281,8 @@ def mf_sinr(g: np.ndarray, true_channels: np.ndarray, snr_linear: float) -> floa
 
     Trials do not call it: they form the same ratio from their own terms.
     """
-    true_channels = np.atleast_2d(true_channels)
-    cross = true_channels @ np.conj(g)
-    signal = snr_linear * abs(cross[0]) ** 2
-    interference = snr_linear * float(np.sum(np.abs(cross[1:]) ** 2))
-    noise = float(np.vdot(g, g).real)
-    return signal / (interference + noise)
+    power = np.abs(np.atleast_2d(true_channels) @ np.conj(g)) ** 2
+    return float(snr_linear * power[0] / (snr_linear * power[1:].sum() + np.vdot(g, g).real))
 
 
 def detect_data_symbol(g: np.ndarray, z: np.ndarray) -> complex:
@@ -340,9 +340,7 @@ class _PatternCorrelator:
                  + np.moveaxis(shifts, -1, 0))
         terms = self._table.take(start[:, None] - np.moveaxis(w, -1, 0)[..., None])
         terms = terms.reshape(-1, *roots.shape)
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
+        total = reduce(np.add, terms)
         n_used = despread_used.sum(axis=-1)[..., None]
         return self.scale * total / np.sqrt(n_used * self.n_zc)
 
@@ -376,31 +374,32 @@ def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
 
 def _rank_one_sinr(
     coefs: np.ndarray, n_active: np.ndarray, p_lin: float, m: int,
-    rng: Generator,
+    rng: Generator, drawn: int | None = None,
 ) -> np.ndarray:
     """Tagged SINR of each row over i.i.d. channels, by the rank-one law.
 
-    Row r has pilot coefficients coefs[r, :n_active[r]]; the rest is padding.
-    Draws gamma ~ Gamma(M, 1) per row, then zeta ~ CN(0, I) of width n + 1 per
-    row, and returns P |x_0|^2 / (P sum_{0<i<n} |x_i|^2 + gamma) with
-    x = gamma u + sqrt(gamma) (zeta - u (u^H zeta)) (module docstring).
+    Row r has pilot coefficients coefs[r, :n_active[r]] and zero padding.
+    Draws gamma ~ Gamma(M, 1) for drawn rows (default every row; rows past
+    len(coefs) only keep the stream in step), then zeta ~ CN(0, I) of width
+    n + 1 per row, and returns the SINR of the y form (module docstring).
     """
     rows, n = coefs.shape
-    gamma = rng.standard_gamma(m, size=(rows, 1))
+    gamma = rng.standard_gamma(m, size=rows if drawn is None else drawn)[:rows]
     z = rng.standard_normal((rows, 2, n + 1))
-    # numpy divides by a complex scalar as a product with its reciprocal, so
-    # these are the bits of (z[:, 0] + 1j z[:, 1]) / sqrt(2)
+    # zeta = (z_re + j z_im) / sqrt(2), zero on padding, so that y_i = 0 there
+    scale = np.where(np.arange(n + 1) < n_active[:, None], math.sqrt(0.5), 0.0)
+    scale[:, n] = math.sqrt(0.5)
     zeta = np.empty((rows, n + 1), dtype=complex)
-    np.multiply(z[:, 0], 1.0 / math.sqrt(2.0), out=zeta.real)
-    np.multiply(z[:, 1], 1.0 / math.sqrt(2.0), out=zeta.imag)
-    v = np.empty((rows, n + 1), dtype=complex)
-    np.multiply(math.sqrt(p_lin), coefs, out=v[:, :n])
-    v[:, n] = 1.0
-    u = v / np.linalg.norm(v, axis=1, keepdims=True)
-    along_u = np.sum(np.conj(u) * zeta, axis=1, keepdims=True)
-    x = gamma * u + np.sqrt(gamma) * (zeta - u * along_u)
-    power = np.abs(x[:, :n]) ** 2 * (np.arange(n) < n_active[:, None])
-    return p_lin * power[:, 0] / (p_lin * power[:, 1:].sum(axis=1) + gamma[:, 0])
+    np.multiply(z[:, 0], scale, out=zeta.real)
+    np.multiply(z[:, 1], scale, out=zeta.imag)
+    v = math.sqrt(p_lin) * coefs
+    norm2 = np.vecdot(v, v).real + 1.0
+    s = np.vecdot(v, zeta[:, :n]) + zeta[:, n]
+    y = v * (np.sqrt(gamma / norm2) - s / norm2)[:, None]
+    y += zeta[:, :n]
+    signal = y[:, 0].real ** 2 + y[:, 0].imag ** 2
+    interference = np.vecdot(y[:, 1:], y[:, 1:]).real
+    return p_lin * signal / (p_lin * interference + 1.0)
 
 
 def _correlated_sinr(
@@ -417,32 +416,34 @@ def _correlated_sinr(
 
     Per row, in row order: one (k + 1, 2, M) draw of normals holds the k
     explicit channels, then the noise w of g = sqrt(P) sum_n c_n h_n + w; then
-    one E_n ~ Exp(1) per same-root other.  A same-root other's h_n is
-    independent of g, so |h_n^H g|^2 = q_n E_n with q_n = g^H R_n g; with
-    R_n[i, j] = rho^|j-i| e^{j delta_n (j-i)}, every q_n of a row comes from
-    the autocorrelation a(k) = sum_i conj(g_i) g_{i+k} of its g, which
-    _same_root_power takes from FFTs over the rows once they are drawn.
+    one E_n ~ Exp(1) per same-root other, whose term q_n E_n (module
+    docstring) _same_root_power adds once every row is drawn.
     """
-    rows = len(coefs)
+    rows, width = steer.shape
     # tables of the active UEs only; row r's UEs start at offset start[r]
-    hi, lo = ramp_tables(steer[np.arange(steer.shape[1]) < n_active[:, None]], m)
+    hi, lo = ramp_tables(steer[np.arange(width) < n_active[:, None]], m)
     start = np.cumsum(n_active) - n_active
+    # sqrt(2) g, which the SINR, a ratio of squares of g, does not see
     g = np.empty((rows, m), dtype=complex)
-    signal, interference = np.empty(rows), np.empty(rows)
-    n_same = n_active - n_explicit
-    exp = np.zeros((rows, n_same.max()))
+    scaled = math.sqrt(2.0 * p_lin) * coefs
+    # conj(h_n^H g) and E_n; widths that do not depend on the rows keep the
+    # sums over them the same bits in any prefix of the rows
+    cross = np.zeros((rows, width), dtype=complex)
+    exp = np.zeros((rows, width - 1))
     for r, (o, n, k) in enumerate(zip(start, n_active, n_explicit)):
         raw = rng.standard_normal((k + 1, 2, m))
-        h = expand_ramps(hi[o:o + k], lo[o:o + k], m) * toeplitz_channels(raw[:-1], rho)
-        noise = (raw[-1, 0] + 1j * raw[-1, 1]) / math.sqrt(2.0)
-        g[r] = math.sqrt(p_lin) * (coefs[r, :k] @ h) + noise
-        power = np.abs(h @ g[r].conj()) ** 2
-        signal[r], interference[r] = power[0], power[1:].sum()
-        exp[r, :n - k] = rng.standard_exponential(n - k)
-    if exp.size:
+        h = toeplitz_channels(raw[:-1], rho)
+        h *= expand_ramps(hi[o:o + k], lo[o:o + k], m)
+        gr = np.matmul(scaled[r, :k], h, out=g[r])
+        gr.real += raw[-1, 0]
+        gr.imag += raw[-1, 1]
+        np.vecdot(gr, h, out=cross[r, :k])
+        rng.standard_exponential(out=exp[r, :n - k])
+    power = cross.real ** 2 + cross.imag ** 2
+    interference = power[:, 1:].sum(axis=1)
+    if (n_active > n_explicit).any():
         interference += _same_root_power(g, exp, hi, lo, start + n_explicit, rho)
-    g_norm2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
-    return p_lin * signal / (p_lin * interference + g_norm2)
+    return p_lin * power[:, 0] / (p_lin * interference + np.vecdot(g, g).real)
 
 
 def _same_root_power(
@@ -461,9 +462,9 @@ def _same_root_power(
     weight = rho ** np.arange(n_hi * n_lo)
     weight[m:] = 0.0  # the FFT's wrapped, negative lags
     out = np.empty(len(g))
-    # FFT_ROWS rows at a time keep each array near 100 kB at M = 256
-    for c in range(0, len(g), FFT_ROWS):
-        part = slice(c, c + FFT_ROWS)
+    # 16 rows share an FFT call, which keeps each array near 100 kB at M = 256
+    for c in range(0, len(g), 16):
+        part = slice(c, c + 16)
         spec = fft(g[part], 2 * m, axis=1)
         a = ifft(spec.real ** 2 + spec.imag ** 2, axis=1)[:, :n_hi * n_lo]
         same = np.minimum(first[part, None] + np.arange(exp.shape[1]), len(hi) - 1)
@@ -476,7 +477,7 @@ def _same_root_power(
 
 @dataclass(frozen=True)
 class BlockOutcome:
-    """Per-row arrays of the BLOCK_TRIALS trials of one block."""
+    """Per-row arrays of the counted leading trials of one block."""
 
     n_active: np.ndarray
     events: np.ndarray  # index into EVENTS
@@ -503,8 +504,10 @@ def run_block(
     block_index: int,
     point_id: int = 0,
     correlator: _PatternCorrelator | None = None,
+    rows: int = BLOCK_TRIALS,
 ) -> BlockOutcome:
-    """Trials BLOCK_TRIALS * block_index onward of one point, all rows at once.
+    """Trials BLOCK_TRIALS * block_index onward of one point: the first rows
+    rows of the block, whose outcomes are those of the whole block's.
 
     Draws in the order of the module docstring.  E0 despreads by the whole
     tagged pattern, E1 by its free components; identical and E2 rows draw no
@@ -524,32 +527,31 @@ def run_block(
     shifts = pool.shift_table.take(ranks, axis=0)
     events, shared, same = classify_block(roots, shifts, valid)
 
-    live = np.flatnonzero(events < 2)  # E0 and E1, the events with a SINR
-    sinr = np.full(BLOCK_TRIALS, np.nan)
-    if live.size:
-        p_lin = db_to_linear(config.snr_db)
-        l_roots, l_shifts = roots.take(live, 0), shifts.take(live, 0)
-        l_valid = valid.take(live, 0)
-        coefs = correlator.coefficient(
-            l_roots, l_shifts, l_roots[:, 0], l_shifts[:, 0], ~shared.take(live, 0)
-        ) * l_valid
-        sinr[live] = _live_sinr(config.channel, coefs, l_valid, same.take(live, 0),
-                                p_lin, rng)
-    return BlockOutcome(n_active, events, same.sum(axis=1), sinr,
+    live = events < 2  # E0 and E1, the events with a SINR
+    counted = np.flatnonzero(live[:rows])
+    sinr = np.full(rows, np.nan)
+    if counted.size:
+        rows_of = (x.take(counted, 0) for x in (roots, shifts, valid, shared, same))
+        sinr[counted] = _live_sinr(config, correlator, *rows_of, n_active[live], rng)
+    return BlockOutcome(n_active[:rows], events[:rows], same[:rows].sum(axis=1), sinr,
                         sinr >= db_to_linear(config.alpha_th_db))
 
 
 def _live_sinr(
-    channel: ChannelModelSpec, coefs: np.ndarray, valid: np.ndarray,
-    same: np.ndarray, p_lin: float, rng: Generator,
+    config: ScenarioConfig, correlator: _PatternCorrelator, roots: np.ndarray,
+    shifts: np.ndarray, valid: np.ndarray, shared: np.ndarray, same: np.ndarray,
+    drawn: np.ndarray, rng: Generator,
 ) -> np.ndarray:
-    """Tagged SINR of the live rows: the rank-one law when i.i.d., else one
-    trial per row after the drops of all their UEs.  valid marks each row's
-    active UEs (a prefix of the row) and same its same-root others."""
+    """Tagged SINR of the counted live rows: the rank-one law when i.i.d.,
+    else one trial per row after the drops of all their UEs.  roots to same
+    hold those rows of run_block's arrays; drawn holds the UE counts of every
+    live row of the block, whose gammas or drops are all drawn."""
+    p_lin, channel = db_to_linear(config.snr_db), config.channel
+    coefs = correlator.coefficient(roots, shifts, roots[:, 0], shifts[:, 0], ~shared) * valid
     n_active = valid.sum(axis=1)
     if channel.rho == 0.0:
-        return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng)
-    xy = drop_positions(CELL_LAYOUT, rng, int(n_active.sum()))
+        return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng, len(drawn))
+    xy = drop_positions(CELL_LAYOUT, rng, int(drawn.sum()))[:n_active.sum()]
     # h_n carries e^{-j delta_n k}, the quadratic form of a same-root other
     # e^{+j delta_n k}: one signed angle per UE
     signed = np.zeros(valid.shape)
@@ -640,12 +642,14 @@ def analytic_reference(config: ScenarioConfig) -> float | None:
 
 def run_point(config: ScenarioConfig, point_id: int = 0) -> tuple[int, int]:
     """Execute all trials of one grid point, block by block; returns
-    (successes, trials).  A partial last block counts its leading rows."""
+    (successes, trials).  A partial last block computes only the rows it
+    counts."""
     correlator = _PatternCorrelator(config.pool)
     successes = 0
     for block, start in enumerate(range(0, config.trials, BLOCK_TRIALS)):
-        outcome = run_block(config, block, point_id, correlator)
-        successes += int(np.count_nonzero(outcome.success[: config.trials - start]))
+        rows = min(BLOCK_TRIALS, config.trials - start)
+        outcome = run_block(config, block, point_id, correlator, rows)
+        successes += int(np.count_nonzero(outcome.success))
     return successes, config.trials
 
 

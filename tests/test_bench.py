@@ -166,6 +166,28 @@ PINNED_COUNTS = {
 }
 
 
+# Success counts out of 130 per fig6 point (two whole blocks and 2 rows of a
+# third), seed 3, in grid order (R, then M, then rho), under RNG contract v3.
+# The rho = 0.7 points run the correlated kernel at M = 128 and 256.
+PINNED_FIG6_COUNTS = [112, 99, 94, 104, 120, 113, 116, 121,
+                      122, 115, 121, 123, 125, 108, 126, 126]
+
+
+def test_fig6_counts_are_pinned(tmp_path):
+    """Exact Monte-Carlo output of the fig6 preset at 130 trials, fixed
+    across commits.  Only a change that states it alters the RNG contract
+    may update PINNED_FIG6_COUNTS; any other change to them is a regression
+    of the trial engine."""
+    spec = build_spec("fig6", {}, dict(mode="simulate", trials=130, master_seed=3,
+                                       out=str(tmp_path / "fig6.csv")))
+    assert run_experiment(spec, echo=lambda *_: None) == 0
+    with open(spec.out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["r_roots"], r["m_antennas"], r["rho"]) for r in rows[:4]] == [
+        ("1", "128", "0"), ("1", "128", "0.7"), ("1", "256", "0"), ("1", "256", "0.7")]
+    assert [round(float(r["p_success_sim"]) * 130) for r in rows] == PINNED_FIG6_COUNTS
+
+
 @pytest.mark.parametrize("activity", sorted(PINNED_COUNTS))
 def test_monte_carlo_counts_are_pinned(tmp_path, activity):
     """Exact Monte-Carlo output of a small grid, fixed across commits.

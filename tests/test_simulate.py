@@ -488,6 +488,29 @@ class TestRankOneLaw:
         slow = [explicit_iid_sinr(c, p_lin, m, rng) for _ in range(draws)]
         assert ks_2samp(fast, slow).pvalue > 0.01
 
+    def test_matches_projection_form(self):
+        """P |y_0|^2 / (P sum |y_i|^2 + 1) equals the projection form
+        P |x_0|^2 / (P sum |x_i|^2 + gamma), x = gamma u + sqrt(gamma)
+        (zeta - u (u^H zeta)), on the same draws, with padded rows."""
+        rng = np.random.default_rng(31)
+        rows, n, m, p_lin = 40, 7, 32, 0.2
+        n_active = rng.integers(1, n + 1, rows)
+        valid = np.arange(n) < n_active[:, None]
+        c = 3.0 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+        c[:, 0] = 20.0
+        got = _rank_one_sinr(c * valid, n_active, p_lin, m, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        gamma = rng.standard_gamma(m, size=(rows, 1))
+        z = rng.standard_normal((rows, 2, n + 1))
+        zeta = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+        v = np.append(math.sqrt(p_lin) * c * valid, np.ones((rows, 1)), axis=1)
+        u = v / np.linalg.norm(v, axis=1, keepdims=True)
+        x = gamma * u + np.sqrt(gamma) * (
+            zeta - u * np.sum(u.conj() * zeta, axis=1, keepdims=True))
+        power = np.abs(x[:, :n]) ** 2 * valid
+        want = p_lin * power[:, 0] / (p_lin * power[:, 1:].sum(axis=1) + gamma[:, 0])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_padding_is_ignored(self):
         """A row padded with zero coefficients gives the SINR of the unpadded
         row from the same gamma and the same leading zeta entries."""
@@ -589,10 +612,41 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("cfg", block_configs())
     def test_run_point_counts_each_trial_once(self, cfg):
-        """A point of 150 trials is two whole blocks and 22 rows of a third."""
-        cfg = dataclasses.replace(cfg, trials=150)
-        want = sum(run_trial(cfg, t, point_id=2).success for t in range(150))
-        assert run_point(cfg, point_id=2) == (want, 150)
+        """A point of 60 trials is 60 rows of one block, of 100 trials one
+        whole block and 36 rows, of 150 trials two whole blocks and 22 rows."""
+        for trials in (60, 100, 150):
+            cfg = dataclasses.replace(cfg, trials=trials)
+            want = sum(run_trial(cfg, t, point_id=2).success for t in range(trials))
+            assert run_point(cfg, point_id=2) == (want, trials)
+
+    @pytest.mark.parametrize("cfg", block_configs())
+    def test_counted_rows_are_a_prefix_of_the_block(self, cfg):
+        """run_block with r counted rows gives the first r rows of the whole
+        block, bit for bit: it still draws every live row's gamma or drops."""
+        for block in range(3):
+            full = run_block(cfg, block, point_id=5)
+            assert np.count_nonzero(full.events < 2) > 10
+            for rows in (1, 9, 30, 63):
+                part = run_block(cfg, block, point_id=5, rows=rows)
+                for name in ("n_active", "events", "n_same_root_others",
+                             "sinr_linear", "success"):
+                    got, want = getattr(part, name), getattr(full, name)[:rows]
+                    assert got.tobytes() == want.tobytes(), (block, rows, name)
+
+    def test_counted_rows_without_live_row(self):
+        """A correlated block whose counted rows hold no E0 or E1 row, while
+        later rows do, gives NaN SINRs and no success."""
+        cfg = small_config(population=12, pool=build_pool(N_ZC, n_roots=1, n_ss=4, l=2),
+                           channel=ChannelModelSpec(16, 0.7))
+        for block in range(50):
+            full = run_block(cfg, block)
+            rows = int(np.argmax(full.events < 2))
+            if rows > 0:
+                break
+        assert rows > 0
+        part = run_block(cfg, block, rows=rows)
+        assert np.isnan(part.sinr_linear).all() and not part.success.any()
+        assert part.events.tobytes() == full.events[:rows].tobytes()
 
     def test_outcomes_do_not_depend_on_trial_count(self):
         short, long = (small_config(population=2000, p_a=0.004, trials=n)
