@@ -15,9 +15,7 @@ from pdra import (
     success_probability_random_activity,
 )
 
-params = AnalyticParams(
-    n_active=10, r_roots=2, n_ss=32, n_zc=839, alpha_th=db_to_linear(5.0)
-)
+params = AnalyticParams(r_roots=2, n_ss=32, n_zc=839, alpha_th=db_to_linear(5.0))
 
 print(f"pool size N_P = {params.n_p} patterns ({params.r_roots} roots x {params.n_ps})")
 print(f"P(no identical pattern among 10 active) = "
@@ -33,12 +31,9 @@ print(f"different-root interferers tolerated at 5 dB threshold: K <= {cap}")
 print("\nsuccess probability vs number of roots (N=10 active, 5 dB threshold):")
 print(f"{'R':>3} {'pattern (L=2)':>14} {'single (L=1)':>13}")
 for r in (1, 2, 3, 4):
-    p = AnalyticParams(n_active=10, r_roots=r, n_ss=32, n_zc=839,
-                       alpha_th=db_to_linear(5.0))
-    print(f"{r:>3} {success_probability_pdra(p):>14.6f} "
-          f"{success_probability_conventional(p):>13.6f}")
+    p = AnalyticParams(r_roots=r, n_ss=32, n_zc=839, alpha_th=db_to_linear(5.0))
+    print(f"{r:>3} {success_probability_pdra(p, 10):>14.6f} "
+          f"{success_probability_conventional(p, 10):>13.6f}")
 
-base = AnalyticParams(n_active=1, r_roots=2, n_ss=32, n_zc=839,
-                      alpha_th=db_to_linear(5.0))
-mixed = success_probability_random_activity(0.001, 10_000, base)
+mixed = success_probability_random_activity(0.001, 10_000, params)
 print(f"\nrandom activity (10k devices at 0.1%): success = {mixed:.6f}")

@@ -21,6 +21,7 @@ from .analytic import (
     asymptotic_sinr,
     collision_event_probs,
     db_to_linear,
+    no_closed_form_reason,
     p_k_other_roots,
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
@@ -56,12 +57,10 @@ from .simulate import (
     classify_tagged_collision,
     detect_data_symbol,
     mf_sinr,
-    no_closed_form_reason,
     run_campaign,
     run_forced_interference_trial,
     run_point,
     run_trial,
-    shared_components,
     wilson_interval,
 )
 from .zc import (

@@ -11,11 +11,11 @@ on the number K of other-root interferers, so for L = 2
 
 By the binomial theorem and inclusion-exclusion over the L tagged shifts
 that sum is a signed sum of L binomial CDFs (_binom_cdf, summed in the log
-domain), one per number of shifts held free (_success_probability); the
-single-shift baseline is L = 1.  Under binomial random activity the binomial
-generating function turns each term into the same form over all population-1
-candidate UEs, and fixed activity is its p_a = 1 case, so no formula here
-sums over K, over the active count, or over the shared-component count.
+domain), one per number of shifts held free; the single-shift baseline is
+L = 1.  Under binomial random activity the binomial generating function
+turns each term into the same form over all population-1 candidate UEs, and
+fixed activity is its p_a = 1 case, so no formula here sums over K, over the
+active count, or over the shared-component count.
 """
 
 from __future__ import annotations
@@ -24,6 +24,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# The closed form's domain: L shifts per pattern, at least MIN_N_SS shifts per
+# root.  no_closed_form_reason and every check of the model read these.
+CLOSED_FORM_L = (1, 2)
+MIN_N_SS = 4
+
+
+def no_closed_form_reason(l: int, n_ss: int) -> str | None:
+    """Why the closed form does not cover L-shift patterns over n_ss shifts
+    per root; None if it does."""
+    if l not in CLOSED_FORM_L:
+        return f"l={l}"
+    if n_ss < MIN_N_SS:
+        return f"n_ss<{MIN_N_SS}"
+    return None
 
 
 def db_to_linear(x_db: float) -> float:
@@ -60,30 +76,28 @@ def _binom_cdf(k: int, n: int, p: float | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Inputs of the closed-form model.
+    """Pool and threshold of the closed-form model; the UE count is an
+    argument of each probability.
 
     alpha_th is the linear SINR threshold; interface layers convert from dB.
     """
 
-    n_active: int
     r_roots: int
     n_ss: int
     n_zc: int
     alpha_th: float
 
     def __post_init__(self):
-        if self.n_active < 1:
-            raise ValueError(f"n_active must be >= 1, got {self.n_active}")
         if self.r_roots < 1:
             raise ValueError(f"r_roots must be >= 1, got {self.r_roots}")
-        if self.n_ss < 4:
-            raise ValueError(
-                f"n_ss must be >= 4 for the collision decomposition, got {self.n_ss}"
-            )
+        if self.n_ss < MIN_N_SS:
+            raise ValueError(f"n_ss must be >= {MIN_N_SS} for the collision "
+                             f"decomposition, got {self.n_ss}")
         if self.n_zc < 3:
             raise ValueError(f"n_zc must be >= 3, got {self.n_zc}")
-        if self.alpha_th <= 0:
-            raise ValueError(f"alpha_th must be a positive linear value, got {self.alpha_th}")
+        if not 0 < self.alpha_th < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"alpha_th must be a positive finite linear value, "
+                             f"got {self.alpha_th}")
 
     @property
     def n_ps(self) -> int:
@@ -128,14 +142,14 @@ def p_no_pattern_collision_binomial(p_a: float, population: int, n_p: int) -> fl
     return math.exp((population - 1) * math.log1p(-p_a / n_p))
 
 
-def p_k_other_roots(k: int, params: AnalyticParams) -> float:
-    """P(K): K of the other N-1 UEs hold different-root patterns.
+def p_k_other_roots(k: int, n_active: int, params: AnalyticParams) -> float:
+    """P(K): K of the other n_active - 1 UEs hold different-root patterns.
 
     Conditioned on no exact pattern collision, each other UE is uniform over
     the remaining R*N_PS - 1 patterns, of which (R-1)*N_PS belong to other
     roots.  Evaluated via log-gamma to stay exact for large N.
     """
-    n_others = params.n_active - 1
+    n_others = n_active - 1
     if not 0 <= k <= n_others:
         raise ValueError(f"k must lie in [0, {n_others}], got {k}")
     n_ps = params.n_ps
@@ -166,8 +180,8 @@ def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventP
     """
     if n_same_root_others < 0:
         raise ValueError(f"n_same_root_others must be >= 0, got {n_same_root_others}")
-    if n_ss < 4:
-        raise ValueError(f"n_ss must be >= 4, got {n_ss}")
+    if n_ss < MIN_N_SS:
+        raise ValueError(f"n_ss must be >= {MIN_N_SS}, got {n_ss}")
     n = n_same_root_others
     if n == 0:
         return CollisionEventProbs(p_e0=1.0, p_e1=0.0)
@@ -196,10 +210,12 @@ def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
     """Largest K whose asymptotic SINR still clears the linear threshold.
 
     L-component patterns tolerate K <= N_ZC / (L^2 * alpha_th) other-root
-    interferers, L in {1, 2}.  Boundary K with equality counts as admissible.
+    interferers, L in CLOSED_FORM_L.  Boundary K with equality counts as
+    admissible.
     """
-    if l not in (1, 2):
-        raise ValueError(f"asymptotic SINR cap defined only for l in {{1, 2}}, got l={l}")
+    if l not in CLOSED_FORM_L:
+        raise ValueError(
+            f"asymptotic SINR cap defined only for l in {set(CLOSED_FORM_L)}, got l={l}")
     step = l * l
     cap = int(math.floor(n_zc / (step * alpha_th)))
     # guard the floating-point boundary: equality L^2*K*alpha = N_ZC is admissible;
@@ -211,10 +227,30 @@ def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
     return cap
 
 
-def _success_probability(
-    params: AnalyticParams, l: int, p_a: float, n_others: int
+def success_probability_pdra(params: AnalyticParams, n_active: int) -> float:
+    """Closed-form matched-filter success probability of two-component
+    patterns among n_active UEs: the random-activity form at p_a = 1."""
+    return success_probability_random_activity(1.0, n_active, params, l=2)
+
+
+def success_probability_conventional(params: AnalyticParams, n_active: int) -> float:
+    """Single-shift pilot baseline among n_active UEs, the L = 1 case.
+
+    Non-identical pilots never partially collide, so the event bracket is 1
+    and only the exact collision term and the other-root SINR cap remain:
+    P_S * F(Kcap; n, o/(R*N_SS - 1)) with o = (R-1)*N_SS.
+    """
+    return success_probability_random_activity(1.0, n_active, params, l=1)
+
+
+def success_probability_random_activity(
+    p_a: float,
+    population: int,
+    params: AnalyticParams,
+    l: int = 2,
 ) -> float:
-    """Success probability against n_others candidate UEs, each active w.p. p_a.
+    """Success probability of the tagged UE, active by construction, when the
+    other population - 1 UEs are each active with probability p_a.
 
     An active candidate draws one of the N_P = R*C(N_SS, L) patterns
     uniformly.  Term j = 1..L of the inclusion-exclusion over the tagged
@@ -224,9 +260,16 @@ def _success_probability(
     the tagged root), with at most Kcap of them on other roots.  Per
     candidate the first event has probability x_j = 1 - p_a(N_P - |S_j|)/N_P
     and, given it, a candidate sits on another root with probability
-    p_a*o/(N_P*x_j), so term j is c_j * x_j^n * F(Kcap; n, p_a*o/(N_P*x_j)).
-    Fixed activity is p_a = 1; then x_j^n carries P_S.
+    p_a*o/(N_P*x_j), so term j is c_j * x_j^n * F(Kcap; n, p_a*o/(N_P*x_j)),
+    n = population - 1: exact, with no truncation.  Fixed N is p_a = 1 at
+    population = N; then x_j^n carries P_S.  l shifts per pattern: 2 for
+    pattern-domain pilots, 1 for the single-shift baseline; any other l raises.
     """
+    if not 0.0 <= p_a <= 1.0:
+        raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
+    if population < 1:
+        raise ValueError(f"population must be >= 1, got {population}")
+    n_others = population - 1
     k_cap = sinr_limited_k_cap(params.n_zc, params.alpha_th, l=l)
     n_ps = math.comb(params.n_ss, l)
     n_p = params.r_roots * n_ps
@@ -237,41 +280,3 @@ def _success_probability(
     log_x = np.log1p(-p_a * (n_p - sizes) / n_p)
     cdf = _binom_cdf(min(k_cap, n_others), n_others, p_a * o / n_p / np.exp(log_x))
     return float(coef @ (np.exp(n_others * log_x) * cdf))
-
-
-def success_probability_pdra(params: AnalyticParams) -> float:
-    """Closed-form matched-filter success probability for two-component patterns."""
-    return _success_probability(params, 2, 1.0, params.n_active - 1)
-
-
-def success_probability_conventional(params: AnalyticParams) -> float:
-    """Single-shift pilot baseline under the same activity and threshold.
-
-    Each UE draws one of R*N_SS plain cyclic shifts: the L = 1 case.
-    Non-identical pilots never partially collide, so the event bracket is 1
-    and only the exact collision term and the other-root SINR cap remain:
-    P_S * F(Kcap; n, o/(R*N_SS - 1)) with o = (R-1)*N_SS.
-    """
-    return _success_probability(params, 1, 1.0, params.n_active - 1)
-
-
-def success_probability_random_activity(
-    p_a: float,
-    population: int,
-    params: AnalyticParams,
-    l: int = 2,
-) -> float:
-    """Fixed-N model averaged over binomial random activity, in closed form.
-
-    The tagged UE is active by construction; the other population - 1 UEs
-    are active independently with probability p_a.  The average over the
-    active count is exact (binomial generating function), with no truncation;
-    p_a = 1 is the fixed-N model at N = population, and params.n_active is
-    ignored.  l shifts per pattern: 2 for pattern-domain pilots, 1 for the
-    single-shift baseline; any other l raises.
-    """
-    if not 0.0 <= p_a <= 1.0:
-        raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
-    if population < 1:
-        raise ValueError(f"population must be >= 1, got {population}")
-    return _success_probability(params, l, p_a, population - 1)

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
+    CLOSED_FORM_L,
     db_to_linear,
+    no_closed_form_reason,
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
 )
@@ -36,7 +38,6 @@ from .simulate import (
     SweepResult,
     analytic_reference,
     build_scenario,
-    no_closed_form_reason,
     run_campaign,
 )
 
@@ -98,11 +99,10 @@ class ExperimentSpec:
                 "metric=collision is closed-form only; use mode=analytic"
             )
         if self.metric == "success" and self.mode in ("analytic", "both"):
-            bad = sorted(set(self.l) - {1, 2})
+            bad = sorted(set(self.l) - set(CLOSED_FORM_L))
             if bad:
-                raise SchemaError(
-                    f"analytic model defined only for L in {{1, 2}}; grid has L={bad}"
-                )
+                raise SchemaError(f"analytic model defined only for L in "
+                                  f"{set(CLOSED_FORM_L)}; grid has L={bad}")
         for name in ("n_ss", "l", "r_roots", "m_antennas", "rho",
                      "alpha_th_db", "snr_db"):
             if len(getattr(self, name)) == 0:
@@ -301,10 +301,10 @@ def _analytic_value(
             p_no_pattern_collision_binomial(point["p_a"], point["population"], n_p),
             "collision-free-only",
         )
-    value = analytic_reference(config)
-    if value is None:
-        return None, f"no-closed-form: {no_closed_form_reason(config)}"
-    return value, "single-sequence-baseline" if point["l"] == 1 else ""
+    reason = no_closed_form_reason(config.pool.l, config.pool.n_ss)
+    if reason is not None:
+        return None, f"no-closed-form: {reason}"
+    return analytic_reference(config), "single-sequence-baseline" if point["l"] == 1 else ""
 
 
 def _fmt(value) -> str:

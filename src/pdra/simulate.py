@@ -93,6 +93,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from .analytic import (
     AnalyticParams,
     db_to_linear,
+    no_closed_form_reason,
     success_probability_random_activity,
     # not called here; kept as module attributes perfbench/traced.py wraps
     success_probability_conventional,
@@ -149,8 +150,9 @@ class ScenarioConfig:
             raise ValueError(f"p_a must lie in [0, 1], got {self.p_a}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        for name in ("snr_db", "alpha_th_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -229,37 +231,27 @@ def trial_rng(master_seed: int, point_id: int, index: int) -> Generator:
     return Generator(SFC64(ss))
 
 
-def shared_components(tagged: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Mask of the tagged shifts that appear in any row of others, (n, L)."""
-    return (tagged[:, None] == others.ravel()).any(1)
-
-
 def classify_tagged_collision(tagged: np.ndarray, others: np.ndarray) -> str:
-    """Collision event of the tagged UE's shift row against the shift rows of
-    the other active UEs on its root.
-
-    Events are defined within the tagged UE's root: different-root UEs never
-    share components in the orthogonality sense, so the caller passes only
-    same-root rows.  Identical draws dominate; otherwise the event depends on
-    how many tagged components appear in the others' patterns (none: e0,
-    exactly one: e1, else e2), which shared_components marks.
-    """
-    n_shared = np.count_nonzero(shared_components(tagged, others))
-    # only a pattern holding every tagged shift can be identical to it
-    if n_shared == len(tagged) and (others == tagged).all(1).any():
-        return EVENT_IDENTICAL
-    return (EVENT_E0, EVENT_E1, EVENT_E2)[min(n_shared, 2)]
+    """Collision event of the tagged UE's shift row against the (n, L) shift
+    rows of the other active UEs on its root: classify_block on one row."""
+    shifts = np.vstack([tagged, others])[None]
+    events, _, _ = classify_block(np.zeros(shifts.shape[:2], np.intp), shifts,
+                                  np.ones(shifts.shape[:2], bool))
+    return EVENTS[events[0]]
 
 
 def classify_block(
     roots: np.ndarray, shifts: np.ndarray, valid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """classify_tagged_collision and shared_components for every row of a block.
+    """Collision event of the tagged UE of every row of a block.
 
     Row r holds the roots (n,) and shift rows (n, L) of its UEs, the tagged UE
-    first; valid marks its active UEs.  Returns the event codes (index into
-    EVENTS), the (B, L) mask of tagged shifts that a same-root other holds,
-    and the count of same-root others, per row.
+    first; valid marks its active UEs.  Events are defined within the tagged
+    UE's root: different-root UEs share no component.  An identical pattern
+    dominates; otherwise the count of tagged shifts that a same-root other
+    holds decides (none: e0, exactly one: e1, else e2).  Returns the event
+    codes (index into EVENTS), the (B, L) mask of those shared tagged shifts,
+    and the (B, n) mask of same-root others, per row.
     """
     same = valid & (roots == roots[:, :1])
     same[:, 0] = False
@@ -615,21 +607,11 @@ def run_forced_interference_trial(
     return float(sinr), limit
 
 
-def no_closed_form_reason(config: ScenarioConfig) -> str | None:
-    """Why the closed-form model does not cover this scenario; None if it does."""
-    if config.pool.l not in (1, 2):
-        return f"l={config.pool.l}"
-    if config.pool.n_ss < 4:
-        return "n_ss<4"
-    return None
-
-
 def analytic_reference(config: ScenarioConfig) -> float | None:
     """Closed-form success probability for this scenario, when one exists."""
-    if no_closed_form_reason(config) is not None:
+    if no_closed_form_reason(config.pool.l, config.pool.n_ss) is not None:
         return None
     params = AnalyticParams(
-        n_active=config.population,
         r_roots=len(config.pool.roots),
         n_ss=config.pool.n_ss,
         n_zc=config.pool.n_zc,

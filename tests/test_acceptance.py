@@ -121,11 +121,10 @@ def test_criterion_04_probability_normalization():
         for r in (1, 2, 3, 4, 5):
             for n_ss in (8, 16, 32, 64):
                 params = AnalyticParams(
-                    n_active=n_active, r_roots=r, n_ss=n_ss,
-                    n_zc=N_ZC, alpha_th=db_to_linear(5.0),
+                    r_roots=r, n_ss=n_ss, n_zc=N_ZC, alpha_th=db_to_linear(5.0),
                 )
                 total = sum(
-                    p_k_other_roots(k, params) for k in range(n_active)
+                    p_k_other_roots(k, n_active, params) for k in range(n_active)
                 )
                 worst_sum = max(worst_sum, abs(total - 1.0))
                 points += 1

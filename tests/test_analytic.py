@@ -14,6 +14,7 @@ from pdra.analytic import (
     asymptotic_sinr,
     collision_event_probs,
     db_to_linear,
+    no_closed_form_reason,
     p_k_other_roots,
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
@@ -26,10 +27,8 @@ from pdra.analytic import (
 ALPHA_5DB = db_to_linear(5.0)
 
 
-def params(n_active=10, r_roots=2, n_ss=32, n_zc=839, alpha_th=ALPHA_5DB):
-    return AnalyticParams(
-        n_active=n_active, r_roots=r_roots, n_ss=n_ss, n_zc=n_zc, alpha_th=alpha_th
-    )
+def params(r_roots=2, n_ss=32, n_zc=839, alpha_th=ALPHA_5DB):
+    return AnalyticParams(r_roots=r_roots, n_ss=n_ss, n_zc=n_zc, alpha_th=alpha_th)
 
 
 def test_no_collision_probability():
@@ -63,15 +62,15 @@ def test_derived_pool_sizes():
 
 
 def test_p_k_single_root():
-    p = params(n_active=5, r_roots=1)
-    assert p_k_other_roots(0, p) == 1.0
-    assert p_k_other_roots(3, p) == 0.0
+    p = params(r_roots=1)
+    assert p_k_other_roots(0, 5, p) == 1.0
+    assert p_k_other_roots(3, 5, p) == 0.0
 
 
 def test_p_k_hand_value():
     # N=3, R=2, N_SS=4 so N_PS=6: C(2,1)*6*5 / 11^2 = 60/121
-    p = params(n_active=3, r_roots=2, n_ss=4)
-    assert abs(p_k_other_roots(1, p) - 60.0 / 121.0) < 1e-15
+    p = params(r_roots=2, n_ss=4)
+    assert abs(p_k_other_roots(1, 3, p) - 60.0 / 121.0) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -79,8 +78,8 @@ def test_p_k_hand_value():
     [(50, 4, 32), (200, 8, 141), (2, 2, 4), (100, 3, 64), (1, 5, 32)],
 )
 def test_p_k_normalizes(n_active, r_roots, n_ss):
-    p = params(n_active=n_active, r_roots=r_roots, n_ss=n_ss)
-    total = sum(p_k_other_roots(k, p) for k in range(n_active))
+    p = params(r_roots=r_roots, n_ss=n_ss)
+    total = sum(p_k_other_roots(k, n_active, p) for k in range(n_active))
     assert abs(total - 1.0) < 1e-12
 
 
@@ -138,22 +137,22 @@ def test_k_cap_at_5db():
 
 
 def test_success_probability_trivial_cases():
-    assert success_probability_pdra(params(n_active=1)) == 1.0
-    assert success_probability_conventional(params(n_active=1)) == 1.0
+    assert success_probability_pdra(params(), 1) == 1.0
+    assert success_probability_conventional(params(), 1) == 1.0
 
 
 def test_success_probability_tiny_threshold_single_root():
     # K-cap inactive and K=0 forced: P = P_S * (p_e0 + p_e1) over all others
-    p = params(n_active=8, r_roots=1, alpha_th=1e-9)
+    p = params(r_roots=1, alpha_th=1e-9)
     ev = collision_event_probs(7, 32)
     expected = p_no_pattern_collision(8, p.n_p) * (ev.p_e0 + ev.p_e1)
-    assert abs(success_probability_pdra(p) - expected) < 1e-14
+    assert abs(success_probability_pdra(p, 8) - expected) < 1e-14
 
 
 def test_conventional_single_root_is_collision_bound():
-    p = params(n_active=12, r_roots=1, alpha_th=1e-9)
+    p = params(r_roots=1, alpha_th=1e-9)
     expected = (1.0 - 1.0 / 32.0) ** 11
-    assert abs(success_probability_conventional(p) - expected) < 1e-14
+    assert abs(success_probability_conventional(p, 12) - expected) < 1e-14
 
 
 @pytest.mark.parametrize("k_cap", [0, 1, 3, 6, 9])
@@ -167,13 +166,13 @@ def test_conventional_matches_direct_sum(r_roots, k_cap):
         math.comb(n, k) * ((r_roots - 1) * n_ss) ** k * (n_ss - 1) ** (n - k)
         for k in range(min(k_cap, n) + 1)
     ) / others**n * (1.0 - 1.0 / (r_roots * n_ss)) ** n
-    p = params(n_active=n + 1, r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
+    p = params(r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
     assert sinr_limited_k_cap(839, alpha, l=1) == k_cap
-    assert success_probability_conventional(p) == pytest.approx(direct, rel=1e-12)
+    assert success_probability_conventional(p, n + 1) == pytest.approx(direct, rel=1e-12)
 
 
 def test_success_probability_monotone_in_n_active():
-    values = [success_probability_pdra(params(n_active=n)) for n in range(1, 60)]
+    values = [success_probability_pdra(params(), n) for n in range(1, 60)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -186,8 +185,8 @@ def test_log_domain_matches_naive_small(r_roots, n_active):
     alphas = [ALPHA_5DB] + [839.0 / (4 * k + 2) for k in caps]
     for n_ss in (5, 8, 14):
         for alpha in alphas:
-            p = params(n_active=n_active, r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
-            got = success_probability_pdra(p)
+            p = params(r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
+            got = success_probability_pdra(p, n_active)
             want = naive_success_pdra(n_active, r_roots, n_ss, 839, alpha)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -198,11 +197,10 @@ def test_random_activity_edges():
     # everyone active: the fixed-N model at N = population
     for r_roots in (1, 3):
         p = params(r_roots=r_roots)
-        fixed = params(n_active=40, r_roots=r_roots)
         assert (success_probability_random_activity(1.0, 40, p)
-                == success_probability_pdra(fixed))
+                == success_probability_pdra(p, 40))
         assert (success_probability_random_activity(1.0, 40, p, l=1)
-                == success_probability_conventional(fixed))
+                == success_probability_conventional(p, 40))
 
 
 def test_random_activity_matches_full_summation():
@@ -217,7 +215,7 @@ def test_random_activity_matches_full_summation():
         p = params(r_roots=r_roots, alpha_th=alpha)
         got = success_probability_random_activity(0.001, 10000, p, l=l)
         oracle = sum(
-            float(w) * fixed_n[l](params(n_active=n + 1, r_roots=r_roots, alpha_th=alpha))
+            float(w) * fixed_n[l](p, n + 1)
             for n, w in enumerate(weights)
             if w > 0.0
         )
@@ -315,12 +313,24 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         params(n_ss=3)
     with pytest.raises(ValueError):
-        params(n_active=0)
-    with pytest.raises(ValueError):
-        params(alpha_th=0.0)
+        success_probability_pdra(params(), 0)
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha_th"):
+            params(alpha_th=alpha)
     with pytest.raises(ValueError):
         collision_event_probs(-1, 32)
     with pytest.raises(ValueError):
         success_probability_random_activity(1.5, 100, params())
     with pytest.raises(ValueError):
         success_probability_random_activity(0.1, 100, params(), l=3)
+
+
+def test_no_closed_form_reason():
+    """The closed form's domain, L in {1, 2} over at least 4 shifts; L
+    outside it is named first."""
+    assert [no_closed_form_reason(l, 32) for l in (1, 2)] == [None, None]
+    assert no_closed_form_reason(2, 4) is None
+    assert no_closed_form_reason(2, 3) == "n_ss<4"
+    assert no_closed_form_reason(1, 3) == "n_ss<4"
+    assert no_closed_form_reason(3, 32) == "l=3"
+    assert no_closed_form_reason(3, 3) == "l=3"

@@ -401,6 +401,20 @@ class TestMainCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["both", "simulate"])
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf")])
+    def test_non_finite_threshold_is_an_error_row(self, tmp_path, mode, value, shown):
+        """A NaN or infinite alpha_th_db fails its point, exit 1, as snr_db does."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"mode: {mode}\nr_roots: [1]\nm_antennas: 4\nn_ss: 16\n"
+                       f"n_active: 3\ntrials: 5\nalpha_th_db: [{value}]\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == f"error: alpha_th_db must be finite, got {shown}"
+        assert row["p_success_sim"] == row["p_success_analytic"] == ""
+
     def test_collision_with_every_ue_on_one_pattern(self, tmp_path):
         """One pattern (C(2, 2) = 1, R = 1) and p_a = 1: the other four UEs
         all hold the tagged pattern, so P_S is 0, not a math domain error."""

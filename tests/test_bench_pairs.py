@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the per-metric summary and the claim rule, on made-up runs."""
+"""tools/bench_pairs.py: the per-metric summary, the no-regression status and
+the claim rule, on made-up runs."""
 
 import importlib.util
 import pathlib
@@ -13,12 +14,12 @@ _SPEC.loader.exec_module(bench_pairs)
 PARENT = [1.00, 1.10, 0.90, 1.05, 0.95, 1.00, 1.02, 0.98, 1.01, 0.99]
 
 
-def summary(parent, change, better="lower"):
+def summary(parent, change, better="lower", bound=0.25):
     def runs(values):
         return [{"metrics": {"sweep_s": {"value": v}}} for v in values]
 
     return bench_pairs.summarize({"parent": runs(parent), "change": runs(change)},
-                                 {"sweep_s": better})["sweep_s"]
+                                 {"sweep_s": better}, {"sweep_s": bound})["sweep_s"]
 
 
 def test_summary_fields():
@@ -49,3 +50,20 @@ def test_higher_is_better():
     assert entry["change_better_pairs"] == 10
     assert bench_pairs.verdict(entry, "higher")["holds"]
     assert not bench_pairs.verdict(entry, "lower")["holds"]
+
+
+# parent median 1.0 with quartiles 0.825 and 1.175: a spread of 0.35
+WIDE = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1, 1.0]
+
+
+@pytest.mark.parametrize("parent, change, better, status", [
+    (PARENT, [v * 1.2 for v in PARENT], "lower", "within"),     # 20% slower, bound 25%
+    (PARENT, [v * 1.3 for v in PARENT], "lower", "worse"),      # 30% slower
+    (PARENT, [v * 0.7 for v in PARENT], "higher", "worse"),     # 30% lower, higher is better
+    (PARENT, [v * 0.7 for v in PARENT], "lower", "within"),
+    (WIDE, WIDE, "lower", "unresolved"),                        # spread 0.35 > 0.25
+    (WIDE, [v * 1.5 for v in WIDE], "lower", "unresolved"),
+    (WIDE, [v - 0.9 for v in WIDE], "lower", "within"),         # every change run wins
+])
+def test_regression_status(parent, change, better, status):
+    assert summary(parent, change, better)["regression"] == status

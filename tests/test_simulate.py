@@ -32,7 +32,6 @@ from pdra.simulate import (
     run_forced_interference_trial,
     run_point,
     run_trial,
-    shared_components,
     trial_rng,
     wilson_interval,
 )
@@ -171,34 +170,53 @@ class TestClassification:
         assert classify_tagged_collision(self.TAGGED, rows((3, 4), (0, 1))) == EVENT_IDENTICAL
 
     def test_shared_components_are_reported(self):
-        others = rows((1, 2), (1, 5))
-        assert classify_tagged_collision(self.TAGGED, others) == EVENT_E1
-        assert shared_components(self.TAGGED, others).tolist() == [False, True]
-        assert shared_components(self.TAGGED, rows()).tolist() == [False, False]
+        for others, shared in ((rows((1, 2), (1, 5)), [False, True]),
+                               (rows(), [False, False])):
+            shifts = np.vstack([self.TAGGED, others])[None]
+            roots = np.zeros(shifts.shape[:2], dtype=np.intp)
+            _, got, _ = classify_block(roots, shifts, np.ones(roots.shape, bool))
+            assert got[0].tolist() == shared
+        assert classify_tagged_collision(self.TAGGED, rows((1, 2), (1, 5))) == EVENT_E1
 
     def test_matches_set_oracle_on_random_draws(self):
-        """Event and free components agree with the frozenset reference on
-        draws from small pools, where identical and partial overlaps are common."""
-        rng = np.random.default_rng(12)
+        """classify_block's event, shared mask and same-root mask per row agree
+        with the frozenset reference: 3000 single rows from small pools, where
+        identical and partial overlaps are common, then 200 blocks of 8 rows
+        with padding."""
+        def check(roots, shifts, valid):
+            events, shared, same = classify_block(roots, shifts, valid)
+            for b in range(len(roots)):
+                n = int(valid[b].sum())
+                pairs = [(int(a), tuple(v.tolist()))
+                         for a, v in zip(roots[b, :n], shifts[b, :n])]
+                want_event, want_shared = classify_collision_sets(pairs[0], pairs[1:])
+                assert EVENTS[events[b]] == want_event
+                assert shared[b].tolist() == [v in want_shared for v in pairs[0][1]]
+                want_same = (roots[b] == roots[b, 0]) & valid[b]
+                want_same[0] = False
+                assert same[b].tolist() == want_same.tolist()
+                seen.add((want_event, shifts.shape[2], len(want_shared)))
+
         seen = set()
+        rng = np.random.default_rng(12)
         for _ in range(3000):
             r, l = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             n_ss = int(rng.integers(l, l + 5))
             n_active = int(rng.integers(1, 31))
             table = combination_table(n_ss, l)
             roots, ranks = divmod(rng.integers(0, r * len(table), n_active), len(table))
-            shifts = table[ranks]
-            tagged, same_root = shifts[0], shifts[1:][roots[1:] == roots[0]]
-            event = classify_tagged_collision(tagged, same_root)
-            free = tagged[~shared_components(tagged, same_root)].tolist()
-
-            pairs = [(int(a), tuple(b.tolist())) for a, b in zip(roots, shifts)]
-            want_event, want_shared = classify_collision_sets(pairs[0], pairs[1:])
-            assert event == want_event
-            assert free == [v for v in pairs[0][1] if v not in want_shared]
-            seen.add((event, l, len(want_shared)))
+            check(roots[None], table[ranks][None], np.ones((1, n_active), bool))
         assert {e for e, _, _ in seen} == {EVENT_IDENTICAL, EVENT_E0, EVENT_E1, EVENT_E2}
         assert (EVENT_E2, 3, 2) in seen
+
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            r, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            table = combination_table(int(rng.integers(l, l + 4)), l)
+            n_active = rng.integers(1, 12, size=8)
+            valid = np.arange(n_active.max()) < n_active[:, None]
+            roots, ranks = divmod(rng.integers(0, r * len(table), valid.shape), len(table))
+            check(roots, table[ranks], valid)
 
 
 class TestMatchedFilter:
@@ -662,26 +680,6 @@ class TestBlockEngine:
             assert not np.array_equal(base.n_active, other.n_active)
             assert not np.array_equal(base.sinr_linear, other.sinr_linear, equal_nan=True)
 
-    def test_classify_block_matches_row_classifier(self):
-        """Per row: the event and the shared mask of classify_tagged_collision
-        on that row's valid same-root others, and the mask of those others."""
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            r, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            table = combination_table(int(rng.integers(l, l + 4)), l)
-            n_active = rng.integers(1, 12, size=8)
-            valid = np.arange(n_active.max()) < n_active[:, None]
-            roots, ranks = divmod(rng.integers(0, r * len(table), valid.shape), len(table))
-            shifts = table[ranks]
-            events, shared, same_mask = classify_block(roots, shifts, valid)
-            for b, n in enumerate(n_active):
-                same = shifts[b, 1:n][roots[b, 1:n] == roots[b, 0]]
-                assert EVENTS[events[b]] == classify_tagged_collision(shifts[b, 0], same)
-                assert shared[b].tolist() == shared_components(shifts[b, 0], same).tolist()
-                want = (roots[b] == roots[b, 0]) & valid[b]
-                want[0] = False
-                assert same_mask[b].tolist() == want.tolist()
-
     def test_block_coefficients_match_rows(self, pool):
         """Rows despread by their free tagged shifts give, to the last bit, the
         coefficients of the one-row call on those shifts alone."""
@@ -794,22 +792,16 @@ class TestAnalyticReference:
         from pdra.analytic import AnalyticParams, success_probability_pdra
 
         cfg = small_config(pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=2))
-        params = AnalyticParams(
-            n_active=10, r_roots=2, n_ss=32, n_zc=N_ZC,
-            alpha_th=db_to_linear(5.0),
-        )
+        params = AnalyticParams(r_roots=2, n_ss=32, n_zc=N_ZC, alpha_th=db_to_linear(5.0))
         assert analytic_reference(cfg) == pytest.approx(
-            success_probability_pdra(params), abs=1e-15
+            success_probability_pdra(params, 10), abs=1e-15
         )
 
     def test_single_sequence_uses_baseline_model(self):
         from pdra.analytic import AnalyticParams, success_probability_conventional
 
         cfg = small_config(pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=1))
-        params = AnalyticParams(
-            n_active=10, r_roots=2, n_ss=32, n_zc=N_ZC,
-            alpha_th=db_to_linear(5.0),
-        )
+        params = AnalyticParams(r_roots=2, n_ss=32, n_zc=N_ZC, alpha_th=db_to_linear(5.0))
         assert analytic_reference(cfg) == pytest.approx(
-            success_probability_conventional(params), abs=1e-15
+            success_probability_conventional(params, 10), abs=1e-15
         )

@@ -17,9 +17,16 @@ read from BENCHMARK.json.
 
 The output has the layout of the BENCH_<n>.json files: per workload and
 metric, the medians and quartiles of both sides, every run, and the number
-of pairs in which the change was better.  With ``--claim W:METRIC`` it also
-records whether the change won at least 9 in 10 of the pairs and moved the
-median by more than the parent's interquartile distance.
+of pairs in which the change was better.  Each metric also gets a
+no-regression status against its ``bound`` in BENCHMARK.json, a share of the
+parent's median: ``worse`` when the change's median is worse than the
+parent's by more than the bound, ``unresolved`` when the parent's
+interquartile distance over its median exceeds the bound (unless every change
+run beats every parent run), else ``within``.  The top-level
+``no_regression`` is true when every metric of every workload is ``within``.
+With ``--claim W:METRIC`` it also records whether the change won at least 9
+in 10 of the pairs and moved the median by more than the parent's
+interquartile distance.
 """
 
 from __future__ import annotations
@@ -66,8 +73,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """Per metric: both sides' medians, quartiles and runs, and pairs won."""
+def summarize(runs: dict[str, list[dict]], better: dict[str, str],
+              bounds: dict[str, float]) -> dict:
+    """Per metric: both sides' medians, quartiles and runs, pairs won, and
+    the no-regression status."""
     out = {}
     for name, direction in better.items():
         side = {k: [r["metrics"][name]["value"] for r in runs[k]] for k in runs}
@@ -81,8 +90,23 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         entry.update(change_better_pairs=won, pairs=len(side["parent"]),
                      parent_runs=[round(v, 4) for v in side["parent"]],
                      change_runs=[round(v, 4) for v in side["change"]])
+        entry["regression"] = regression(side["parent"], side["change"], sign,
+                                         bounds[name])
         out[name] = entry
     return out
+
+
+def regression(parent: list[float], change: list[float], sign: float,
+               bound: float) -> str:
+    """within, worse or unresolved (module docstring); sign is 1 when lower
+    is better and -1 when higher is."""
+    if all(sign * (c - p) < 0 for c in change for p in parent):
+        return "within"
+    q1, med, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(med):
+        return "unresolved"
+    worse = sign * (statistics.median(change) - med) > bound * abs(med)
+    return "worse" if worse else "within"
 
 
 def verdict(entry: dict, direction: str) -> dict:
@@ -122,7 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 2 and --seconds > 0")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
     workloads = {}
@@ -145,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
                 "failed": sum(r["failed"] for r in every),
                 "attempted": sum(r["attempted"] for r in every),
                 "seeds": seeds,
-                "metrics": summarize(runs, better),
+                "metrics": summarize(runs, better, bounds),
             }
 
     result = {
@@ -159,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
             "order": "parent first in odd pairs, change first in even pairs",
             "parent": f"{parent_rev} (git archive of the parent commit)",
         },
+        "no_regression": all(m["regression"] == "within" for w in workloads.values()
+                             for m in w["metrics"].values()),
         "workloads": workloads,
     }
     if args.claim:
@@ -169,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    print(json.dumps(result.get("claim", {})))
+    print(json.dumps({"no_regression": result["no_regression"], **result.get("claim", {})}))
     return 0
 
 
