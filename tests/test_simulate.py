@@ -680,6 +680,31 @@ class TestBlockEngine:
             assert not np.array_equal(base.n_active, other.n_active)
             assert not np.array_equal(base.sinr_linear, other.sinr_linear, equal_nan=True)
 
+    def test_classify_block_matches_row_classifier(self):
+        """Per row of a padded block with mixed roots: the event of
+        classify_tagged_collision on that row's valid same-root others alone,
+        the shared mask of the unpadded one-root row, and the mask of those
+        others.  Padding and other roots must not change a row's outcome."""
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            r, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            table = combination_table(int(rng.integers(l, l + 4)), l)
+            n_active = rng.integers(1, 12, size=8)
+            valid = np.arange(n_active.max()) < n_active[:, None]
+            roots, ranks = divmod(rng.integers(0, r * len(table), valid.shape), len(table))
+            shifts = table[ranks]
+            events, shared, same_mask = classify_block(roots, shifts, valid)
+            for b, n in enumerate(n_active):
+                same = shifts[b, 1:n][roots[b, 1:n] == roots[b, 0]]
+                assert EVENTS[events[b]] == classify_tagged_collision(shifts[b, 0], same)
+                alone = np.vstack([shifts[b, :1], same])[None]
+                ones = np.ones(alone.shape[:2], bool)
+                _, want_shared, _ = classify_block(np.zeros(ones.shape, np.intp), alone, ones)
+                assert shared[b].tolist() == want_shared[0].tolist()
+                want = (roots[b] == roots[b, 0]) & valid[b]
+                want[0] = False
+                assert same_mask[b].tolist() == want.tolist()
+
     def test_block_coefficients_match_rows(self, pool):
         """Rows despread by their free tagged shifts give, to the last bit, the
         coefficients of the one-row call on those shifts alone."""
