@@ -55,6 +55,17 @@ CSV_COLUMNS = [
 ]
 
 
+# The grid axes in expansion order, first outermost, each with the type of its
+# entries.  The last two are the activity leg: a spec sets exactly one of
+# n_active (a fixed count of active UEs) and p_a (random activity).
+GRID_AXES = {
+    "n_ss": int, "l": int, "r_roots": int, "m_antennas": int,
+    "rho": float, "alpha_th_db": float, "snr_db": float,
+    "n_active": int, "p_a": float,
+}
+ACTIVITY_LEGS = tuple(GRID_AXES)[-2:]
+
+
 class SchemaError(ValueError):
     """A config key or value violates the experiment schema."""
 
@@ -103,34 +114,21 @@ class ExperimentSpec:
             if bad:
                 raise SchemaError(f"analytic model defined only for L in "
                                   f"{set(CLOSED_FORM_L)}; grid has L={bad}")
-        for name in ("n_ss", "l", "r_roots", "m_antennas", "rho",
-                     "alpha_th_db", "snr_db"):
-            if len(getattr(self, name)) == 0:
+        for name in GRID_AXES:
+            values = getattr(self, name)
+            if not values and (values is not None or name not in ACTIVITY_LEGS):
                 raise SchemaError(f"grid axis {name} is empty")
-        if self.n_active is not None and len(self.n_active) == 0:
-            raise SchemaError("grid axis n_active is empty")
-        if self.p_a is not None and len(self.p_a) == 0:
-            raise SchemaError("grid axis p_a is empty")
         bad = sorted(n for n in self.n_active or () if n < 1)
         if bad:
             raise SchemaError(f"n_active entries must be >= 1, got {bad}")
         bad = sorted(p for p in self.p_a or () if not 0.0 <= p <= 1.0)
         if bad:
             raise SchemaError(f"p_a entries must lie in [0, 1], got {bad}")
-        if self.trials < 1:
-            raise SchemaError(f"trials must be >= 1, got {self.trials}")
-        if self.threads < 1:
-            raise SchemaError(f"threads must be >= 1, got {self.threads}")
-        if self.population < 1:
-            raise SchemaError(f"population must be >= 1, got {self.population}")
+        for name, low in ("trials", 1), ("master_seed", 0), ("threads", 1), ("population", 1):
+            if getattr(self, name) < low:
+                raise SchemaError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.out:
             raise SchemaError("out path must be non-empty")
-
-    def activity_axis(self) -> list[dict]:
-        """Activity leg of the grid product, as override dicts."""
-        if self.n_active is not None:
-            return [{"n_active": n} for n in self.n_active]
-        return [{"p_a": p, "population": self.population} for p in self.p_a]
 
 
 # Preset grids: each reproduces one published operating point of the scheme.
@@ -174,20 +172,36 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-# A config file may set any spec field; these list fields are the grid axes.
-_AXIS_KEYS = {"n_ss", "l", "r_roots", "m_antennas", "rho", "alpha_th_db",
-              "snr_db", "n_active", "p_a"}
-_INT_AXES = {"n_ss", "l", "r_roots", "m_antennas", "n_active"}
+
+def _as_int(key: str, value) -> int:
+    """An integral number as int; bools and fractions are rejected, not cast."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SchemaError(f"key {key!r} needs an integer, got {value!r}")
 
 
-def _as_tuple(key: str, value) -> tuple:
-    """Normalize a scalar-or-list config value to a homogeneous tuple."""
-    items = value if isinstance(value, (list, tuple)) else [value]
-    cast = int if key in _INT_AXES else float
-    try:
-        return tuple(cast(v) for v in items)
-    except (TypeError, ValueError):
-        raise SchemaError(f"key {key!r} needs {cast.__name__} values, got {value!r}")
+def _as_float(key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise SchemaError(f"key {key!r} needs a number, got {value!r}")
+
+
+def _as_str(key: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise SchemaError(f"key {key!r} needs a string, got {value!r}")
+
+
+_CASTS = {int: _as_int, float: _as_float, str: _as_str}
+
+# Every spec field but preset is a config key; only --preset picks a preset.
+# A grid axis takes one value or a list, each entry cast to the axis's type.
+_CONFIG_TYPES = {
+    f.name: GRID_AXES.get(f.name) or type(f.default)
+    for f in dataclasses.fields(ExperimentSpec) if f.name != "preset"
+}
 
 
 def parse_config(path: str) -> dict:
@@ -203,29 +217,19 @@ def parse_config(path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise SchemaError(f"config must be a flat key-value mapping, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
     if unknown:
         raise SchemaError(
-            f"unknown config keys {unknown}; known keys: {sorted(known)}"
+            f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_TYPES)}"
         )
     fields: dict = {}
     for key, value in raw.items():
-        if key in _AXIS_KEYS:
-            fields[key] = None if value is None else _as_tuple(key, value)
-        elif key in ("mode", "metric", "out", "preset"):
-            fields[key] = str(value)
+        cast = _CASTS[_CONFIG_TYPES[key]]
+        if key not in GRID_AXES:
+            fields[key] = cast(key, value)
         else:
-            try:
-                fields[key] = int(value)
-            except (TypeError, ValueError):
-                raise SchemaError(f"key {key!r} needs an integer, got {value!r}")
-    # A config that switches to random activity must displace the fixed-count
-    # default (and vice versa) without demanding both keys be spelled out.
-    if "p_a" in fields and fields["p_a"] is not None and "n_active" not in fields:
-        fields["n_active"] = None
-    if "n_active" in fields and fields["n_active"] is not None and "p_a" not in fields:
-        fields["p_a"] = None
+            items = value if isinstance(value, list) else [value]
+            fields[key] = None if value is None else tuple(cast(key, v) for v in items)
     return fields
 
 
@@ -244,28 +248,30 @@ def build_spec(
         fields.update(PRESETS[preset])
         fields["preset"] = preset
     for layer in (config_fields or {}), (flag_fields or {}):
+        # None leaves a field as it is, except on an activity leg, where it
+        # switches that leg off.  A layer that sets one leg and does not name
+        # the other switches the other off.
         for key, value in layer.items():
-            if value is not None or key in ("n_active", "p_a"):
+            if value is not None or key in ACTIVITY_LEGS:
                 fields[key] = value
+        for leg, other in ACTIVITY_LEGS, ACTIVITY_LEGS[::-1]:
+            if layer.get(leg) is not None and other not in layer:
+                fields[other] = None
     spec = ExperimentSpec(**fields)
     spec.validate()
     return spec
 
 
 def expand_grid(spec: ExperimentSpec) -> list[dict]:
-    """Grid points in output order: n_ss, l, r, M, rho, alpha, snr, activity."""
-    points = []
-    for n_ss, l, r, m, rho, alpha, snr, act in itertools.product(
-        spec.n_ss, spec.l, spec.r_roots, spec.m_antennas, spec.rho,
-        spec.alpha_th_db, spec.snr_db, spec.activity_axis(),
-    ):
-        point = {
-            "n_ss": n_ss, "l": l, "r_roots": r, "m_antennas": m,
-            "rho": rho, "channel_kind": "iid" if rho == 0.0 else "correlated",
-            "alpha_th_db": alpha, "snr_db": snr,
-        }
-        point.update(act)
-        points.append(point)
+    """Grid points in output order: the product over GRID_AXES, first axis
+    outermost, with the activity leg the spec sets."""
+    names = [name for name in GRID_AXES if getattr(spec, name) is not None]
+    points = [dict(zip(names, values))
+              for values in itertools.product(*(getattr(spec, n) for n in names))]
+    for point in points:
+        point["channel_kind"] = "iid" if point["rho"] == 0.0 else "correlated"
+        if spec.p_a is not None:
+            point["population"] = spec.population
     return points
 
 
@@ -387,6 +393,9 @@ def write_sidecar(csv_path: str, spec: ExperimentSpec, n_points: int) -> str:
 
 def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     """Expand, evaluate, and export one sweep; returns the process exit code."""
+    out_dir = os.path.dirname(spec.out) or "."
+    if not os.path.isdir(out_dir):  # fail before the campaign, not after it
+        raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
     points = expand_grid(spec)
     built = [_point_error(spec, p) for p in points]
     # keyed by grid index: the index is the point's RNG substream id

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdra.bench import (
     CSV_COLUMNS,
@@ -130,6 +133,110 @@ class TestParseConfig:
         cfg.write_text("r_roots: [one, two]\n")
         with pytest.raises(SchemaError, match="r_roots"):
             parse_config(str(cfg))
+
+    def test_preset_is_not_a_config_key(self, tmp_path):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("preset: fig5\nmode: analytic\n")
+        with pytest.raises(SchemaError, match=r"unknown config keys \['preset'\]"):
+            parse_config(str(cfg))
+
+
+def _int_forms(n):
+    """(YAML value, parsed value) of an integer: written as an int or an
+    integral float."""
+    return st.sampled_from([(n, n), (float(n), n)])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).flatmap(_int_forms)
+
+
+def _floats(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(lambda x: (x, x)),
+                     st.integers(int(lo), int(hi)).map(lambda n: (n, float(n))))
+
+
+def _axis(entries):
+    """A grid axis written as one entry or as a list of entries."""
+    return st.one_of(
+        entries.map(lambda e: (e[0], (e[1],))),
+        st.lists(entries, min_size=1, max_size=3).map(
+            lambda es: ([y for y, _ in es], tuple(v for _, v in es))),
+    )
+
+
+def _same(values):
+    return values.map(lambda v: (v, v))
+
+
+# Every config key with a strategy of valid (YAML value, parsed value) pairs.
+CONFIG_FIELDS = {
+    "mode": _same(st.sampled_from(["analytic", "simulate", "both"])),
+    "metric": _same(st.sampled_from(["success", "collision"])),
+    "n_zc": st.integers(1, 500).map(lambda k: 2 * k + 1).flatmap(_int_forms),
+    "n_ss": _axis(_ints(2, 64)),
+    "l": _axis(_ints(1, 2)),
+    "r_roots": _axis(_ints(1, 8)),
+    "m_antennas": _axis(_ints(1, 512)),
+    "rho": _axis(_floats(0.0, 0.99)),
+    "alpha_th_db": _axis(_floats(-20.0, 20.0)),
+    "snr_db": _axis(_floats(-30.0, 30.0)),
+    "n_active": _axis(_ints(1, 50)),
+    "p_a": _axis(_floats(0.0, 1.0)),
+    "population": _ints(1, 100_000),
+    "trials": _ints(1, 10**6),
+    "master_seed": _ints(0, 2**31),
+    "threads": _ints(1, 64),
+    "out": _same(st.text("abxyz_-./", min_size=1, max_size=12)),
+}
+INT_KEYS = ["n_zc", "n_ss", "l", "r_roots", "m_antennas", "n_active",
+            "population", "trials", "master_seed", "threads"]
+AXIS_KEYS = ["n_ss", "l", "r_roots", "m_antennas", "rho", "alpha_th_db",
+             "snr_db", "n_active", "p_a"]
+
+
+def _valid(config):
+    """Drop the pairs of keys a valid spec cannot hold together."""
+    if "n_active" in config:
+        config.pop("p_a", None)
+    if config.get("metric") == ("collision", "collision"):
+        config["mode"] = ("analytic", "analytic")
+    return config
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(config=st.fixed_dictionaries({}, optional=CONFIG_FIELDS).map(_valid))
+    def test_config_builds_the_spec_it_states(self, tmp_path_factory, config):
+        cfg = tmp_path_factory.mktemp("cfg") / "exp.yaml"
+        cfg.write_text(yaml.safe_dump({key: y for key, (y, _) in config.items()}))
+        fields = {key: v for key, (_, v) in config.items()}
+        # a config that sets one activity leg switches the other off
+        if "p_a" in fields:
+            fields["n_active"] = None
+        elif "n_active" in fields:
+            fields["p_a"] = None
+        want = ExperimentSpec(**fields)
+        got = build_spec(None, parse_config(str(cfg)))
+        # repr also tells 1 from 1.0
+        assert got == want and repr(got) == repr(want)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(key=st.sampled_from(INT_KEYS), as_list=st.booleans(),
+           bad=st.one_of(st.booleans(), st.floats().filter(lambda x: not x.is_integer())))
+    def test_inexact_integer_names_its_key(self, tmp_path_factory, key, as_list, bad):
+        cfg = tmp_path_factory.mktemp("cfg") / "exp.yaml"
+        value = [bad] if as_list and key in AXIS_KEYS else bad
+        cfg.write_text(yaml.safe_dump({key: value}))
+        with pytest.raises(SchemaError, match=f"key {key!r} needs an integer"):
+            parse_config(str(cfg))
+
+
+@pytest.mark.parametrize("name", AXIS_KEYS)
+def test_every_empty_axis_is_rejected(name):
+    fields = {name: (), "n_active": None} if name == "p_a" else {name: ()}
+    with pytest.raises(SchemaError, match=f"grid axis {name} is empty"):
+        ExperimentSpec(**fields).validate()
 
 
 class TestGridExpansion:
@@ -385,6 +492,50 @@ class TestMainCli:
         assert code == 2
         assert f"n_zc must be an odd integer >= 3, got {n_zc}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_exits_two_before_any_output(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("r_roots: [1]\nm_antennas: 4\nn_ss: 16\nn_active: 3\ntrials: 5\n"
+                       + ("master_seed: -1\n" if source == "config" else ""))
+        out = tmp_path / "r.csv"
+        argv = ["--config", str(cfg), "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        if source == "env":
+            monkeypatch.setenv("PDRA_SEED", "-1")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "master_seed must be >= 0, got -1" in captured.err
+        assert "running" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "n_ss: [32.7]", "l: [2.9]", "trials: 1.5", "trials: true", "n_zc: 839.9",
+        "master_seed: 2.5", "threads: 1.9", "alpha_th_db: [true]",
+    ])
+    def test_inexact_value_exits_two_before_any_output(self, tmp_path, capsys, line):
+        """A bool, or a fraction where an integer is due, is an error, not cast."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"mode: analytic\nr_roots: [1]\n{line}\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        key = line.split(":")[0]
+        assert f"key {key!r} needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_output_directory_exits_two_before_the_campaign(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: simulate\nr_roots: [1]\nm_antennas: 4\nn_ss: 16\n"
+                       "n_active: 3\ntrials: 5\n")
+        out = tmp_path / "absent" / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "io error: output directory" in captured.err
+        assert "running" not in captured.out
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("activity, message", [
         ("n_active: [0, 2]\n", "n_active entries must be >= 1, got [0]"),
