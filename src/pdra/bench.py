@@ -227,9 +227,11 @@ def parse_config(path: str) -> dict:
         cast = _CASTS[_CONFIG_TYPES[key]]
         if key not in GRID_AXES:
             fields[key] = cast(key, value)
+        elif value is None and key in ACTIVITY_LEGS:  # switches that leg off
+            fields[key] = None
         else:
             items = value if isinstance(value, list) else [value]
-            fields[key] = None if value is None else tuple(cast(key, v) for v in items)
+            fields[key] = tuple(cast(key, v) for v in items)
     return fields
 
 
@@ -396,6 +398,8 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):  # fail before the campaign, not after it
         raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
+    if os.path.isdir(spec.out):
+        raise IsADirectoryError(f"output path {spec.out!r} is a directory")
     points = expand_grid(spec)
     built = [_point_error(spec, p) for p in points]
     # keyed by grid index: the index is the point's RNG substream id
@@ -452,18 +456,19 @@ def _env_int(name: str) -> int | None:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    defaults = ", ".join(f"{key}={list(v) if isinstance(v, tuple) else v}"
+                         for key, v in dataclasses.asdict(ExperimentSpec()).items()
+                         if v is not None)
+    snrs = ", ".join(f"{name} {list(p['snr_db'])}" for name, p in PRESETS.items())
     parser = argparse.ArgumentParser(
         prog="pdra-bench",
         description=(
             "Run pattern-based random access sweeps and export CSV results. "
             "Precedence per field: flag > environment > config file > preset > "
-            "built-in default. Defaults: mode=both, metric=success, N_ZC=839, "
-            "N_SS=[32], L=[2], R=[1..4], M=[128], rho=[0], alpha_Th=[5 dB], "
-            "SNR=[-10 dB], N=[10] fixed, population=10000, trials=20000, "
-            "seed=1, threads=1, out=pdra-results.csv. Preset SNR defaults: "
-            "fig2/fig6 -12 dB, fig3/fig5 -10 dB (calibration choices; "
-            "threshold comparisons are SNR-sensitive). Only PDRA_SEED and "
-            "PDRA_THREADS are honored from the environment."
+            f"built-in default. Built-in defaults: {defaults}. Preset SNR "
+            f"defaults in dB: {snrs} (calibration choices; threshold "
+            "comparisons are SNR-sensitive). Only PDRA_SEED and PDRA_THREADS "
+            "are honored from the environment."
         ),
     )
     parser.add_argument(

@@ -163,16 +163,6 @@ def _cached_root_sequence(n_zc: int, root_u: int) -> ZcSequence:
     return generate_root_sequence(ZcConfig(n_zc=n_zc, root_u=root_u))
 
 
-def build_pool(
-    n_zc: int,
-    n_roots: int,
-    n_ss: int,
-    l: int,
-    roots: tuple[int, ...] | None = None,
-) -> PilotPool:
-    """Pool over the first n_roots coprime roots (or an explicit root set)."""
-    if roots is None:
-        roots = default_roots(n_zc, n_roots)
-    elif len(roots) != n_roots:
-        raise ValueError(f"explicit roots {roots} disagree with n_roots={n_roots}")
-    return PilotPool(roots=tuple(roots), n_ss=n_ss, l=l, n_zc=n_zc)
+def build_pool(n_zc: int, n_roots: int, n_ss: int, l: int) -> PilotPool:
+    """Pool over the first n_roots coprime roots."""
+    return PilotPool(roots=default_roots(n_zc, n_roots), n_ss=n_ss, l=l, n_zc=n_zc)

@@ -207,11 +207,11 @@ class SweepResult:
     status: str = "ok"
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% confidence interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    p = successes / trials
+    p, z = successes / trials, Z_95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -305,6 +305,7 @@ class _PatternCorrelator:
         profiles = _root_pair_profiles(pool.n_zc, pool.roots)
         table = np.zeros((self.n_roots ** 2, self.width), dtype=complex)
         table[:, :lags.size] = profiles.reshape(self.n_roots ** 2, -1)[:, lags]
+        table.setflags(write=False)  # shared by every caller of the pool
         self._table = table.ravel()
 
     def coefficient(
@@ -335,6 +336,12 @@ class _PatternCorrelator:
         total = reduce(np.add, terms)
         n_used = despread_used.sum(axis=-1)[..., None]
         return self.scale * total / np.sqrt(n_used * self.n_zc)
+
+
+@lru_cache(maxsize=64)
+def _correlator(pool: PilotPool) -> _PatternCorrelator:
+    """The one correlator of a pool, built on first use in each process."""
+    return _PatternCorrelator(pool)
 
 
 # X[a, b] of one root pair, keyed (n_zc, a, b).  Pools of one N_ZC share
@@ -495,7 +502,6 @@ def run_block(
     config: ScenarioConfig,
     block_index: int,
     point_id: int = 0,
-    correlator: _PatternCorrelator | None = None,
     rows: int = BLOCK_TRIALS,
 ) -> BlockOutcome:
     """Trials BLOCK_TRIALS * block_index onward of one point: the first rows
@@ -506,8 +512,6 @@ def run_block(
     channel and fail.
     """
     rng = trial_rng(config.master_seed, point_id, block_index)
-    if correlator is None:
-        correlator = _PatternCorrelator(config.pool)
     pool = config.pool
 
     if config.p_a < 1.0:
@@ -524,22 +528,22 @@ def run_block(
     sinr = np.full(rows, np.nan)
     if counted.size:
         rows_of = (x.take(counted, 0) for x in (roots, shifts, valid, shared, same))
-        sinr[counted] = _live_sinr(config, correlator, *rows_of, n_active[live], rng)
+        sinr[counted] = _live_sinr(config, *rows_of, n_active[live], rng)
     return BlockOutcome(n_active[:rows], events[:rows], same[:rows].sum(axis=1), sinr,
                         sinr >= db_to_linear(config.alpha_th_db))
 
 
 def _live_sinr(
-    config: ScenarioConfig, correlator: _PatternCorrelator, roots: np.ndarray,
-    shifts: np.ndarray, valid: np.ndarray, shared: np.ndarray, same: np.ndarray,
-    drawn: np.ndarray, rng: Generator,
+    config: ScenarioConfig, roots: np.ndarray, shifts: np.ndarray, valid: np.ndarray,
+    shared: np.ndarray, same: np.ndarray, drawn: np.ndarray, rng: Generator,
 ) -> np.ndarray:
     """Tagged SINR of the counted live rows: the rank-one law when i.i.d.,
     else one trial per row after the drops of all their UEs.  roots to same
     hold those rows of run_block's arrays; drawn holds the UE counts of every
     live row of the block, whose gammas or drops are all drawn."""
     p_lin, channel = db_to_linear(config.snr_db), config.channel
-    coefs = correlator.coefficient(roots, shifts, roots[:, 0], shifts[:, 0], ~shared) * valid
+    coefs = _correlator(config.pool).coefficient(
+        roots, shifts, roots[:, 0], shifts[:, 0], ~shared) * valid
     n_active = valid.sum(axis=1)
     if channel.rho == 0.0:
         return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng, len(drawn))
@@ -558,16 +562,11 @@ def _live_sinr(
     )
 
 
-def run_trial(
-    config: ScenarioConfig,
-    trial_index: int,
-    point_id: int = 0,
-    correlator: _PatternCorrelator | None = None,
-) -> TrialOutcome:
+def run_trial(config: ScenarioConfig, trial_index: int, point_id: int = 0) -> TrialOutcome:
     """One access opportunity for the tagged UE: row trial_index mod
     BLOCK_TRIALS of its block, which is drawn whole."""
     block, row = divmod(trial_index, BLOCK_TRIALS)
-    return run_block(config, block, point_id, correlator).trial(row)
+    return run_block(config, block, point_id).trial(row)
 
 
 def run_forced_interference_trial(
@@ -578,7 +577,6 @@ def run_forced_interference_trial(
     master_seed: int,
     trial_index: int,
     point_id: int = 0,
-    correlator: _PatternCorrelator | None = None,
 ) -> tuple[float, float]:
     """E0 trial with a forced count of different-root interferers.
 
@@ -592,12 +590,9 @@ def run_forced_interference_trial(
     if len(pool.roots) < 2:
         raise ValueError("forced different-root interference needs at least 2 roots")
     rng = trial_rng(master_seed, point_id, trial_index)
-    if correlator is None:
-        correlator = _PatternCorrelator(pool)
-
     shifts = pool.shift_table[rng.integers(0, pool.n_ps, k_different_root + 1)]
     roots = np.append(0, 1 + rng.integers(0, len(pool.roots) - 1, k_different_root))
-    coefs = correlator.coefficient(roots, shifts, 0, shifts[0], np.ones(pool.l, bool))
+    coefs = _correlator(pool).coefficient(roots, shifts, 0, shifts[0], np.ones(pool.l, bool))
     sinr = _rank_one_sinr(
         coefs[None], np.array([len(roots)]), db_to_linear(snr_db), m_antennas, rng
     )[0]
@@ -626,11 +621,10 @@ def run_point(config: ScenarioConfig, point_id: int = 0) -> tuple[int, int]:
     """Execute all trials of one grid point, block by block; returns
     (successes, trials).  A partial last block computes only the rows it
     counts."""
-    correlator = _PatternCorrelator(config.pool)
     successes = 0
     for block, start in enumerate(range(0, config.trials, BLOCK_TRIALS)):
         rows = min(BLOCK_TRIALS, config.trials - start)
-        outcome = run_block(config, block, point_id, correlator, rows)
+        outcome = run_block(config, block, point_id, rows)
         successes += int(np.count_nonzero(outcome.success))
     return successes, config.trials
 

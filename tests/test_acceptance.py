@@ -24,7 +24,6 @@ from pdra.analytic import (
 from pdra.pool import build_pool, combination_table, expansion_factor, rank_combination
 from pdra.simulate import (
     ScenarioConfig,
-    _PatternCorrelator,
     analytic_reference,
     build_scenario,
     run_campaign,
@@ -252,7 +251,6 @@ def test_criterion_09_asymptotic_sinr_convergence():
     N_ZC/(4K) and moves further from it as M grows.  Implemented faithfully
     and reported as measured."""
     pool = build_pool(N_ZC, n_roots=4, n_ss=32, l=2)
-    corr = _PatternCorrelator(pool)
     trials = 4000
     within_10pct = True
     shrinks = True
@@ -263,7 +261,7 @@ def test_criterion_09_asymptotic_sinr_convergence():
         for m in (128, 512, 1024):
             mean_sinr = np.mean([
                 run_forced_interference_trial(
-                    pool, m, k, 30.0, 104, t, point_id=10 * k + 1, correlator=corr
+                    pool, m, k, 30.0, 104, t, point_id=10 * k + 1
                 )[0]
                 for t in range(trials)
             ])

@@ -1,10 +1,12 @@
 """CLI harness tests: spec layering, config schema, CSV contract, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -536,6 +538,51 @@ class TestMainCli:
         assert "io error: output directory" in captured.err
         assert "running" not in captured.out
         assert not out.parent.exists()
+
+    def test_output_path_that_is_a_directory_exits_two_before_the_campaign(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: simulate\nr_roots: [1]\nm_antennas: 4\nn_ss: 16\n"
+                       "n_active: 3\ntrials: 5\n")
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"io error: output path {str(out)!r} is a directory" in captured.err
+        assert "running" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "exp.yaml"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", [k for k in AXIS_KEYS if k not in ("n_active", "p_a")])
+    def test_null_grid_axis_exits_two_before_any_output(self, tmp_path, capsys, key):
+        """null switches off an activity leg and nothing else: on another axis
+        it is an error, not the preset's or the default's value."""
+        fields = {"mode": "both", "r_roots": [1], "n_ss": [16], "m_antennas": [4],
+                  "trials": 5, key: None}
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(fields))
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"key {key!r} needs" in captured.err
+        assert "running" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+    def test_help_shows_the_spec_defaults(self, monkeypatch, capsys):
+        """Every default --help shows is the spec's, and every preset's SNR."""
+        monkeypatch.setenv("COLUMNS", "10000")  # one line per paragraph
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = capsys.readouterr().out
+        defaults = re.search(r"Built-in defaults: (.*?)\. Preset", text).group(1)
+        shown = dict(re.findall(r"(\w+)=(\[[^\]]*\]|[^,]+)", defaults))
+        want = {key: list(v) if isinstance(v, tuple) else v
+                for key, v in dataclasses.asdict(ExperimentSpec()).items() if v is not None}
+        assert {key: yaml.safe_load(v) for key, v in shown.items()} == want
+        snrs = re.findall(r"(fig\d) (\[[^\]]*\])", text)
+        assert {name: yaml.safe_load(v) for name, v in snrs} == {
+            name: list(p["snr_db"]) for name, p in PRESETS.items()}
 
     @pytest.mark.parametrize("activity, message", [
         ("n_active: [0, 2]\n", "n_active entries must be >= 1, got [0]"),

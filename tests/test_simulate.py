@@ -19,6 +19,7 @@ from pdra.simulate import (
     ScenarioConfig,
     _PatternCorrelator,
     _correlated_sinr,
+    _correlator,
     _rank_one_sinr,
     _root_pair_profiles,
     analytic_reference,
@@ -378,6 +379,34 @@ class TestCorrelatorAlgebra:
         np.testing.assert_allclose(g_fast, g_explicit, atol=1e-9)
 
 
+class TestCorrelatorCache:
+    """Each pool's lag table is built once per process, whoever asks for it."""
+
+    def test_equal_pools_share_one_correlator(self):
+        corr = _correlator(build_pool(N_ZC, n_roots=3, n_ss=32, l=2))
+        assert _correlator(build_pool(N_ZC, n_roots=3, n_ss=32, l=2)) is corr
+        assert _correlator(build_pool(N_ZC, n_roots=3, n_ss=32, l=1)) is not corr
+
+    def test_fig6_campaign_builds_one_correlator_per_pool(self, monkeypatch):
+        """fig6's 16 points hold 4 distinct pools (R = 1 .. 4), so a campaign
+        over its grid builds 4 correlators, not one per point."""
+        from pdra.bench import build_spec, expand_grid
+
+        spec = build_spec("fig6", flag_fields={"trials": BLOCK_TRIALS})
+        configs = {pid: build_scenario(point, spec.n_zc, spec.trials, 3)
+                   for pid, point in enumerate(expand_grid(spec))}
+        built = []
+        init = _PatternCorrelator.__init__
+        monkeypatch.setattr(_PatternCorrelator, "__init__",
+                            lambda self, pool: built.append(pool) or init(self, pool))
+        _correlator.cache_clear()
+        results = run_campaign(configs)
+        assert all(res.status == "ok" for res in results.values())
+        assert len(configs) == 16
+        assert sorted(len(p.roots) for p in built) == [1, 2, 3, 4]
+        assert set(built) == {cfg.pool for cfg in configs.values()}
+
+
 def correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, n_explicit, m, p_lin):
     """The SINR of each row of _correlated_sinr from its own normals and
     exponentials: correlated_channels for the explicit UEs, and the dense
@@ -734,12 +763,11 @@ class TestForcedInterference:
         Convergence is slow (relative error scales like N_ZC / M), which is
         why only the trend is asserted here."""
         pool = build_pool(N_ZC, n_roots=4, n_ss=32, l=2)
-        corr = _PatternCorrelator(pool)
         mean_devs = []
         for m in (64, 256, 1024):
             ratios = [
                 run_forced_interference_trial(
-                    pool, m, 2, 30.0, 7, t, point_id=0, correlator=corr
+                    pool, m, 2, 30.0, 7, t, point_id=0
                 )
                 for t in range(300)
             ]
