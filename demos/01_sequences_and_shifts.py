@@ -8,26 +8,25 @@ offset from cell geometry.
 import numpy as np
 
 from pdra import (
-    ZcConfig,
     compute_ncs,
     correlation_profile,
     cyclic_shift,
     generate_root_sequence,
-    make_shift_plan,
+    shifts_per_root,
 )
 
 N_ZC = 839
 
-u1 = generate_root_sequence(ZcConfig(N_ZC, 1))
-u2 = generate_root_sequence(ZcConfig(N_ZC, 2))
+u1 = generate_root_sequence(N_ZC, 1)
+u2 = generate_root_sequence(N_ZC, 2)
 
-print(f"length {N_ZC} root-1 sequence, first samples: {np.round(u1.samples[:3], 4)}")
-print(f"all unit modulus: {np.allclose(np.abs(u1.samples), 1.0)}")
+print(f"length {N_ZC} root-1 sequence, first samples: {np.round(u1[:3], 4)}")
+print(f"all unit modulus: {np.allclose(np.abs(u1), 1.0)}")
 
-auto = np.abs(correlation_profile(u1.samples, u1.samples))
+auto = np.abs(correlation_profile(u1, u1))
 print(f"autocorrelation: peak {auto[0]:.1f}, largest off-peak {auto[1:].max():.2e}")
 
-cross = np.abs(correlation_profile(u1.samples, u2.samples))
+cross = np.abs(correlation_profile(u1, u2))
 print(
     "cross-root correlation is flat: "
     f"min {cross.min():.6f}, max {cross.max():.6f}, sqrt(N_ZC) {np.sqrt(N_ZC):.6f}"
@@ -37,11 +36,11 @@ print(
 n_cs = compute_ncs(
     cell_radius_m=1500.0, tau_max_s=5e-6, n_zc=N_ZC, delta_f_ra_hz=1250.0, n_g=10
 )
-plan = make_shift_plan(N_ZC, n_cs)
-print(f"cell-sized shift offset N_CS={plan.n_cs} gives N_SS={plan.n_ss} shifts per root")
+n_ss = shifts_per_root(N_ZC, n_cs)
+print(f"cell-sized shift offset N_CS={n_cs} gives N_SS={n_ss} shifts per root")
 
-shifted = cyclic_shift(u1, v=3, n_cs=plan.n_cs)
+shifted = cyclic_shift(u1, v=3, n_cs=n_cs)
 print(
-    f"shift v=3 moves sample {3 * plan.n_cs} to position 0: "
-    f"{np.isclose(shifted.samples[0], u1.samples[3 * plan.n_cs])}"
+    f"shift v=3 moves sample {3 * n_cs} to position 0: "
+    f"{np.isclose(shifted[0], u1[3 * n_cs])}"
 )

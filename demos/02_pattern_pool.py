@@ -16,22 +16,24 @@ print(
     f"expansion factor {float(expansion_factor(pool.n_ss, pool.l))}"
 )
 
-a = pool.pattern_at(0)                                  # shifts {0, 1}
-b = pool.pattern_at(rank_combination((2, 3), pool.n_ss))  # disjoint from a
-c = pool.pattern_at(rank_combination((0, 2), pool.n_ss))  # shares component 0
-print(f"components: a={a.shifts}, b={b.shifts}, c={c.shifts} (all on root {a.root_u})")
+i_a = 0                                       # shifts {0, 1}
+i_b = rank_combination((2, 3), pool.n_ss)     # disjoint from a
+i_c = rank_combination((0, 2), pool.n_ss)     # shares component 0
+(root_idx, s_a), (_, s_b), (_, s_c) = (pool.root_and_shifts(i) for i in (i_a, i_b, i_c))
+print(f"components: a={s_a}, b={s_b}, c={s_c} (all on root {pool.roots[root_idx]})")
+a, b, c = (pool.pattern_at(i) for i in (i_a, i_b, i_c))
 
-norm = np.linalg.norm(a.waveform) ** 2
+norm = np.linalg.norm(a) ** 2
 print(f"waveform energy {norm:.1f} (equals N_ZC)")
 
-inner_disjoint = abs(np.vdot(b.waveform, a.waveform))
-inner_shared = abs(np.vdot(c.waveform, a.waveform))
+inner_disjoint = abs(np.vdot(b, a))
+inner_shared = abs(np.vdot(c, a))
 print(f"disjoint same-root patterns are orthogonal: |<b,a>| = {inner_disjoint:.2e}")
 print(f"one shared component leaks half the energy: |<c,a>| = {inner_shared:.1f} "
       f"(N_ZC/2 = {839 / 2})")
 
 cross = pool.pattern_at(pool.n_ps)  # first pattern of the second root
-inner_cross = abs(np.vdot(cross.waveform, a.waveform))
+inner_cross = abs(np.vdot(cross, a))
 print(f"cross-root inner product stays near sqrt(N_ZC)-level: {inner_cross:.1f}")
 
 rng = np.random.default_rng(7)

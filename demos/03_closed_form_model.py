@@ -6,6 +6,7 @@ the full success probability, for both fixed and random device activity.
 
 from pdra import (
     AnalyticParams,
+    build_pool,
     collision_event_probs,
     db_to_linear,
     p_no_pattern_collision,
@@ -17,9 +18,10 @@ from pdra import (
 
 params = AnalyticParams(r_roots=2, n_ss=32, n_zc=839, alpha_th=db_to_linear(5.0))
 
-print(f"pool size N_P = {params.n_p} patterns ({params.r_roots} roots x {params.n_ps})")
+pool = build_pool(n_zc=839, n_roots=2, n_ss=32, l=2)
+print(f"pool size N_P = {pool.n_p} patterns ({len(pool.roots)} roots x {pool.n_ps})")
 print(f"P(no identical pattern among 10 active) = "
-      f"{p_no_pattern_collision(10, params.n_p):.6f}")
+      f"{p_no_pattern_collision(10, pool.n_p):.6f}")
 
 probs = collision_event_probs(3, 32)
 print(f"given 3 same-root others: p_e0={probs.p_e0:.4f} p_e1={probs.p_e1:.4f} "

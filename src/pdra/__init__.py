@@ -41,7 +41,6 @@ from .geometry import (
     pathloss_db,
 )
 from .pool import (
-    Pattern,
     PilotPool,
     build_pattern,
     build_pool,
@@ -64,15 +63,12 @@ from .simulate import (
     wilson_interval,
 )
 from .zc import (
-    ShiftPlan,
-    ZcConfig,
-    ZcSequence,
     compute_ncs,
     correlation_profile,
     cyclic_shift,
     default_roots,
     generate_root_sequence,
-    make_shift_plan,
+    shifts_per_root,
 )
 
 __version__ = "0.1.0"

@@ -99,16 +99,6 @@ class AnalyticParams:
             raise ValueError(f"alpha_th must be a positive finite linear value, "
                              f"got {self.alpha_th}")
 
-    @property
-    def n_ps(self) -> int:
-        """Patterns per root for the two-component design."""
-        return math.comb(self.n_ss, 2)
-
-    @property
-    def n_p(self) -> int:
-        """Total pattern pool size."""
-        return self.r_roots * self.n_ps
-
 
 @dataclass(frozen=True)
 class CollisionEventProbs:
@@ -145,6 +135,7 @@ def p_no_pattern_collision_binomial(p_a: float, population: int, n_p: int) -> fl
 def p_k_other_roots(k: int, n_active: int, params: AnalyticParams) -> float:
     """P(K): K of the other n_active - 1 UEs hold different-root patterns.
 
+    This is the two-shift law: N_PS = C(N_SS, 2) patterns per root.
     Conditioned on no exact pattern collision, each other UE is uniform over
     the remaining R*N_PS - 1 patterns, of which (R-1)*N_PS belong to other
     roots.  Evaluated via log-gamma to stay exact for large N.
@@ -152,7 +143,7 @@ def p_k_other_roots(k: int, n_active: int, params: AnalyticParams) -> float:
     n_others = n_active - 1
     if not 0 <= k <= n_others:
         raise ValueError(f"k must lie in [0, {n_others}], got {k}")
-    n_ps = params.n_ps
+    n_ps = math.comb(params.n_ss, 2)
     other_root = (params.r_roots - 1) * n_ps
     same_root = n_ps - 1
     total = params.r_roots * n_ps - 1

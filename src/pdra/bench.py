@@ -53,6 +53,8 @@ CSV_COLUMNS = [
     "p_success_analytic", "analytic_note",
     "trials", "seed", "status",
 ]
+# The JSON provenance record of a CSV is written to its path plus this suffix.
+SIDECAR_SUFFIX = ".meta.json"
 
 
 # The grid axes in expansion order, first outermost, each with the type of its
@@ -279,40 +281,40 @@ def expand_grid(spec: ExperimentSpec) -> list[dict]:
 
 def _point_error(
     spec: ExperimentSpec, point: dict
-) -> tuple[ScenarioConfig | None, str | None]:
-    """Build one grid point: (scenario, None), or (None, error) when it cannot run.
+) -> tuple[ScenarioConfig | int | None, str | None]:
+    """Build one grid point: (built, None), or (None, error) when it cannot run.
 
-    The collision metric needs no scenario, only a nonempty pattern pool.
+    built is the point's scenario, or for the collision metric, which needs
+    no scenario, its pattern pool size N_P = R * C(N_SS, L), at least 1.
     """
     try:
         if spec.metric == "collision":
-            n_p = point["r_roots"] * math.comb(point["n_ss"], point["l"])
+            n_ss, l = point["n_ss"], point["l"]
+            n_p = point["r_roots"] * math.comb(n_ss, l) if 1 <= l <= n_ss else 0
             if n_p < 1:
-                raise ValueError(
-                    f"empty pattern pool for n_ss={point['n_ss']}, l={point['l']}"
-                )
-            return None, None
+                raise ValueError(f"empty pattern pool for n_ss={n_ss}, l={l}")
+            return n_p, None
         return build_scenario(point, spec.n_zc, spec.trials, spec.master_seed), None
     except ValueError as exc:
         return None, str(exc)
 
 
 def _analytic_value(
-    spec: ExperimentSpec, point: dict, config: ScenarioConfig | None
+    spec: ExperimentSpec, point: dict, built: ScenarioConfig | int
 ) -> tuple[float | None, str]:
     """Closed-form column for one point, with a note naming its flavor."""
     if spec.metric == "collision":
-        n_p = point["r_roots"] * math.comb(point["n_ss"], point["l"])
+        n_p = built
         if "n_active" in point:
             return p_no_pattern_collision(point["n_active"], n_p), "collision-free-only"
         return (
             p_no_pattern_collision_binomial(point["p_a"], point["population"], n_p),
             "collision-free-only",
         )
-    reason = no_closed_form_reason(config.pool.l, config.pool.n_ss)
+    reason = no_closed_form_reason(built.pool.l, built.pool.n_ss)
     if reason is not None:
         return None, f"no-closed-form: {reason}"
-    return analytic_reference(config), "single-sequence-baseline" if point["l"] == 1 else ""
+    return analytic_reference(built), "single-sequence-baseline" if point["l"] == 1 else ""
 
 
 def _fmt(value) -> str:
@@ -327,11 +329,11 @@ def _fmt(value) -> str:
 def _result_rows(
     spec: ExperimentSpec,
     points: list[dict],
-    built: list[tuple[ScenarioConfig | None, str | None]],
+    built: list[tuple[ScenarioConfig | int | None, str | None]],
     sim_results: dict[int, SweepResult] | None,
 ) -> list[dict]:
     rows = []
-    for idx, (point, (config, error)) in enumerate(zip(points, built)):
+    for idx, (point, (point_built, error)) in enumerate(zip(points, built)):
         row = {col: "" for col in CSV_COLUMNS}
         row.update({k: _fmt(v) for k, v in point.items()})
         row["alpha_th_linear"] = _fmt(db_to_linear(point["alpha_th_db"]))
@@ -344,7 +346,7 @@ def _result_rows(
             continue
         status = "ok"
         if spec.mode in ("analytic", "both"):
-            value, note = _analytic_value(spec, point, config)
+            value, note = _analytic_value(spec, point, point_built)
             row["p_success_analytic"] = _fmt(value)
             row["analytic_note"] = note
         if sim_results is not None:
@@ -386,7 +388,7 @@ def write_sidecar(csv_path: str, spec: ExperimentSpec, n_points: int) -> str:
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
     }
-    sidecar = csv_path + ".meta.json"
+    sidecar = csv_path + SIDECAR_SUFFIX
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -398,8 +400,9 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     out_dir = os.path.dirname(spec.out) or "."
     if not os.path.isdir(out_dir):  # fail before the campaign, not after it
         raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
-    if os.path.isdir(spec.out):
-        raise IsADirectoryError(f"output path {spec.out!r} is a directory")
+    for path in spec.out, spec.out + SIDECAR_SUFFIX:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path!r} is a directory")
     points = expand_grid(spec)
     built = [_point_error(spec, p) for p in points]
     # keyed by grid index: the index is the point's RNG substream id

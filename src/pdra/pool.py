@@ -10,19 +10,13 @@ shift table, the lexicographically ordered list of shift subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
 
-from .zc import (
-    ZcConfig,
-    ZcSequence,
-    cyclic_shift,
-    default_roots,
-    generate_root_sequence,
-)
+from .zc import cyclic_shift, default_roots, generate_root_sequence
 
 # Largest C(N_SS, L) a pool accepts: its shift table then holds at most
 # 2**20 rows of L machine integers (8 L MB).
@@ -73,28 +67,18 @@ def expansion_factor(n_ss: int, l: int) -> Fraction:
     return Fraction(math.comb(n_ss, l), n_ss)
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """One pilot pattern: root index, shift subset, and its waveform."""
-
-    root_u: int
-    shifts: tuple[int, ...]
-    waveform: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.waveform.setflags(write=False)
-
-
-def build_pattern(root_seq: ZcSequence, shifts: tuple[int, ...], n_cs: int) -> Pattern:
+def build_pattern(root: np.ndarray, shifts: tuple[int, ...], n_cs: int) -> np.ndarray:
     """Superimpose the given distinct shifts of one root at step n_cs, scaled
-    by 1/sqrt(L); cyclic_shift rejects a shift beyond the root's length."""
+    by 1/sqrt(L), as a read-only waveform; cyclic_shift rejects a shift
+    beyond the root's length."""
     if len(set(shifts)) != len(shifts) or len(shifts) == 0:
         raise ValueError(f"shifts must be distinct and nonempty, got {shifts}")
-    acc = np.zeros(root_seq.config.n_zc, dtype=complex)
+    acc = np.zeros(root.shape[0], dtype=complex)
     for v in shifts:
-        acc += cyclic_shift(root_seq, v, n_cs).samples
+        acc += cyclic_shift(root, v, n_cs)
     acc /= math.sqrt(len(shifts))
-    return Pattern(root_u=root_seq.config.root_u, shifts=tuple(sorted(shifts)), waveform=acc)
+    acc.setflags(write=False)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -146,21 +130,15 @@ class PilotPool:
         root_idx, rank = divmod(i, self.n_ps)
         return root_idx, tuple(self.shift_table[rank].tolist())
 
-    def pattern_at(self, i: int) -> Pattern:
+    def pattern_at(self, i: int) -> np.ndarray:
+        """Read-only waveform of pool index i."""
         root_idx, shifts = self.root_and_shifts(i)
-        return build_pattern(self._root_sequence(root_idx), shifts, self.n_cs)
-
-    def _root_sequence(self, root_idx: int) -> ZcSequence:
-        return _cached_root_sequence(self.n_zc, self.roots[root_idx])
+        root = generate_root_sequence(self.n_zc, self.roots[root_idx])
+        return build_pattern(root, shifts, self.n_cs)
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Batched uniform pattern index draws (the simulator's hot path)."""
         return rng.integers(0, self.n_p, size=size)
-
-
-@lru_cache(maxsize=64)
-def _cached_root_sequence(n_zc: int, root_u: int) -> ZcSequence:
-    return generate_root_sequence(ZcConfig(n_zc=n_zc, root_u=root_u))
 
 
 def build_pool(n_zc: int, n_roots: int, n_ss: int, l: int) -> PilotPool:

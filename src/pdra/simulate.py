@@ -111,6 +111,7 @@ from .geometry import (
     drop_ue,
 )
 from .pool import PilotPool, build_pool
+from .zc import generate_root_sequence
 
 EVENT_IDENTICAL = "identical-pattern-collision"
 EVENT_E0 = "e0"
@@ -352,9 +353,7 @@ _PAIR_PROFILES: dict[tuple[int, int, int], np.ndarray] = {}
 
 @lru_cache(maxsize=64)
 def _root_spectrum(n_zc: int, root_u: int) -> np.ndarray:
-    from .zc import ZcConfig, generate_root_sequence
-
-    return fft(generate_root_sequence(ZcConfig(n_zc, root_u)).samples)
+    return fft(generate_root_sequence(n_zc, root_u))
 
 
 def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:

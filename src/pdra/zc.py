@@ -10,84 +10,45 @@ round-trip delay plus delay spread of the cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
-@dataclass(frozen=True)
-class ZcConfig:
-    """Sequence length and root index of a Zadoff-Chu family member."""
+@lru_cache(maxsize=64)
+def generate_root_sequence(n_zc: int, root_u: int) -> np.ndarray:
+    """Root c_u[l] = exp(-j*pi*u*l*(l+1)/n_zc), l = 0..n_zc-1.
 
-    n_zc: int
-    root_u: int
-
-    def __post_init__(self):
-        if self.n_zc < 3 or self.n_zc % 2 == 0:
-            raise ValueError(f"n_zc must be an odd integer >= 3, got {self.n_zc}")
-        if not 1 <= self.root_u < self.n_zc:
-            raise ValueError(
-                f"root_u must satisfy 1 <= u < n_zc, got u={self.root_u}, n_zc={self.n_zc}"
-            )
-        if math.gcd(self.root_u, self.n_zc) != 1:
-            raise ValueError(
-                f"root_u must be coprime to n_zc: gcd({self.root_u}, {self.n_zc}) = "
-                f"{math.gcd(self.root_u, self.n_zc)}"
-            )
-
-
-@dataclass(frozen=True)
-class ZcSequence:
-    """A (possibly cyclically shifted) Zadoff-Chu sequence realization."""
-
-    config: ZcConfig
-    shift_v: int
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.shift_v < 0:
-            raise ValueError(f"shift_v must be nonnegative, got {self.shift_v}")
-        if self.samples.shape != (self.config.n_zc,):
-            raise ValueError(
-                f"samples must have shape ({self.config.n_zc},), got {self.samples.shape}"
-            )
-        self.samples.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ShiftPlan:
-    """Cyclic-shift step N_CS and the resulting shift count N_SS per root."""
-
-    n_cs: int
-    n_ss: int
-
-    def __post_init__(self):
-        if self.n_cs < 1:
-            raise ValueError(f"n_cs must be >= 1, got {self.n_cs}")
-        if self.n_ss < 2:
-            raise ValueError(
-                f"n_ss must be >= 2 for a usable shift family, got {self.n_ss}"
-            )
-
-
-def generate_root_sequence(config: ZcConfig) -> ZcSequence:
-    """Generate c_u[l] = exp(-j*pi*u*l*(l+1)/n_zc), l = 0..n_zc-1."""
-    l = np.arange(config.n_zc, dtype=np.float64)
+    The array is read-only and cached, so every caller of one root reads the
+    same samples.
+    """
+    if n_zc < 3 or n_zc % 2 == 0:
+        raise ValueError(f"n_zc must be an odd integer >= 3, got {n_zc}")
+    if not 1 <= root_u < n_zc:
+        raise ValueError(
+            f"root_u must satisfy 1 <= u < n_zc, got u={root_u}, n_zc={n_zc}"
+        )
+    if math.gcd(root_u, n_zc) != 1:
+        raise ValueError(
+            f"root_u must be coprime to n_zc: gcd({root_u}, {n_zc}) = "
+            f"{math.gcd(root_u, n_zc)}"
+        )
+    l = np.arange(n_zc, dtype=np.float64)
     # u*l*(l+1) stays well inside float64 integer range for any practical n_zc.
-    phase = -np.pi * config.root_u * l * (l + 1.0) / config.n_zc
-    return ZcSequence(config=config, shift_v=0, samples=np.exp(1j * phase))
+    phase = -np.pi * root_u * l * (l + 1.0) / n_zc
+    root = np.exp(1j * phase)
+    root.setflags(write=False)
+    return root
 
 
-def cyclic_shift(seq: ZcSequence, v: int, n_cs: int) -> ZcSequence:
-    """Shift by v steps of n_cs samples: out[l] = in[(l + v*n_cs) mod n_zc]."""
-    n_zc = seq.config.n_zc
-    n_ss = n_zc // n_cs
+def cyclic_shift(samples: np.ndarray, v: int, n_cs: int) -> np.ndarray:
+    """Shift by v steps of n_cs samples: out[l] = samples[(l + v*n_cs) mod n_zc]."""
+    n_ss = samples.shape[0] // n_cs
     if not 0 <= v < n_ss:
         raise ValueError(f"shift index v must satisfy 0 <= v < {n_ss}, got {v}")
-    shifted = np.roll(seq.samples, -v * n_cs)
-    return ZcSequence(config=seq.config, shift_v=seq.shift_v + v, samples=shifted)
+    return np.roll(samples, -v * n_cs)
 
 
 def compute_ncs(
@@ -115,11 +76,14 @@ def compute_ncs(
     return n_cs
 
 
-def make_shift_plan(n_zc: int, n_cs: int) -> ShiftPlan:
-    """Plan with N_SS = floor(n_zc / n_cs) shifts per root at step n_cs."""
+def shifts_per_root(n_zc: int, n_cs: int) -> int:
+    """N_SS = floor(n_zc / n_cs): the shifts of one root at step n_cs."""
     if n_cs < 1 or n_cs >= n_zc:
         raise ValueError(f"n_cs must satisfy 1 <= n_cs < n_zc, got {n_cs}")
-    return ShiftPlan(n_cs=n_cs, n_ss=n_zc // n_cs)
+    n_ss = n_zc // n_cs
+    if n_ss < 2:
+        raise ValueError(f"n_ss must be >= 2 for a usable shift family, got {n_ss}")
+    return n_ss
 
 
 def correlation_profile(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from pdra.simulate import (
     run_point,
     wilson_interval,
 )
-from pdra.zc import ZcConfig, correlation_profile, generate_root_sequence
+from pdra.zc import correlation_profile, generate_root_sequence
 
 from oracles import enumerate_collision_events
 
@@ -64,7 +64,7 @@ def grid_scenario(trials: int, master_seed: int, **fields) -> ScenarioConfig:
 
 def test_criterion_01_zc_property_suite():
     roots = range(1, 9)
-    seqs = {u: generate_root_sequence(ZcConfig(N_ZC, u)).samples for u in roots}
+    seqs = {u: generate_root_sequence(N_ZC, u) for u in roots}
     worst_auto = 0.0
     for u in roots:
         prof = np.abs(correlation_profile(seqs[u], seqs[u]))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from pdra.analytic import (
     success_probability_pdra,
     success_probability_random_activity,
 )
+from pdra.pool import build_pool
 
 ALPHA_5DB = db_to_linear(5.0)
 
@@ -56,9 +58,9 @@ def test_fixed_no_collision_is_binomial_at_full_activity():
 
 
 def test_derived_pool_sizes():
-    p = params()
-    assert p.n_ps == 496
-    assert p.n_p == 992
+    pool = build_pool(839, 2, n_ss=32, l=2)
+    assert pool.n_ps == 496
+    assert pool.n_p == 992
 
 
 def test_p_k_single_root():
@@ -145,7 +147,8 @@ def test_success_probability_tiny_threshold_single_root():
     # K-cap inactive and K=0 forced: P = P_S * (p_e0 + p_e1) over all others
     p = params(r_roots=1, alpha_th=1e-9)
     ev = collision_event_probs(7, 32)
-    expected = p_no_pattern_collision(8, p.n_p) * (ev.p_e0 + ev.p_e1)
+    n_p = build_pool(839, 1, n_ss=32, l=2).n_p
+    expected = p_no_pattern_collision(8, n_p) * (ev.p_e0 + ev.p_e1)
     assert abs(success_probability_pdra(p, 8) - expected) < 1e-14
 
 
@@ -248,12 +251,12 @@ def test_import_does_not_load_scipy_module(module):
 def test_binom_cdf_matches_exact_sum(p):
     exact_p = Fraction(p)
     for n in range(61):
-        pmf = [math.comb(n, i) * exact_p**i * (1 - exact_p) ** (n - i)
-               for i in range(n + 1)]
+        cdf = list(accumulate(math.comb(n, i) * exact_p**i * (1 - exact_p) ** (n - i)
+                              for i in range(n + 1)))
         got = _binom_cdf(n, n, p)
         assert got == 1.0
         for k in range(n):
-            exact = sum(pmf[: k + 1])
+            exact = cdf[k]
             got = float(_binom_cdf(k, n, p))
             if exact == 0:
                 assert got == 0.0

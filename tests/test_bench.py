@@ -554,6 +554,22 @@ class TestMainCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "exp.yaml"]
         assert not any(out.iterdir())
 
+    def test_sidecar_path_that_is_a_directory_exits_two_before_the_campaign(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: simulate\nr_roots: [1]\nm_antennas: 4\nn_ss: 16\n"
+                       "n_active: 3\ntrials: 5\n")
+        out = tmp_path / "r.csv"
+        sidecar = tmp_path / "r.csv.meta.json"
+        sidecar.mkdir()
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"io error: output path {str(sidecar)!r} is a directory" in captured.err
+        assert "running" not in captured.out
+        assert not out.exists()
+        assert not any(sidecar.iterdir())
+
     @pytest.mark.parametrize("key", [k for k in AXIS_KEYS if k not in ("n_active", "p_a")])
     def test_null_grid_axis_exits_two_before_any_output(self, tmp_path, capsys, key):
         """null switches off an activity leg and nothing else: on another axis
@@ -625,6 +641,20 @@ class TestMainCli:
             row = next(csv.DictReader(fh))
         assert float(row["p_success_analytic"]) == 0.0
         assert row["analytic_note"] == "collision-free-only"
+
+    @pytest.mark.parametrize("n_ss, l", [(32, 0), (0, 0), (32, -1), (3, 4)])
+    def test_collision_with_an_empty_pool_is_an_error_row(self, tmp_path, n_ss, l):
+        """L < 1 or L > N_SS leaves no pattern to draw: the point is an error
+        row that names n_ss and l, not a probability, and the run exits 1."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"metric: collision\nmode: analytic\nn_ss: [{n_ss}]\n"
+                       f"l: [{l}]\nr_roots: [2]\nn_active: [5]\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == f"error: empty pattern pool for n_ss={n_ss}, l={l}"
+        assert row["p_success_analytic"] == row["analytic_note"] == ""
 
     def test_l3_analytic_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"

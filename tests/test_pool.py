@@ -16,7 +16,7 @@ from pdra.pool import (
     expansion_factor,
     rank_combination,
 )
-from pdra.zc import ZcConfig, generate_root_sequence
+from pdra.zc import generate_root_sequence
 
 NZC = 839
 N_CS_32 = NZC // 32  # the shift step of a 32-shift pool
@@ -82,38 +82,38 @@ def test_expansion_factor_exact():
 
 
 def test_pattern_waveform_norm():
-    root = generate_root_sequence(ZcConfig(NZC, 1))
+    root = generate_root_sequence(NZC, 1)
     for shifts in [(0, 1), (4, 17), (0, 10, 21, 30)]:
         p = build_pattern(root, shifts, N_CS_32)
-        assert abs(np.vdot(p.waveform, p.waveform).real - NZC) < 1e-9
+        assert abs(np.vdot(p, p).real - NZC) < 1e-9
 
 
 def test_same_root_pattern_overlaps():
-    root = generate_root_sequence(ZcConfig(NZC, 1))
+    root = generate_root_sequence(NZC, 1)
     disjoint_a = build_pattern(root, (0, 1), N_CS_32)
     disjoint_b = build_pattern(root, (2, 3), N_CS_32)
-    assert abs(np.dot(disjoint_a.waveform, np.conj(disjoint_b.waveform))) < 1e-9
+    assert abs(np.dot(disjoint_a, np.conj(disjoint_b))) < 1e-9
 
     shared_one = build_pattern(root, (1, 2), N_CS_32)
-    overlap = np.dot(disjoint_a.waveform, np.conj(shared_one.waveform))
+    overlap = np.dot(disjoint_a, np.conj(shared_one))
     assert abs(overlap - NZC / 2) < 1e-9
 
 
 def test_cross_root_overlap_bounded():
-    root1 = generate_root_sequence(ZcConfig(NZC, 1))
-    root2 = generate_root_sequence(ZcConfig(NZC, 2))
+    root1 = generate_root_sequence(NZC, 1)
+    root2 = generate_root_sequence(NZC, 2)
     rng = np.random.default_rng(7)
     for _ in range(20):
         sa = tuple(sorted(rng.choice(32, size=2, replace=False)))
         sb = tuple(sorted(rng.choice(32, size=2, replace=False)))
         a = build_pattern(root1, sa, N_CS_32)
         b = build_pattern(root2, sb, N_CS_32)
-        overlap = abs(np.dot(a.waveform, np.conj(b.waveform)))
+        overlap = abs(np.dot(a, np.conj(b)))
         assert overlap <= 2 * math.sqrt(NZC) + 1e-6
 
 
 def test_build_pattern_rejects_bad_shifts():
-    root = generate_root_sequence(ZcConfig(NZC, 1))
+    root = generate_root_sequence(NZC, 1)
     with pytest.raises(ValueError):
         build_pattern(root, (3, 3), N_CS_32)
     with pytest.raises(ValueError):
@@ -142,10 +142,13 @@ def test_pool_counts_and_indexing():
 def test_pool_pattern_waveforms_consistent():
     pool = build_pool(NZC, n_roots=2, n_ss=32, l=2)
     p = pool.pattern_at(498)
-    root_idx, shifts = pool.root_and_shifts(498)
-    assert p.root_u == pool.roots[root_idx]
-    assert p.shifts == shifts
-    assert abs(np.vdot(p.waveform, p.waveform).real - NZC) < 1e-9
+    assert pool.root_and_shifts(498) == (1, (0, 3))
+    root = generate_root_sequence(NZC, pool.roots[1])
+    want = (np.roll(root, 0) + np.roll(root, -3 * pool.n_cs)) / math.sqrt(2)
+    np.testing.assert_allclose(p, want, atol=1e-12)
+    assert abs(np.vdot(p, p).real - NZC) < 1e-9
+    with pytest.raises(ValueError, match="read-only"):
+        p[0] = 0
 
 
 def test_pool_shift_step():

@@ -36,6 +36,7 @@ from pdra.simulate import (
     trial_rng,
     wilson_interval,
 )
+from pdra.zc import default_roots, generate_root_sequence
 
 from oracles import (
     build_received_pilot,
@@ -109,9 +110,9 @@ class TestReceivedPilot:
         rng = np.random.default_rng(0)
         h = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / math.sqrt(2)
         p_lin = 4.0
-        y = build_received_pilot(h[None, :], pat.waveform[None, :], p_lin, rng,
+        y = build_received_pilot(h[None, :], pat[None, :], p_lin, rng,
                                  noise_variance=0.0)
-        g = mf_channel_estimate(y, pat.waveform)
+        g = mf_channel_estimate(y, pat)
         # ||waveform|| = sqrt(N_ZC), so g = sqrt(P * N_ZC) h.
         np.testing.assert_allclose(g, math.sqrt(p_lin * N_ZC) * h, atol=1e-9)
 
@@ -128,7 +129,7 @@ class TestReceivedPilot:
         rng = np.random.default_rng(2)
         h = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
         p_lin = 2.0
-        y = build_received_pilot(h[None, :], pat.waveform[None, :], p_lin, rng)
+        y = build_received_pilot(h[None, :], pat[None, :], p_lin, rng)
         # Unit-power pattern entries: per-entry power P E|h|^2 + sigma^2.
         assert np.mean(np.abs(y) ** 2) == pytest.approx(p_lin + 1.0, rel=0.05)
 
@@ -257,8 +258,6 @@ class TestCorrelatorAlgebra:
     def test_matches_direct_inner_product(self, pool):
         corr = _PatternCorrelator(pool)
         rng = np.random.default_rng(5)
-        from pdra.zc import ZcConfig, generate_root_sequence
-
         for _ in range(10):
             i, j = rng.integers(0, pool.n_p, size=2)
             root_i, shifts_i = pool.root_and_shifts(int(i))
@@ -267,11 +266,9 @@ class TestCorrelatorAlgebra:
                 np.array([root_i]), np.array([shifts_i]), root_j, np.array(shifts_j),
                 np.ones(len(shifts_j), bool),
             )[0]
-            wav_i = pool.pattern_at(int(i)).waveform
-            base_j = generate_root_sequence(ZcConfig(N_ZC, pool.roots[root_j]))
-            despread = sum(
-                np.roll(base_j.samples, -v * pool.n_cs) for v in shifts_j
-            )
+            wav_i = pool.pattern_at(int(i))
+            base_j = generate_root_sequence(N_ZC, pool.roots[root_j])
+            despread = sum(np.roll(base_j, -v * pool.n_cs) for v in shifts_j)
             despread = despread / np.linalg.norm(despread)
             direct = complex(np.sum(wav_i * np.conj(despread)))
             assert fast == pytest.approx(direct, abs=1e-9)
@@ -342,11 +339,8 @@ class TestCorrelatorAlgebra:
         """The root-pair table that pools share equals the FFT of its own
         root set, bit for bit: the default prefixes R = 1 .. 6 in turn, each
         mostly cached, then an unordered set that is no prefix."""
-        from pdra.zc import ZcConfig, default_roots, generate_root_sequence
-
         for roots in [default_roots(n_zc, r) for r in range(1, 7)] + [(5, 2, 7)]:
-            seqs = np.array([generate_root_sequence(ZcConfig(n_zc, u)).samples
-                             for u in roots])
+            seqs = np.array([generate_root_sequence(n_zc, u) for u in roots])
             f = np.fft.fft(seqs, axis=1)
             direct = np.fft.ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=2)
             assert _root_pair_profiles(n_zc, roots).tobytes() == direct.tobytes()
@@ -359,18 +353,13 @@ class TestCorrelatorAlgebra:
         roots, shifts = np.array([0, 0, 2]), rows((0, 1), (1, 7), (3, 9))
         h = (rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))) / math.sqrt(2)
         p_lin = db_to_linear(5.0)
-        from pdra.zc import ZcConfig, generate_root_sequence
-
         waveforms = np.array([
-            build_pattern(
-                generate_root_sequence(ZcConfig(N_ZC, pool.roots[r])), s, pool.n_cs
-            ).waveform
+            build_pattern(generate_root_sequence(N_ZC, pool.roots[r]), s, pool.n_cs)
             for r, s in assigned
         ])
         y = build_received_pilot(h, waveforms, p_lin, rng, noise_variance=0.0)
         # E1 despreading by the free component (shift 0) of the tagged pattern.
-        base = generate_root_sequence(ZcConfig(N_ZC, pool.roots[0]))
-        despread = np.roll(base.samples, 0)
+        despread = generate_root_sequence(N_ZC, pool.roots[0])
         g_explicit = mf_channel_estimate(y, despread)
 
         corr = _PatternCorrelator(pool)
