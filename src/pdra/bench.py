@@ -16,7 +16,6 @@ import dataclasses
 import datetime
 import itertools
 import json
-import math
 import os
 import platform
 import sys
@@ -28,7 +27,6 @@ from .analytic import (
     CLOSED_FORM_L,
     db_to_linear,
     no_closed_form_reason,
-    p_no_pattern_collision,
     p_no_pattern_collision_binomial,
 )
 from .geometry import drop_ue
@@ -281,40 +279,27 @@ def expand_grid(spec: ExperimentSpec) -> list[dict]:
 
 def _point_error(
     spec: ExperimentSpec, point: dict
-) -> tuple[ScenarioConfig | int | None, str | None]:
-    """Build one grid point: (built, None), or (None, error) when it cannot run.
-
-    built is the point's scenario, or for the collision metric, which needs
-    no scenario, its pattern pool size N_P = R * C(N_SS, L), at least 1.
-    """
+) -> tuple[ScenarioConfig | None, str | None]:
+    """Build one grid point: (built, None), or (None, error) when it cannot run."""
     try:
-        if spec.metric == "collision":
-            n_ss, l = point["n_ss"], point["l"]
-            n_p = point["r_roots"] * math.comb(n_ss, l) if 1 <= l <= n_ss else 0
-            if n_p < 1:
-                raise ValueError(f"empty pattern pool for n_ss={n_ss}, l={l}")
-            return n_p, None
         return build_scenario(point, spec.n_zc, spec.trials, spec.master_seed), None
     except ValueError as exc:
         return None, str(exc)
 
 
 def _analytic_value(
-    spec: ExperimentSpec, point: dict, built: ScenarioConfig | int
+    spec: ExperimentSpec, built: ScenarioConfig
 ) -> tuple[float | None, str]:
     """Closed-form column for one point, with a note naming its flavor."""
     if spec.metric == "collision":
-        n_p = built
-        if "n_active" in point:
-            return p_no_pattern_collision(point["n_active"], n_p), "collision-free-only"
         return (
-            p_no_pattern_collision_binomial(point["p_a"], point["population"], n_p),
+            p_no_pattern_collision_binomial(built.p_a, built.population, built.pool.n_p),
             "collision-free-only",
         )
     reason = no_closed_form_reason(built.pool.l, built.pool.n_ss)
     if reason is not None:
         return None, f"no-closed-form: {reason}"
-    return analytic_reference(built), "single-sequence-baseline" if point["l"] == 1 else ""
+    return analytic_reference(built), "single-sequence-baseline" if built.pool.l == 1 else ""
 
 
 def _fmt(value) -> str:
@@ -329,7 +314,7 @@ def _fmt(value) -> str:
 def _result_rows(
     spec: ExperimentSpec,
     points: list[dict],
-    built: list[tuple[ScenarioConfig | int | None, str | None]],
+    built: list[tuple[ScenarioConfig | None, str | None]],
     sim_results: dict[int, SweepResult] | None,
 ) -> list[dict]:
     rows = []
@@ -346,7 +331,7 @@ def _result_rows(
             continue
         status = "ok"
         if spec.mode in ("analytic", "both"):
-            value, note = _analytic_value(spec, point, point_built)
+            value, note = _analytic_value(spec, point_built)
             row["p_success_analytic"] = _fmt(value)
             row["analytic_note"] = note
         if sim_results is not None:
@@ -426,6 +411,8 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
 
 def run_topology(out: str, master_seed: int, echo=print) -> int:
     """Export the cell grid of the correlated trials and one seeded UE drop as CSV."""
+    if master_seed < 0:
+        raise SchemaError(f"master_seed must be >= 0, got {master_seed}")
     layout = CELL_LAYOUT
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
     ue = drop_ue(layout, rng)
@@ -477,7 +464,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--preset",
         choices=sorted(PRESETS) + ["topology"],
-        help="named experiment grid; fields remain overridable via --config/flags",
+        help=("named experiment grid; fields remain overridable via --config/flags "
+              "(topology takes only --out and --seed)"),
     )
     parser.add_argument("--config", metavar="PATH",
                         help="flat YAML mapping of spec fields (lists allowed)")
@@ -495,6 +483,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         seed = args.seed if args.seed is not None else _env_int("PDRA_SEED")
         if args.preset == "topology":
+            ignored = [f"--{name}" for name in ("config", "mode", "trials", "threads")
+                       if getattr(args, name) is not None]
+            if ignored:
+                raise SchemaError(f"--preset topology takes only --out and --seed, "
+                                  f"got {', '.join(ignored)}")
             return run_topology(args.out or "pdra-topology.csv",
                                 1 if seed is None else seed)
         config_fields = parse_config(args.config) if args.config else {}

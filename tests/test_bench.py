@@ -17,11 +17,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdra.analytic import p_no_pattern_collision
 from pdra.bench import (
     CSV_COLUMNS,
     PRESETS,
     ExperimentSpec,
     SchemaError,
+    _fmt,
     build_spec,
     expand_grid,
     main,
@@ -642,18 +644,53 @@ class TestMainCli:
         assert float(row["p_success_analytic"]) == 0.0
         assert row["analytic_note"] == "collision-free-only"
 
-    @pytest.mark.parametrize("n_ss, l", [(32, 0), (0, 0), (32, -1), (3, 4)])
-    def test_collision_with_an_empty_pool_is_an_error_row(self, tmp_path, n_ss, l):
-        """L < 1 or L > N_SS leaves no pattern to draw: the point is an error
-        row that names n_ss and l, not a probability, and the run exits 1."""
+    @pytest.mark.parametrize("n_ss, l, r_roots, message", [
+        (32, 0, 2, "need 0 < l <= n_ss, got l=0, n_ss=32"),
+        (0, 0, 2, "n_ss must satisfy 2 <= n_ss <= n_zc, got 0"),
+        (32, -1, 2, "need 0 < l <= n_ss, got l=-1, n_ss=32"),
+        (3, 4, 2, "need 0 < l <= n_ss, got l=4, n_ss=3"),
+        (32, 2, 0, "r must be >= 1, got 0"),
+    ], ids=["32-0", "0-0", "32--1", "3-4", "r_roots-0"])
+    def test_collision_with_an_empty_pool_is_an_error_row(
+        self, tmp_path, n_ss, l, r_roots, message
+    ):
+        """L < 1, L > N_SS or R < 1 leaves no pattern to draw: the pool's own
+        check fails the point, an error row, not a probability, and the run
+        exits 1."""
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(f"metric: collision\nmode: analytic\nn_ss: [{n_ss}]\n"
-                       f"l: [{l}]\nr_roots: [2]\nn_active: [5]\n")
+                       f"l: [{l}]\nr_roots: [{r_roots}]\nn_active: [5]\n")
         out = tmp_path / "r.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == 1
         with open(out, newline="") as fh:
             (row,) = list(csv.DictReader(fh))
-        assert row["status"] == f"error: empty pattern pool for n_ss={n_ss}, l={l}"
+        assert row["status"] == f"error: {message}"
+        assert row["p_success_analytic"] == row["analytic_note"] == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_ss", "[1000]"), ("r_roots", "[900]"), ("m_antennas", "[0]"),
+        ("rho", "[1.5]"), ("snr_db", "[.nan]"),
+    ])
+    def test_collision_point_fails_as_the_success_point_does(
+        self, tmp_path, key, value
+    ):
+        """A collision point is built as a success point is, so an input the
+        scenario rejects (N_SS above N_ZC = 839, more roots than N_ZC has, no
+        antenna, rho outside [0, 1), a NaN SNR) is the same error row."""
+        base = dict(n_ss="[32]", l="[2]", r_roots="[2]", m_antennas="[4]",
+                    rho="[0.0]", snr_db="[0.0]", n_active="[5]", trials="1")
+        rows = {}
+        for metric, mode in ("collision", "analytic"), ("success", "simulate"):
+            fields = dict(base, metric=metric, mode=mode, **{key: value})
+            cfg = tmp_path / f"{metric}.yaml"
+            cfg.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+            out = tmp_path / f"{metric}.csv"
+            assert main(["--config", str(cfg), "--out", str(out)]) == 1
+            with open(out, newline="") as fh:
+                (rows[metric],) = list(csv.DictReader(fh))
+        row = rows["collision"]
+        assert row["status"].startswith("error: ")
+        assert row["status"] == rows["success"]["status"]
         assert row["p_success_analytic"] == row["analytic_note"] == ""
 
     def test_l3_analytic_exits_two(self, tmp_path, capsys):
@@ -714,6 +751,50 @@ class TestMainCli:
         # The dropped UE lies inside the center cell, outside the exclusion disc.
         d = math.hypot(float(ues[0]["x_m"]), float(ues[0]["y_m"]))
         assert 30.0 <= d <= 500.0
+
+
+    @pytest.mark.parametrize("flag", [
+        ["--config", "/nonexistent.yaml"], ["--mode", "simulate"],
+        ["--trials", "5"], ["--threads", "9"],
+    ], ids=lambda flag: flag[0])
+    def test_topology_rejects_sweep_flags(self, tmp_path, capsys, flag):
+        """Only --out and --seed apply to the topology export; a sweep flag
+        exits 2, named, before anything is written."""
+        out = tmp_path / "topo.csv"
+        assert main(["--preset", "topology", "--out", str(out)] + flag) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, seed", [("flag", -1), ("env", -3)])
+    def test_topology_negative_seed_exits_two(
+        self, tmp_path, capsys, monkeypatch, source, seed
+    ):
+        """A negative seed gets the sweep's message, not numpy's."""
+        out = tmp_path / "topo.csv"
+        argv = ["--preset", "topology", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("PDRA_SEED", str(seed))
+        assert main(argv) == 2
+        assert f"master_seed must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fig4_preset_end_to_end(tmp_path):
+    """fig4's 90 collision points through run_experiment: each is the
+    closed form P_S at N_P = R * C(32, L), to the CSV's own digits."""
+    spec = build_spec("fig4", None, {"out": str(tmp_path / "fig4.csv")})
+    assert run_experiment(spec, echo=lambda *_: None) == 0
+    with open(spec.out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 90
+    for row in rows:
+        n, r, l = int(row["n_active"]), int(row["r_roots"]), int(row["l"])
+        assert row["status"] == "ok"
+        assert row["analytic_note"] == "collision-free-only"
+        assert row["p_success_analytic"] == _fmt(
+            p_no_pattern_collision(n, r * math.comb(32, l)))
 
 
 def test_perfbench_trace_wraps_resolve():
