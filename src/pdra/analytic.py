@@ -43,7 +43,10 @@ def no_closed_form_reason(l: int, n_ss: int) -> str | None:
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _ln_comb(n: int, k: int) -> float:

@@ -39,8 +39,8 @@ from .simulate import (
     run_campaign,
 )
 
-MODES = ("analytic", "simulate", "both")
-METRICS = ("success", "collision")
+# collision: the closed-form collision-free probability alone (fig4).
+MODES = ("analytic", "simulate", "both", "collision")
 
 # CSV column order is part of the public contract; plots read these names.
 CSV_COLUMNS = [
@@ -75,7 +75,6 @@ class ExperimentSpec:
     """Validated description of one sweep: grid axes plus run controls."""
 
     mode: str = "both"
-    metric: str = "success"
     preset: str | None = None
     n_zc: int = 839
     n_ss: tuple[int, ...] = (32,)
@@ -96,8 +95,6 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.metric not in METRICS:
-            raise SchemaError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.n_zc < 3 or self.n_zc % 2 == 0:
             raise SchemaError(f"n_zc must be an odd integer >= 3, got {self.n_zc}")
         if (self.n_active is None) == (self.p_a is None):
@@ -105,11 +102,7 @@ class ExperimentSpec:
                 "exactly one of n_active (fixed count) and p_a (random activity) "
                 "must be set; they are mutually exclusive"
             )
-        if self.metric == "collision" and self.mode != "analytic":
-            raise SchemaError(
-                "metric=collision is closed-form only; use mode=analytic"
-            )
-        if self.metric == "success" and self.mode in ("analytic", "both"):
+        if self.mode in ("analytic", "both"):
             bad = sorted(set(self.l) - set(CLOSED_FORM_L))
             if bad:
                 raise SchemaError(f"analytic model defined only for L in "
@@ -137,35 +130,35 @@ class ExperimentSpec:
 PRESETS: dict[str, dict] = {
     # Fixed activity, i.i.d. fading: analytic curve vs simulation across M.
     "fig2": dict(
-        mode="both", metric="success",
+        mode="both",
         n_ss=(32,), l=(2,), r_roots=(1, 2, 3, 4), m_antennas=(128, 256, 512),
         rho=(0.0,), alpha_th_db=(5.0,), snr_db=(-12.0,),
         n_active=(10,), p_a=None, trials=20_000,
     ),
     # Random activity: pattern scheme vs single-sequence baseline, two subset sizes.
     "fig3": dict(
-        mode="both", metric="success",
+        mode="both",
         n_ss=(32, 64), l=(1, 2), r_roots=(1, 2, 3, 4), m_antennas=(128,),
         rho=(0.0,), alpha_th_db=(5.0,), snr_db=(-10.0,),
         n_active=None, p_a=(0.001,), population=10_000, trials=20_000,
     ),
     # Collision-free probability alone, closed form, L up to 3.
     "fig4": dict(
-        mode="analytic", metric="collision",
+        mode="collision",
         n_ss=(32,), l=(1, 2, 3), r_roots=(2,), m_antennas=(128,),
         rho=(0.0,), alpha_th_db=(5.0,), snr_db=(0.0,),
         n_active=tuple(range(1, 31)), p_a=None,
     ),
     # fig3 at a higher activity factor.
     "fig5": dict(
-        mode="both", metric="success",
+        mode="both",
         n_ss=(32, 64), l=(1, 2), r_roots=(1, 2, 3, 4), m_antennas=(128,),
         rho=(0.0,), alpha_th_db=(5.0,), snr_db=(-10.0,),
         n_active=None, p_a=(0.0015,), population=10_000, trials=20_000,
     ),
     # Spatially correlated fading vs i.i.d., two array sizes.
     "fig6": dict(
-        mode="simulate", metric="success",
+        mode="simulate",
         n_ss=(32,), l=(2,), r_roots=(1, 2, 3, 4), m_antennas=(128, 256),
         rho=(0.0, 0.7), alpha_th_db=(5.0,), snr_db=(-12.0,),
         n_active=None, p_a=(0.001,), population=10_000, trials=20_000,
@@ -261,6 +254,8 @@ def build_spec(
                 fields[other] = None
     spec = ExperimentSpec(**fields)
     spec.validate()
+    if "population" in (config_fields or {}) and spec.p_a is None:
+        raise SchemaError("key 'population' applies only with p_a, not with n_active")
     return spec
 
 
@@ -291,7 +286,7 @@ def _analytic_value(
     spec: ExperimentSpec, built: ScenarioConfig
 ) -> tuple[float | None, str]:
     """Closed-form column for one point, with a note naming its flavor."""
-    if spec.metric == "collision":
+    if spec.mode == "collision":
         return (
             p_no_pattern_collision_binomial(built.p_a, built.population, built.pool.n_p),
             "collision-free-only",
@@ -330,7 +325,7 @@ def _result_rows(
             rows.append(row)
             continue
         status = "ok"
-        if spec.mode in ("analytic", "both"):
+        if spec.mode != "simulate":
             value, note = _analytic_value(spec, point_built)
             row["p_success_analytic"] = _fmt(value)
             row["analytic_note"] = note
@@ -470,7 +465,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="flat YAML mapping of spec fields (lists allowed)")
     parser.add_argument("--mode", choices=MODES,
-                        help="analytic curves, Monte Carlo, or both")
+                        help="analytic curves, Monte Carlo, both, or the collision-free curve")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
     parser.add_argument("--seed", type=int, help="master seed for all points")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")

@@ -152,8 +152,10 @@ class ScenarioConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for name in ("snr_db", "alpha_th_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 < db_to_linear(value) < math.inf:  # NaN fails too
+                need = "have a positive finite linear value" if math.isfinite(value) else "be finite"
+                raise ValueError(f"{name} must {need}, got {value}")
 
 
 @dataclass(frozen=True)

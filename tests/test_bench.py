@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from pdra.analytic import p_no_pattern_collision
 from pdra.bench import (
+    _CONFIG_TYPES,
     CSV_COLUMNS,
+    MODES,
     PRESETS,
     ExperimentSpec,
     SchemaError,
@@ -85,9 +87,17 @@ class TestValidation:
         with pytest.raises(SchemaError, match="mutually exclusive"):
             ExperimentSpec(n_active=None, p_a=None).validate()
 
-    def test_collision_metric_is_analytic_only(self):
-        with pytest.raises(SchemaError, match="mode=analytic"):
-            ExperimentSpec(metric="collision", mode="both").validate()
+    def test_metric_key_exits_two_before_the_campaign(self, tmp_path, capsys):
+        """The collision curve is a mode; a metric key is an unknown key."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("metric: collision\nmode: simulate\nr_roots: [1]\n"
+                       "m_antennas: 4\nn_ss: 16\nn_active: 3\ntrials: 5\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown config keys ['metric']" in captured.err
+        assert "running" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
     def test_empty_axis_rejected(self):
         with pytest.raises(SchemaError, match="r_roots"):
@@ -175,8 +185,7 @@ def _same(values):
 
 # Every config key with a strategy of valid (YAML value, parsed value) pairs.
 CONFIG_FIELDS = {
-    "mode": _same(st.sampled_from(["analytic", "simulate", "both"])),
-    "metric": _same(st.sampled_from(["success", "collision"])),
+    "mode": _same(st.sampled_from(["analytic", "simulate", "both", "collision"])),
     "n_zc": st.integers(1, 500).map(lambda k: 2 * k + 1).flatmap(_int_forms),
     "n_ss": _axis(_ints(2, 64)),
     "l": _axis(_ints(1, 2)),
@@ -203,8 +212,8 @@ def _valid(config):
     """Drop the pairs of keys a valid spec cannot hold together."""
     if "n_active" in config:
         config.pop("p_a", None)
-    if config.get("metric") == ("collision", "collision"):
-        config["mode"] = ("analytic", "analytic")
+    if "p_a" not in config:  # population applies only to random activity
+        config.pop("population", None)
     return config
 
 
@@ -402,8 +411,7 @@ class TestRunExperiment:
 
     def test_collision_metric_values(self, tmp_path):
         spec = tiny_spec(
-            tmp_path, mode="analytic", metric="collision",
-            n_ss=(32,), l=(2,), r_roots=(2,), n_active=(10,),
+            tmp_path, mode="collision", n_ss=(32,), l=(2,), r_roots=(2,), n_active=(10,),
         )
         run_experiment(spec, echo=lambda *_: None)
         with open(spec.out, newline="") as fh:
@@ -631,11 +639,65 @@ class TestMainCli:
         assert row["status"] == f"error: alpha_th_db must be finite, got {shown}"
         assert row["p_success_sim"] == row["p_success_analytic"] == ""
 
+    @pytest.mark.parametrize("fields, key", [
+        ("mode: analytic\nalpha_th_db: [4000]\n", "alpha_th_db"),
+        ("mode: simulate\ntrials: 5\nsnr_db: [4000]\n", "snr_db"),
+        ("mode: both\ntrials: 64\nalpha_th_db: [-4000]\n", "alpha_th_db"),
+        ("mode: both\ntrials: 5\nsnr_db: [-4000]\n", "snr_db"),
+        ("mode: collision\nsnr_db: [4000]\n", "snr_db"),
+    ], ids=["analytic-alpha-4000", "simulate-snr-4000", "both-alpha--4000",
+            "both-snr--4000", "collision-snr-4000"])
+    def test_db_value_without_a_linear_value_is_an_error_row(
+        self, tmp_path, capsys, fields, key
+    ):
+        """A finite dB value whose linear value overflows to inf or underflows
+        to 0 fails its point, named, exit 1, with the CSV and sidecar written."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("r_roots: [1]\nm_antennas: 4\nn_ss: 16\nn_active: 3\n" + fields)
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "r.csv.meta.json").exists()
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == (f"error: {key} must have a positive finite linear "
+                                 f"value, got {float(row[key])}")
+        assert row["p_success_sim"] == row["p_success_analytic"] == ""
+
+    @pytest.mark.parametrize("preset", [None, "fig2"])
+    def test_population_without_p_a_exits_two_before_the_campaign(
+        self, tmp_path, capsys, preset
+    ):
+        """population sizes random activity only; beside n_active no row uses it."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: simulate\nr_roots: [1]\nm_antennas: 4\nn_ss: 16\n"
+                       "n_active: [10]\npopulation: 5\ntrials: 5\n")
+        out = tmp_path / "r.csv"
+        argv = ["--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--preset", preset] if preset else [])) == 2
+        captured = capsys.readouterr()
+        assert "key 'population' applies only with p_a, not with n_active" in captured.err
+        assert "running" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+    def test_preset_population_does_not_block_a_switch_to_n_active(self, tmp_path):
+        """fig3's own population does not count: a config that sets only
+        n_active switches the preset to fixed activity and runs."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("n_active: [10]\n")
+        out = tmp_path / "r.csv"
+        argv = ["--preset", "fig3", "--config", str(cfg), "--out", str(out),
+                "--mode", "analytic"]
+        assert main(argv) == 0
+        with open(str(out) + ".meta.json") as fh:
+            spec = json.load(fh)["spec"]
+        assert (spec["n_active"], spec["p_a"]) == ([10], None)
+
     def test_collision_with_every_ue_on_one_pattern(self, tmp_path):
         """One pattern (C(2, 2) = 1, R = 1) and p_a = 1: the other four UEs
         all hold the tagged pattern, so P_S is 0, not a math domain error."""
         cfg = tmp_path / "exp.yaml"
-        cfg.write_text("metric: collision\nmode: analytic\nn_ss: [2]\nl: [2]\n"
+        cfg.write_text("mode: collision\nn_ss: [2]\nl: [2]\n"
                        "r_roots: [1]\np_a: [1.0]\npopulation: 5\n")
         out = tmp_path / "r.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == 0
@@ -658,7 +720,7 @@ class TestMainCli:
         check fails the point, an error row, not a probability, and the run
         exits 1."""
         cfg = tmp_path / "exp.yaml"
-        cfg.write_text(f"metric: collision\nmode: analytic\nn_ss: [{n_ss}]\n"
+        cfg.write_text(f"mode: collision\nn_ss: [{n_ss}]\n"
                        f"l: [{l}]\nr_roots: [{r_roots}]\nn_active: [5]\n")
         out = tmp_path / "r.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == 1
@@ -680,17 +742,17 @@ class TestMainCli:
         base = dict(n_ss="[32]", l="[2]", r_roots="[2]", m_antennas="[4]",
                     rho="[0.0]", snr_db="[0.0]", n_active="[5]", trials="1")
         rows = {}
-        for metric, mode in ("collision", "analytic"), ("success", "simulate"):
-            fields = dict(base, metric=metric, mode=mode, **{key: value})
-            cfg = tmp_path / f"{metric}.yaml"
+        for mode in "collision", "simulate":
+            fields = dict(base, mode=mode, **{key: value})
+            cfg = tmp_path / f"{mode}.yaml"
             cfg.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
-            out = tmp_path / f"{metric}.csv"
+            out = tmp_path / f"{mode}.csv"
             assert main(["--config", str(cfg), "--out", str(out)]) == 1
             with open(out, newline="") as fh:
-                (rows[metric],) = list(csv.DictReader(fh))
+                (rows[mode],) = list(csv.DictReader(fh))
         row = rows["collision"]
         assert row["status"].startswith("error: ")
-        assert row["status"] == rows["success"]["status"]
+        assert row["status"] == rows["simulate"]["status"]
         assert row["p_success_analytic"] == row["analytic_note"] == ""
 
     def test_l3_analytic_exits_two(self, tmp_path, capsys):
@@ -808,3 +870,23 @@ def test_perfbench_trace_wraps_resolve():
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_config_table_matches_the_schema(tmp_path):
+    """The README's config-key table names exactly the keys parse_config
+    takes and the modes validate accepts, and its YAML example builds."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("A config file is a flat YAML mapping of these keys", 1)[1]
+    table = re.search(r"\n((?:\|.*\|\n)+)", after).group(1).splitlines()[2:]
+    keys, modes = [], None
+    for line in table:
+        key_cell, type_cell = line.strip("|").split("|")
+        names = re.findall(r"`(\w+)`", key_cell)
+        keys += names
+        if names == ["mode"]:
+            modes = tuple(re.findall(r"`(\w+)`", type_cell))
+    assert sorted(keys) == sorted(_CONFIG_TYPES)
+    assert modes == MODES
+    cfg = tmp_path / "example.yaml"
+    cfg.write_text(re.search(r"```yaml\n(.*?)```", after, re.S).group(1))
+    build_spec(None, parse_config(str(cfg)))
