@@ -430,16 +430,6 @@ def run_topology(out: str, master_seed: int, echo=print) -> int:
     return 0
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def make_parser() -> argparse.ArgumentParser:
     defaults = ", ".join(f"{key}={list(v) if isinstance(v, tuple) else v}"
                          for key, v in dataclasses.asdict(ExperimentSpec()).items()
@@ -449,11 +439,10 @@ def make_parser() -> argparse.ArgumentParser:
         prog="pdra-bench",
         description=(
             "Run pattern-based random access sweeps and export CSV results. "
-            "Precedence per field: flag > environment > config file > preset > "
-            f"built-in default. Built-in defaults: {defaults}. Preset SNR "
-            f"defaults in dB: {snrs} (calibration choices; threshold "
-            "comparisons are SNR-sensitive). Only PDRA_SEED and PDRA_THREADS "
-            "are honored from the environment."
+            "Precedence per field: flag > config file > preset > built-in "
+            f"default. Built-in defaults: {defaults}. Preset SNR defaults in "
+            f"dB: {snrs} (calibration choices; threshold comparisons are "
+            "SNR-sensitive)."
         ),
     )
     parser.add_argument(
@@ -476,7 +465,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        seed = args.seed if args.seed is not None else _env_int("PDRA_SEED")
         if args.preset == "topology":
             ignored = [f"--{name}" for name in ("config", "mode", "trials", "threads")
                        if getattr(args, name) is not None]
@@ -484,16 +472,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise SchemaError(f"--preset topology takes only --out and --seed, "
                                   f"got {', '.join(ignored)}")
             return run_topology(args.out or "pdra-topology.csv",
-                                1 if seed is None else seed)
+                                1 if args.seed is None else args.seed)
         config_fields = parse_config(args.config) if args.config else {}
         flag_fields = {
             "mode": args.mode,
             "out": args.out,
             "trials": args.trials,
-            "master_seed": seed,
-            "threads": (
-                args.threads if args.threads is not None else _env_int("PDRA_THREADS")
-            ),
+            "master_seed": args.seed,
+            "threads": args.threads,
         }
         spec = build_spec(args.preset, config_fields, flag_fields)
         return run_experiment(spec)

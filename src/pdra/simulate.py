@@ -145,8 +145,8 @@ class ScenarioConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
+        if not 1 <= self.population <= 2**63:  # numpy's binomial draw takes n < 2**63
+            raise ValueError(f"population must lie in [1, 2**63], got {self.population}")
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError(f"p_a must lie in [0, 1], got {self.p_a}")
         if self.trials < 1:
@@ -650,7 +650,7 @@ def run_campaign(
     if threads > 1 and len(configs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool_exec:
+        with ProcessPoolExecutor(max_workers=min(threads, len(configs))) as pool_exec:
             futures = {
                 pid: pool_exec.submit(run_point, cfg, pid) for pid, cfg in configs.items()
             }

@@ -505,10 +505,8 @@ class TestMainCli:
         assert f"n_zc must be an odd integer >= 3, got {n_zc}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    def test_negative_seed_exits_two_before_any_output(
-        self, tmp_path, capsys, monkeypatch, source
-    ):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_two_before_any_output(self, tmp_path, capsys, source):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("r_roots: [1]\nm_antennas: 4\nn_ss: 16\nn_active: 3\ntrials: 5\n"
                        + ("master_seed: -1\n" if source == "config" else ""))
@@ -516,8 +514,6 @@ class TestMainCli:
         argv = ["--config", str(cfg), "--out", str(out)]
         if source == "flag":
             argv += ["--seed", "-1"]
-        if source == "env":
-            monkeypatch.setenv("PDRA_SEED", "-1")
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "master_seed must be >= 0, got -1" in captured.err
@@ -664,6 +660,29 @@ class TestMainCli:
                                  f"value, got {float(row[key])}")
         assert row["p_success_sim"] == row["p_success_analytic"] == ""
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("activity", [
+        "n_active: [9223372036854775809]\n",
+        "p_a: [0.001]\npopulation: 100000000000000000000\n",
+    ], ids=["n_active", "population"])
+    def test_activity_count_past_2_63_is_an_error_row(
+        self, tmp_path, capsys, mode, activity
+    ):
+        """numpy cannot draw Binomial(population - 1, p_a) past 2**63, and the
+        closed form's CDF cannot sum it, so such a point fails by name."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"mode: {mode}\nr_roots: [1]\nm_antennas: 4\nn_ss: 16\n"
+                       f"trials: 5\n{activity}")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "r.csv.meta.json").exists()
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        count = row["n_active"] or row["population"]
+        assert row["status"] == f"error: population must lie in [1, 2**63], got {count}"
+        assert row["p_success_sim"] == row["p_success_analytic"] == ""
+
     @pytest.mark.parametrize("preset", [None, "fig2"])
     def test_population_without_p_a_exits_two_before_the_campaign(
         self, tmp_path, capsys, preset
@@ -775,31 +794,27 @@ class TestMainCli:
         code = main(["--config", str(tmp_path / "absent.yaml")])
         assert code == 2
 
-    def test_env_seed_and_threads(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PDRA_SEED", "77")
+    def test_environment_does_not_change_a_run(self, tmp_path, monkeypatch):
+        """PDRA_SEED and PDRA_THREADS are not settings: a sweep and the topology
+        export give what they give without them, even when they do not parse."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            "r_roots: [1]\nm_antennas: 4\nn_ss: 16\nl: 2\nn_active: 2\ntrials: 5\n"
+        )
+        out = tmp_path / "res.csv"
+        topo, bare_topo = tmp_path / "topo.csv", tmp_path / "bare-topo.csv"
+        assert main(["--preset", "topology", "--out", str(bare_topo), "--seed", "4"]) == 0
         monkeypatch.setenv("PDRA_THREADS", "2")
-        cfg = tmp_path / "exp.yaml"
-        cfg.write_text(
-            "r_roots: [1]\nm_antennas: 4\nn_ss: 16\nl: 2\nn_active: 2\ntrials: 5\n"
-        )
-        out = tmp_path / "res.csv"
-        assert main(["--config", str(cfg), "--out", str(out)]) == 0
-        with open(out, newline="") as fh:
-            row = next(csv.DictReader(fh))
-        assert row["seed"] == "77"
-        with open(str(out) + ".meta.json") as fh:
-            assert json.load(fh)["spec"]["threads"] == 2
-
-    def test_flag_seed_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PDRA_SEED", "77")
-        cfg = tmp_path / "exp.yaml"
-        cfg.write_text(
-            "r_roots: [1]\nm_antennas: 4\nn_ss: 16\nl: 2\nn_active: 2\ntrials: 5\n"
-        )
-        out = tmp_path / "res.csv"
-        assert main(["--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
-        with open(out, newline="") as fh:
-            assert next(csv.DictReader(fh))["seed"] == "5"
+        for env_seed in ("77", "abc"):
+            monkeypatch.setenv("PDRA_SEED", env_seed)
+            for flags, seed in ([], "1"), (["--seed", "5"], "5"):
+                assert main(["--config", str(cfg), "--out", str(out)] + flags) == 0
+                with open(out, newline="") as fh:
+                    assert next(csv.DictReader(fh))["seed"] == seed
+                with open(str(out) + ".meta.json") as fh:
+                    assert json.load(fh)["spec"]["threads"] == 1
+            assert main(["--preset", "topology", "--out", str(topo), "--seed", "4"]) == 0
+            assert topo.read_bytes() == bare_topo.read_bytes()
 
     def test_topology_export(self, tmp_path):
         out = tmp_path / "topo.csv"
@@ -827,18 +842,11 @@ class TestMainCli:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source, seed", [("flag", -1), ("env", -3)])
-    def test_topology_negative_seed_exits_two(
-        self, tmp_path, capsys, monkeypatch, source, seed
-    ):
+    @pytest.mark.parametrize("seed", [-1], ids=["flag--1"])
+    def test_topology_negative_seed_exits_two(self, tmp_path, capsys, seed):
         """A negative seed gets the sweep's message, not numpy's."""
         out = tmp_path / "topo.csv"
-        argv = ["--preset", "topology", "--out", str(out)]
-        if source == "flag":
-            argv += ["--seed", str(seed)]
-        else:
-            monkeypatch.setenv("PDRA_SEED", str(seed))
-        assert main(argv) == 2
+        assert main(["--preset", "topology", "--out", str(out), "--seed", str(seed)]) == 2
         assert f"master_seed must be >= 0, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 

@@ -782,6 +782,36 @@ class TestCampaign:
         par = run_campaign(configs, threads=2)
         assert seq == par
 
+    def test_worker_count_is_capped_at_the_point_count(self, monkeypatch):
+        """A pool forks all its workers at the first submit, so asking for more
+        workers than points would start processes with nothing to run."""
+        import concurrent.futures
+
+        asked = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        configs = {
+            pid: small_config(trials=20, pool=build_pool(N_ZC, n_roots=r, n_ss=16, l=2))
+            for pid, r in enumerate((1, 2, 3))
+        }
+        assert run_campaign(configs, threads=64) == run_campaign(configs, threads=1)
+        assert asked == [3]
+
     def test_bad_point_isolates(self, monkeypatch):
         import pdra.simulate as sim
 
