@@ -38,6 +38,7 @@ from .simulate import (
     build_scenario,
     run_campaign,
 )
+from .zc import n_zc_error
 
 # collision: the closed-form collision-free probability alone (fig4).
 MODES = ("analytic", "simulate", "both", "collision")
@@ -95,8 +96,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_zc < 3 or self.n_zc % 2 == 0:
-            raise SchemaError(f"n_zc must be an odd integer >= 3, got {self.n_zc}")
+        if reason := n_zc_error(self.n_zc):
+            raise SchemaError(reason)
         if (self.n_active is None) == (self.p_a is None):
             raise SchemaError(
                 "exactly one of n_active (fixed count) and p_a (random activity) "

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .zc import cyclic_shift, default_roots, generate_root_sequence
+from .zc import cyclic_shift, default_roots, generate_root_sequence, n_zc_error
 
 # Largest C(N_SS, L) a pool accepts: its shift table then holds at most
 # 2**20 rows of L machine integers (8 L MB).
@@ -91,6 +91,8 @@ class PilotPool:
     n_zc: int
 
     def __post_init__(self):
+        if reason := n_zc_error(self.n_zc):
+            raise ValueError(reason)
         if not 2 <= self.n_ss <= self.n_zc:
             raise ValueError(f"n_ss must satisfy 2 <= n_ss <= n_zc, got {self.n_ss}")
         if len(set(self.roots)) != len(self.roots) or not self.roots:

@@ -63,8 +63,8 @@ every M >= 1, and a trial costs O(n) draws whatever M is.
 Same-root law for correlated channels (rho > 0).  UE n
 has h_n ~ CN(0, R_n), R_n[i, j] = rho^|j-i| e^{j delta_n (j-i)} steered by
 its drop angle.  Distinct shifts of one prime-length root are orthogonal, so
-in E0 and E1 every same-root other has c_n = 0 (tests check |c_n| <= 1e-9 of
-the row's largest) and g does not involve h_n.  Only the tagged UE and the
+in E0 and E1 every same-root other has c_n = 0 (the lag table's zeros are
+exact, as tests check) and g does not involve h_n.  Only the tagged UE and the
 other-root UEs get explicit channel rows; with the noise they form g.  Given
 g, a same-root other's h_n^H g is CN(0, q_n) with q_n = g^H R_n g, so its
 term is |h_n^H g|^2 = q_n E_n with E_n ~ Exp(1): one exponential in place of
@@ -111,7 +111,6 @@ from .geometry import (
     drop_ue,
 )
 from .pool import PilotPool, build_pool
-from .zc import generate_root_sequence
 
 EVENT_IDENTICAL = "identical-pattern-collision"
 EVENT_E0 = "e0"
@@ -305,9 +304,9 @@ class _PatternCorrelator:
         self.scale = 1.0 / math.sqrt(pool.l)
         self.width = 3 * pool.n_ss - 1
         lags = np.arange(1 - pool.n_ss, pool.n_ss) * pool.n_cs % pool.n_zc
-        profiles = _root_pair_profiles(pool.n_zc, pool.roots)
+        profiles = _root_pair_profiles(pool.n_zc, pool.roots, lags)
         table = np.zeros((self.n_roots ** 2, self.width), dtype=complex)
-        table[:, :lags.size] = profiles.reshape(self.n_roots ** 2, -1)[:, lags]
+        table[:, :lags.size] = profiles.reshape(self.n_roots ** 2, -1)
         table.setflags(write=False)  # shared by every caller of the pool
         self._table = table.ravel()
 
@@ -347,29 +346,32 @@ def _correlator(pool: PilotPool) -> _PatternCorrelator:
     return _PatternCorrelator(pool)
 
 
-# X[a, b] of one root pair, keyed (n_zc, a, b).  Pools of one N_ZC share
-# their pairs, so each is computed once per process whatever root sets
-# come; an FFT row is the same bits alone or in any batch.
-_PAIR_PROFILES: dict[tuple[int, int, int], np.ndarray] = {}
+def _root_pair_profiles(n_zc: int, roots: tuple[int, ...], lags: np.ndarray) -> np.ndarray:
+    """(R, R, len(lags)) table X[a, b, tau] over the root pairs of roots.
 
-
-@lru_cache(maxsize=64)
-def _root_spectrum(n_zc: int, root_u: int) -> np.ndarray:
-    return fft(generate_root_sequence(n_zc, root_u))
-
-
-def _root_pair_profiles(n_zc: int, roots: tuple[int, ...]) -> np.ndarray:
-    """(R, R, N_ZC) table X[a, b, tau] over the root pairs of roots."""
-    pairs = [(n_zc, a, b) for a in roots for b in roots]
-    missing = [key for key in pairs if key not in _PAIR_PROFILES]
-    if missing:
-        products = [_root_spectrum(n_zc, a) * np.conj(_root_spectrum(n_zc, b))
-                    for _, a, b in missing]
-        rows = ifft(np.array(products), axis=1)
-        rows.setflags(write=False)
-        _PAIR_PROFILES.update(zip(missing, rows))
-    return np.array([_PAIR_PROFILES[key] for key in pairs]).reshape(
-        len(roots), len(roots), n_zc)
+    For prime N = n_zc each entry is a quadratic Gauss sum.  For a != b,
+    X[a, b, tau] = (A|N) conj(eps) sqrt(N) exp(-2 pi j k / N), with
+    A = (a - b)/2, B = (a (2 tau + 1) - b)/2, C = a tau (tau + 1)/2 and
+    k = C - B^2/(4A) = (b - a)/8 + a b tau^2/(2 (b - a)), all mod N; (A|N) is
+    the Legendre symbol and eps is 1 if N = 1 mod 4, else j.  X[a, a, tau] is
+    N at tau = 0 and exactly 0 elsewhere.  Entries are computed one by one,
+    so their bits do not depend on which other lags are asked for.
+    """
+    n = n_zc
+    # the phase of X[a, b], in units of 2 pi / 4N, is offset - slope (tau^2
+    # mod N) mod 4N; (A|N) = -1 and conj(eps) = -j are 2 and 3 quarter turns
+    offset, slope = np.zeros((2, len(roots), len(roots), 1), dtype=np.int64)
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            if a != b:
+                quarters = (2 * (pow((a - b) * (n + 1) // 2, (n - 1) // 2, n) != 1)
+                            + 3 * (n % 4 == 3))
+                offset[i, j] = (quarters * n - 4 * (b - a) * pow(8, -1, n)) % (4 * n)
+                slope[i, j] = 4 * (a * b * pow(2 * (b - a), -1, n) % n)
+    turns = (offset - slope * (lags * lags % n)) % (4 * n)
+    table = np.exp(1j * (turns * (0.5 * math.pi / n))) * math.sqrt(n)
+    table[range(len(roots)), range(len(roots))] = np.where(lags == 0, n, 0)
+    return table
 
 
 def _rank_one_sinr(

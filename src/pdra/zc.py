@@ -43,6 +43,15 @@ def generate_root_sequence(n_zc: int, root_u: int) -> np.ndarray:
     return root
 
 
+def n_zc_error(n_zc: int) -> str | None:
+    """Why a pool cannot use n_zc, or None: its lag tables take an odd prime."""
+    if n_zc < 3 or n_zc % 2 == 0:
+        return f"n_zc must be an odd integer >= 3, got {n_zc}"
+    if any(n_zc % p == 0 for p in range(3, math.isqrt(n_zc) + 1, 2)):
+        return f"n_zc must be prime, got {n_zc}"
+    return None
+
+
 def cyclic_shift(samples: np.ndarray, v: int, n_cs: int) -> np.ndarray:
     """Shift by v steps of n_cs samples: out[l] = samples[(l + v*n_cs) mod n_zc]."""
     n_ss = samples.shape[0] // n_cs

@@ -77,6 +77,9 @@ class TestValidation:
         for n_zc in (840, 2, 1):
             with pytest.raises(SchemaError, match="n_zc must be an odd integer"):
                 ExperimentSpec(n_zc=n_zc).validate()
+        for n_zc in (9, 841):  # 841 = 29^2
+            with pytest.raises(SchemaError, match=f"n_zc must be prime, got {n_zc}"):
+                ExperimentSpec(n_zc=n_zc).validate()
 
     def test_l3_simulate_allowed(self):
         ExperimentSpec(mode="simulate", l=(3,)).validate()
@@ -183,10 +186,14 @@ def _same(values):
     return values.map(lambda v: (v, v))
 
 
+# The odd primes up to 1001, the n_zc values a spec accepts in that range.
+ODD_PRIMES = [n for n in range(3, 1002, 2)
+              if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+
 # Every config key with a strategy of valid (YAML value, parsed value) pairs.
 CONFIG_FIELDS = {
     "mode": _same(st.sampled_from(["analytic", "simulate", "both", "collision"])),
-    "n_zc": st.integers(1, 500).map(lambda k: 2 * k + 1).flatmap(_int_forms),
+    "n_zc": st.sampled_from(ODD_PRIMES).flatmap(_int_forms),
     "n_ss": _axis(_ints(2, 64)),
     "l": _axis(_ints(1, 2)),
     "r_roots": _axis(_ints(1, 8)),
@@ -496,13 +503,14 @@ class TestMainCli:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_zc", [840, 1, 2])
+    @pytest.mark.parametrize("n_zc", [840, 1, 2, 9, 841])
     def test_bad_n_zc_exits_two_before_any_output(self, tmp_path, capsys, n_zc):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(f"mode: analytic\nn_zc: {n_zc}\n")
         code = main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert f"n_zc must be an odd integer >= 3, got {n_zc}" in capsys.readouterr().err
+        need = "prime" if n_zc in (9, 841) else "an odd integer >= 3"
+        assert f"n_zc must be {need}, got {n_zc}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])

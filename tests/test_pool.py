@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from pdra.pool import (
+    PilotPool,
     build_pattern,
     build_pool,
     combination_table,
@@ -72,6 +73,18 @@ def test_pool_rejects_tables_over_the_limit():
     with pytest.raises(ValueError, match="shift-table limit of 1048576"):
         build_pool(NZC, 1, n_ss=64, l=8)
     assert build_pool(NZC, 1, n_ss=64, l=4).n_ps == math.comb(64, 4)
+
+
+def test_pool_rejects_an_n_zc_that_is_not_an_odd_prime():
+    """The lag tables' closed form needs a prime N_ZC; a composite gets its
+    own message, an even or small value the general one."""
+    for n_zc in (9, 841):
+        with pytest.raises(ValueError, match=f"n_zc must be prime, got {n_zc}"):
+            build_pool(n_zc, 1, n_ss=3, l=1)
+    for n_zc in (840, 2, 1):
+        with pytest.raises(ValueError, match=f"n_zc must be an odd integer >= 3, got {n_zc}"):
+            PilotPool(roots=(1,), n_ss=2, l=1, n_zc=n_zc)
+    assert build_pool(139, 2, n_ss=3, l=1).n_zc == 139
 
 
 def test_expansion_factor_exact():

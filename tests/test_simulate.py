@@ -36,7 +36,7 @@ from pdra.simulate import (
     trial_rng,
     wilson_interval,
 )
-from pdra.zc import default_roots, generate_root_sequence
+from pdra.zc import correlation_profile, default_roots, generate_root_sequence
 
 from oracles import (
     build_received_pilot,
@@ -276,7 +276,7 @@ class TestCorrelatorAlgebra:
     def test_same_root_disjoint_patterns_cancel(self, pool):
         corr = _PatternCorrelator(pool)
         coef = corr.coefficient(np.array([0]), rows((2, 3)), 0, np.array([0, 1]), np.ones(2, bool))
-        assert coef[0] == pytest.approx(0, abs=1e-9)
+        assert coef[0] == 0
 
     def test_shared_component_amplitude(self, pool):
         # One shared shift despread alone: (1/sqrt(2)) N / sqrt(N) = sqrt(N/2).
@@ -294,7 +294,7 @@ class TestCorrelatorAlgebra:
         for n_zc in (139, 839):
             for n_ss in range(2, 65):
                 base = build_pool(n_zc, n_roots=3, n_ss=n_ss, l=1)
-                table = _root_pair_profiles(n_zc, base.roots)
+                table = _root_pair_profiles(n_zc, base.roots, np.arange(n_zc))
 
                 def loop(l, roots, shifts, d_root, d_shifts, used):
                     scale = 1.0 / math.sqrt(l)
@@ -335,15 +335,19 @@ class TestCorrelatorAlgebra:
                         loop(l, *args) for args in block)
 
     @pytest.mark.parametrize("n_zc", [139, 839])
-    def test_profile_table_matches_direct_fft(self, n_zc):
-        """The root-pair table that pools share equals the FFT of its own
-        root set, bit for bit: the default prefixes R = 1 .. 6 in turn, each
-        mostly cached, then an unordered set that is no prefix."""
+    def test_profile_table_matches_direct_sum(self, n_zc):
+        """The closed-form root-pair table equals direct summation at every
+        lag, for the default prefixes R = 1 .. 6 and an unordered set that is
+        no prefix; a root against itself is exactly 0 off lag 0."""
+        lags = np.arange(n_zc)
         for roots in [default_roots(n_zc, r) for r in range(1, 7)] + [(5, 2, 7)]:
-            seqs = np.array([generate_root_sequence(n_zc, u) for u in roots])
-            f = np.fft.fft(seqs, axis=1)
-            direct = np.fft.ifft(f[:, None, :] * np.conj(f[None, :, :]), axis=2)
-            assert _root_pair_profiles(n_zc, roots).tobytes() == direct.tobytes()
+            table = _root_pair_profiles(n_zc, roots, lags)
+            for i, a in enumerate(roots):
+                for j, b in enumerate(roots):
+                    direct = correlation_profile(generate_root_sequence(n_zc, a),
+                                                 generate_root_sequence(n_zc, b))
+                    np.testing.assert_allclose(table[i, j], direct, rtol=0, atol=1e-9)
+                assert table[i, i, 0] == n_zc and not table[i, i, 1:].any()
 
     def test_fast_path_matches_matrix_route(self, pool):
         """Full estimate: explicit Y-despreading vs coefficient superposition."""
@@ -483,7 +487,7 @@ class TestSameRootLaw:
 
     def test_same_root_coefficients_vanish(self):
         """The premise of the law: in every E0 or E1 row of a block, each
-        same-root other's coefficient is at most 1e-9 of the row's largest."""
+        same-root other's coefficient is exactly 0."""
         rng = np.random.default_rng(23)
         checked = 0
         for n_zc in (139, N_ZC):
@@ -497,12 +501,10 @@ class TestSameRootLaw:
                 shifts = pool.shift_table[ranks]
                 events, shared, same = classify_block(roots, shifts, valid)
                 live = events < 2
-                coefs = np.abs(_PatternCorrelator(pool).coefficient(
+                coefs = _PatternCorrelator(pool).coefficient(
                     roots[live], shifts[live], roots[live, 0], shifts[live, 0],
-                    ~shared[live]) * valid[live])
-                largest = coefs.max(axis=1, keepdims=True)
-                assert np.all(coefs[same[live]] <= 1e-9 * np.broadcast_to(
-                    largest, coefs.shape)[same[live]])
+                    ~shared[live]) * valid[live]
+                assert np.all(coefs[same[live]] == 0)
                 checked += int(same[live].sum())
         assert checked > 1000
 
