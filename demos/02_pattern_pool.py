@@ -7,12 +7,12 @@ inner products that drive collision behavior.
 
 import numpy as np
 
-from pdra import build_pool, expansion_factor, rank_combination
+from pdra import PilotPool, expansion_factor, rank_combination
 
-pool = build_pool(839, n_roots=4, n_ss=32, l=2)
-print(f"pool: {len(pool.roots)} roots x C({pool.n_ss},{pool.l}) = {pool.n_p} patterns")
+pool = PilotPool(n_zc=839, r_roots=4, n_ss=32, l=2)
+print(f"pool: {pool.r_roots} roots x C({pool.n_ss},{pool.l}) = {pool.n_p} patterns")
 print(
-    f"single-shift pilots would give {len(pool.roots) * pool.n_ss}; "
+    f"single-shift pilots would give {pool.r_roots * pool.n_ss}; "
     f"expansion factor {float(expansion_factor(pool.n_ss, pool.l))}"
 )
 
@@ -20,7 +20,7 @@ i_a = 0                                       # shifts {0, 1}
 i_b = rank_combination((2, 3), pool.n_ss)     # disjoint from a
 i_c = rank_combination((0, 2), pool.n_ss)     # shares component 0
 (root_idx, s_a), (_, s_b), (_, s_c) = (pool.root_and_shifts(i) for i in (i_a, i_b, i_c))
-print(f"components: a={s_a}, b={s_b}, c={s_c} (all on root {pool.roots[root_idx]})")
+print(f"components: a={s_a}, b={s_b}, c={s_c} (all on root {root_idx + 1})")
 a, b, c = (pool.pattern_at(i) for i in (i_a, i_b, i_c))
 
 norm = np.linalg.norm(a) ** 2

@@ -6,7 +6,7 @@ the full success probability, for both fixed and random device activity.
 
 from pdra import (
     AnalyticParams,
-    build_pool,
+    PilotPool,
     collision_event_probs,
     db_to_linear,
     p_no_pattern_collision,
@@ -18,8 +18,8 @@ from pdra import (
 
 params = AnalyticParams(r_roots=2, n_ss=32, n_zc=839, alpha_th=db_to_linear(5.0))
 
-pool = build_pool(n_zc=839, n_roots=2, n_ss=32, l=2)
-print(f"pool size N_P = {pool.n_p} patterns ({len(pool.roots)} roots x {pool.n_ps})")
+pool = PilotPool(n_zc=839, r_roots=2, n_ss=32, l=2)
+print(f"pool size N_P = {pool.n_p} patterns ({pool.r_roots} roots x {pool.n_ps})")
 print(f"P(no identical pattern among 10 active) = "
       f"{p_no_pattern_collision(10, pool.n_p):.6f}")
 

@@ -18,7 +18,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .analytic import (
     AnalyticParams,
     CollisionEventProbs,
-    asymptotic_sinr,
     collision_event_probs,
     db_to_linear,
     no_closed_form_reason,
@@ -43,7 +42,6 @@ from .geometry import (
 from .pool import (
     PilotPool,
     build_pattern,
-    build_pool,
     expansion_factor,
     rank_combination,
 )
@@ -66,7 +64,6 @@ from .zc import (
     compute_ncs,
     correlation_profile,
     cyclic_shift,
-    default_roots,
     generate_root_sequence,
     shifts_per_root,
 )

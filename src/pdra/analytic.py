@@ -31,6 +31,10 @@ import numpy as np
 CLOSED_FORM_L = (1, 2)
 MIN_N_SS = 4
 
+# Most pmf terms a binomial CDF of the closed form may sum: its arrays then
+# stay within tens of MB.  The presets need at most 266.
+MAX_CDF_TERMS = 2**20
+
 
 def no_closed_form_reason(l: int, n_ss: int) -> str | None:
     """Why the closed form does not cover L-shift patterns over n_ss shifts
@@ -64,6 +68,9 @@ def _binom_cdf(k: int, n: int, p: float | np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if k >= n:
         return np.ones_like(p)
+    if k >= MAX_CDF_TERMS:
+        raise ValueError(f"the closed form needs {k + 1} binomial terms, over the "
+                         f"limit of {MAX_CDF_TERMS} (2**20)")
     inner = (p > 0.0) & (p < 1.0)
     q = np.where(inner, p, 0.5)[..., None]
     log_1mq = np.log1p(-q)
@@ -189,15 +196,6 @@ def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventP
         n * math.log1p(-a / (a + d))
     )
     return CollisionEventProbs(p_e0=p_e0, p_e1=min(p_e1, 1.0 - p_e0))
-
-
-def asymptotic_sinr(n_zc: int, k_different_root: int) -> float:
-    """Large-array matched-filter SINR model: N_ZC / (4K), inf at K = 0."""
-    if k_different_root < 0:
-        raise ValueError(f"k_different_root must be >= 0, got {k_different_root}")
-    if k_different_root == 0:
-        return math.inf
-    return n_zc / (4.0 * k_different_root)
 
 
 def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:

@@ -313,6 +313,8 @@ def _result_rows(
     built: list[tuple[ScenarioConfig | None, str | None]],
     sim_results: dict[int, SweepResult] | None,
 ) -> list[dict]:
+    """One CSV row per point.  A point that cannot be built, or whose closed
+    form raises, is an error row with no values."""
     rows = []
     for idx, (point, (point_built, error)) in enumerate(zip(points, built)):
         row = {col: "" for col in CSV_COLUMNS}
@@ -321,13 +323,17 @@ def _result_rows(
         row["snr_linear"] = _fmt(db_to_linear(point["snr_db"]))
         row["seed"] = str(spec.master_seed)
         row["trials"] = "0"
+        if error is None and spec.mode != "simulate":
+            try:
+                value, note = _analytic_value(spec, point_built)
+            except ValueError as exc:
+                error = str(exc)
         if error is not None:
             row["status"] = f"error: {error}"
             rows.append(row)
             continue
         status = "ok"
         if spec.mode != "simulate":
-            value, note = _analytic_value(spec, point_built)
             row["p_success_analytic"] = _fmt(value)
             row["analytic_note"] = note
         if sim_results is not None:

@@ -2,9 +2,11 @@
 
 A pattern s_{u,i} = (1/sqrt(L)) * sum of L distinct cyclically shifted copies
 of root u.  One root with N_SS shifts supports C(N_SS, L) patterns instead of
-N_SS plain shifts, an expansion factor of C(N_SS, L)/N_SS.  Patterns are
-indexed root-major: index i maps to root i // N_PS and row i % N_PS of the
-shift table, the lexicographically ordered list of shift subsets.
+N_SS plain shifts, an expansion factor of C(N_SS, L)/N_SS.  A pool of R roots
+uses the ZC roots u = 1..R, which are distinct and, N_ZC being prime, all
+coprime to it.  Patterns are indexed root-major: index i maps to root index
+i // N_PS (root u = i // N_PS + 1) and row i % N_PS of the shift table, the
+lexicographically ordered list of shift subsets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .zc import cyclic_shift, default_roots, generate_root_sequence, n_zc_error
+from .zc import cyclic_shift, generate_root_sequence, n_zc_error
 
 # Largest C(N_SS, L) a pool accepts: its shift table then holds at most
 # 2**20 rows of L machine integers (8 L MB).
@@ -83,20 +85,23 @@ def build_pattern(root: np.ndarray, shifts: tuple[int, ...], n_cs: int) -> np.nd
 
 @dataclass(frozen=True)
 class PilotPool:
-    """Root-major indexed pool of R * C(N_SS, L) patterns."""
+    """Root-major indexed pool of R * C(N_SS, L) patterns over the ZC roots
+    1..R of length N_ZC."""
 
-    roots: tuple[int, ...]
+    n_zc: int
+    r_roots: int
     n_ss: int
     l: int
-    n_zc: int
 
     def __post_init__(self):
         if reason := n_zc_error(self.n_zc):
             raise ValueError(reason)
+        if self.r_roots < 1:
+            raise ValueError(f"r must be >= 1, got {self.r_roots}")
+        if self.r_roots >= self.n_zc:
+            raise ValueError(f"cannot find {self.r_roots} distinct roots for n_zc={self.n_zc}")
         if not 2 <= self.n_ss <= self.n_zc:
             raise ValueError(f"n_ss must satisfy 2 <= n_ss <= n_zc, got {self.n_ss}")
-        if len(set(self.roots)) != len(self.roots) or not self.roots:
-            raise ValueError(f"roots must be distinct and nonempty, got {self.roots}")
         if not 0 < self.l <= self.n_ss:
             raise ValueError(f"need 0 < l <= n_ss, got l={self.l}, n_ss={self.n_ss}")
         if self.n_ps > MAX_PATTERNS_PER_ROOT:
@@ -118,7 +123,7 @@ class PilotPool:
     @property
     def n_p(self) -> int:
         """Total pool size across roots."""
-        return len(self.roots) * self.n_ps
+        return self.r_roots * self.n_ps
 
     @property
     def shift_table(self) -> np.ndarray:
@@ -126,7 +131,7 @@ class PilotPool:
         return combination_table(self.n_ss, self.l)
 
     def root_and_shifts(self, i: int) -> tuple[int, tuple[int, ...]]:
-        """Map pool index to (root index within self.roots, shift subset)."""
+        """Map pool index to (root index, shift subset); root index r is root u = r + 1."""
         if not 0 <= i < self.n_p:
             raise ValueError(f"pattern index {i} out of range for pool of {self.n_p}")
         root_idx, rank = divmod(i, self.n_ps)
@@ -135,14 +140,9 @@ class PilotPool:
     def pattern_at(self, i: int) -> np.ndarray:
         """Read-only waveform of pool index i."""
         root_idx, shifts = self.root_and_shifts(i)
-        root = generate_root_sequence(self.n_zc, self.roots[root_idx])
+        root = generate_root_sequence(self.n_zc, root_idx + 1)
         return build_pattern(root, shifts, self.n_cs)
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Batched uniform pattern index draws (the simulator's hot path)."""
         return rng.integers(0, self.n_p, size=size)
-
-
-def build_pool(n_zc: int, n_roots: int, n_ss: int, l: int) -> PilotPool:
-    """Pool over the first n_roots coprime roots."""
-    return PilotPool(roots=default_roots(n_zc, n_roots), n_ss=n_ss, l=l, n_zc=n_zc)

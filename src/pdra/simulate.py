@@ -30,8 +30,7 @@ A row's outcome depends only on its own draws and on n_max, so a block that
 counts only its first r rows (a point's partial last block) draws steps 1
 and 2, the gammas or drops of every live row, and then the rest for its
 counted live rows alone: a prefix of the whole block's draws, which gives
-its first r outcomes bit for bit.  Contract v2 drew Philox streams and
-explicit channels for every UE of a correlated trial.
+its first r outcomes bit for bit.
 
 Power convention: sigma^2 = 1 and P = linear SNR; only the ratio enters any
 statistic.  The matched filter sees the received block only through its
@@ -81,6 +80,7 @@ value of a scenario is a separate call, analytic_reference.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
@@ -110,7 +110,7 @@ from .geometry import (
     correlation_factor,
     drop_ue,
 )
-from .pool import PilotPool, build_pool
+from .pool import PilotPool
 
 EVENT_IDENTICAL = "identical-pattern-collision"
 EVENT_E0 = "e0"
@@ -189,8 +189,7 @@ def build_scenario(
     return ScenarioConfig(
         population=population,
         p_a=p_a,
-        pool=build_pool(n_zc, n_roots=point["r_roots"],
-                        n_ss=point["n_ss"], l=point["l"]),
+        pool=PilotPool(n_zc, point["r_roots"], point["n_ss"], point["l"]),
         channel=ChannelModelSpec(point["m_antennas"], rho=point["rho"]),
         snr_db=point["snr_db"],
         alpha_th_db=point["alpha_th_db"],
@@ -300,11 +299,11 @@ class _PatternCorrelator:
     """
 
     def __init__(self, pool: PilotPool):
-        self.n_zc, self.n_ss, self.n_roots = pool.n_zc, pool.n_ss, len(pool.roots)
+        self.n_zc, self.n_ss, self.n_roots = pool.n_zc, pool.n_ss, pool.r_roots
         self.scale = 1.0 / math.sqrt(pool.l)
         self.width = 3 * pool.n_ss - 1
         lags = np.arange(1 - pool.n_ss, pool.n_ss) * pool.n_cs % pool.n_zc
-        profiles = _root_pair_profiles(pool.n_zc, pool.roots, lags)
+        profiles = _root_pair_profiles(pool.n_zc, range(1, self.n_roots + 1), lags)
         table = np.zeros((self.n_roots ** 2, self.width), dtype=complex)
         table[:, :lags.size] = profiles.reshape(self.n_roots ** 2, -1)
         table.setflags(write=False)  # shared by every caller of the pool
@@ -346,7 +345,7 @@ def _correlator(pool: PilotPool) -> _PatternCorrelator:
     return _PatternCorrelator(pool)
 
 
-def _root_pair_profiles(n_zc: int, roots: tuple[int, ...], lags: np.ndarray) -> np.ndarray:
+def _root_pair_profiles(n_zc: int, roots: Sequence[int], lags: np.ndarray) -> np.ndarray:
     """(R, R, len(lags)) table X[a, b, tau] over the root pairs of roots.
 
     For prime N = n_zc each entry is a quadratic Gauss sum.  For a != b,
@@ -590,11 +589,11 @@ def run_forced_interference_trial(
     N_ZC / sum_k |coef_k|^2.  Draw order in the trial's own stream: K + 1
     pattern ranks, K interferer roots, then the rank-one law's draws.
     """
-    if len(pool.roots) < 2:
+    if pool.r_roots < 2:
         raise ValueError("forced different-root interference needs at least 2 roots")
     rng = trial_rng(master_seed, point_id, trial_index)
     shifts = pool.shift_table[rng.integers(0, pool.n_ps, k_different_root + 1)]
-    roots = np.append(0, 1 + rng.integers(0, len(pool.roots) - 1, k_different_root))
+    roots = np.append(0, 1 + rng.integers(0, pool.r_roots - 1, k_different_root))
     coefs = _correlator(pool).coefficient(roots, shifts, 0, shifts[0], np.ones(pool.l, bool))
     sinr = _rank_one_sinr(
         coefs[None], np.array([len(roots)]), db_to_linear(snr_db), m_antennas, rng
@@ -610,7 +609,7 @@ def analytic_reference(config: ScenarioConfig) -> float | None:
     if no_closed_form_reason(config.pool.l, config.pool.n_ss) is not None:
         return None
     params = AnalyticParams(
-        r_roots=len(config.pool.roots),
+        r_roots=config.pool.r_roots,
         n_ss=config.pool.n_ss,
         n_zc=config.pool.n_zc,
         alpha_th=db_to_linear(config.alpha_th_db),

@@ -44,9 +44,13 @@ def generate_root_sequence(n_zc: int, root_u: int) -> np.ndarray:
 
 
 def n_zc_error(n_zc: int) -> str | None:
-    """Why a pool cannot use n_zc, or None: its lag tables take an odd prime."""
+    """Why a pool cannot use n_zc, or None: its lag tables take an odd prime
+    below 2**30."""
     if n_zc < 3 or n_zc % 2 == 0:
         return f"n_zc must be an odd integer >= 3, got {n_zc}"
+    # the tables' int64 phases, in units of 2 pi / 4N, reach 4 N^2 < 2**62
+    if n_zc >= 2**30:
+        return f"n_zc must be below 2**30, got {n_zc}"
     if any(n_zc % p == 0 for p in range(3, math.isqrt(n_zc) + 1, 2)):
         return f"n_zc must be prime, got {n_zc}"
     return None
@@ -103,18 +107,3 @@ def correlation_profile(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     # row `lag` holds b[(l + lag) mod N], l = 0..N-1
     return np.conj(b[idx]) @ a
-
-
-def default_roots(n_zc: int, r: int) -> tuple[int, ...]:
-    """First r positive integers coprime to n_zc (all of 1..r when n_zc is prime)."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    roots = []
-    u = 1
-    while len(roots) < r:
-        if u >= n_zc:
-            raise ValueError(f"cannot find {r} distinct roots for n_zc={n_zc}")
-        if math.gcd(u, n_zc) == 1:
-            roots.append(u)
-        u += 1
-    return tuple(roots)

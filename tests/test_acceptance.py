@@ -21,7 +21,7 @@ from pdra.analytic import (
     p_k_other_roots,
     p_no_pattern_collision,
 )
-from pdra.pool import build_pool, combination_table, expansion_factor, rank_combination
+from pdra.pool import PilotPool, combination_table, expansion_factor, rank_combination
 from pdra.simulate import (
     ScenarioConfig,
     analytic_reference,
@@ -83,7 +83,7 @@ def test_criterion_01_zc_property_suite():
 
 
 def test_criterion_02_pool_combinatorics():
-    pool = build_pool(N_ZC, n_roots=1, n_ss=32, l=2)
+    pool = PilotPool(N_ZC, r_roots=1, n_ss=32, l=2)
     ok = pool.n_ps == 496 and float(expansion_factor(32, 2)) == 15.5
     round_trips = True
     for n in range(1, 11):
@@ -250,7 +250,7 @@ def test_criterion_09_asymptotic_sinr_convergence():
     mean interferer gain is near 1, so the mean SINR sits several times above
     N_ZC/(4K) and moves further from it as M grows.  Implemented faithfully
     and reported as measured."""
-    pool = build_pool(N_ZC, n_roots=4, n_ss=32, l=2)
+    pool = PilotPool(N_ZC, r_roots=4, n_ss=32, l=2)
     trials = 4000
     within_10pct = True
     shrinks = True

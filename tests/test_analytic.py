@@ -12,7 +12,6 @@ from oracles import enumerate_collision_events, naive_success_pdra
 from pdra.analytic import (
     AnalyticParams,
     _binom_cdf,
-    asymptotic_sinr,
     collision_event_probs,
     db_to_linear,
     no_closed_form_reason,
@@ -24,7 +23,7 @@ from pdra.analytic import (
     success_probability_pdra,
     success_probability_random_activity,
 )
-from pdra.pool import build_pool
+from pdra.pool import PilotPool
 
 ALPHA_5DB = db_to_linear(5.0)
 
@@ -58,7 +57,7 @@ def test_fixed_no_collision_is_binomial_at_full_activity():
 
 
 def test_derived_pool_sizes():
-    pool = build_pool(839, 2, n_ss=32, l=2)
+    pool = PilotPool(839, 2, n_ss=32, l=2)
     assert pool.n_ps == 496
     assert pool.n_p == 992
 
@@ -122,13 +121,6 @@ def test_collision_events_stable_for_large_counts():
     assert 0.0 <= ev.p_e0 + ev.p_e1 <= 1.0
 
 
-def test_asymptotic_sinr_values():
-    assert asymptotic_sinr(839, 0) == math.inf
-    assert asymptotic_sinr(839, 1) == 209.75
-    assert asymptotic_sinr(839, 66) > db_to_linear(5.0)
-    assert asymptotic_sinr(839, 67) < db_to_linear(5.0)
-
-
 def test_k_cap_at_5db():
     assert sinr_limited_k_cap(839, ALPHA_5DB, l=2) == 66
     assert sinr_limited_k_cap(839, ALPHA_5DB, l=1) == 265
@@ -147,7 +139,7 @@ def test_success_probability_tiny_threshold_single_root():
     # K-cap inactive and K=0 forced: P = P_S * (p_e0 + p_e1) over all others
     p = params(r_roots=1, alpha_th=1e-9)
     ev = collision_event_probs(7, 32)
-    n_p = build_pool(839, 1, n_ss=32, l=2).n_p
+    n_p = PilotPool(839, 1, n_ss=32, l=2).n_p
     expected = p_no_pattern_collision(8, n_p) * (ev.p_e0 + ev.p_e1)
     assert abs(success_probability_pdra(p, 8) - expected) < 1e-14
 
@@ -278,6 +270,21 @@ def test_binom_cdf_where_the_first_term_underflows():
         normal = oracle > 1e-300
         assert np.all(np.abs(got - oracle)[normal] <= 1e-9 * oracle[normal]), k
         assert np.all(got[~normal] < 1e-290), k
+
+
+def test_closed_form_refuses_a_cdf_over_the_term_limit():
+    """A low threshold over a large population would sum K_cap + 1 pmf terms
+    with K_cap far above 2**20; the model raises before it allocates them."""
+    at = lambda alpha_db, population: success_probability_random_activity(
+        0.5, population, params(alpha_th=db_to_linear(alpha_db)))
+    for alpha_db, population in (-150, 2**62), (-60, 10**9):
+        with pytest.raises(ValueError, match=r"binomial terms, over the limit of 1048576"):
+            at(alpha_db, population)
+    assert _binom_cdf(2**20 - 1, 2**21, 0.5) == pytest.approx(0.5, abs=1e-3)
+    with pytest.raises(ValueError, match="needs 1048577 binomial terms"):
+        _binom_cdf(2**20, 2**21, 0.5)
+    assert _binom_cdf(2**62, 2**62, 0.5) == 1.0  # k >= n sums no term
+    assert at(-150, 10) == at(5.0, 10) < 1.0  # a cap above n is no limit
 
 
 def test_closed_form_matches_scipy_cdf(monkeypatch):

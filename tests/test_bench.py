@@ -80,6 +80,9 @@ class TestValidation:
         for n_zc in (9, 841):  # 841 = 29^2
             with pytest.raises(SchemaError, match=f"n_zc must be prime, got {n_zc}"):
                 ExperimentSpec(n_zc=n_zc).validate()
+        for n_zc in (4294967291, 2**31 - 1):  # primes whose tables overflow int64
+            with pytest.raises(SchemaError, match=rf"n_zc must be below 2\*\*30, got {n_zc}"):
+                ExperimentSpec(n_zc=n_zc).validate()
 
     def test_l3_simulate_allowed(self):
         ExperimentSpec(mode="simulate", l=(3,)).validate()
@@ -503,13 +506,14 @@ class TestMainCli:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_zc", [840, 1, 2, 9, 841])
+    @pytest.mark.parametrize("n_zc", [840, 1, 2, 9, 841, 4294967291, 2**31 - 1])
     def test_bad_n_zc_exits_two_before_any_output(self, tmp_path, capsys, n_zc):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(f"mode: analytic\nn_zc: {n_zc}\n")
         code = main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        need = "prime" if n_zc in (9, 841) else "an odd integer >= 3"
+        need = ("prime" if n_zc in (9, 841) else "below 2**30" if n_zc > 2**30
+                else "an odd integer >= 3")
         assert f"n_zc must be {need}, got {n_zc}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
@@ -755,6 +759,23 @@ class TestMainCli:
             (row,) = list(csv.DictReader(fh))
         assert row["status"] == f"error: {message}"
         assert row["p_success_analytic"] == row["analytic_note"] == ""
+
+    def test_closed_form_over_the_term_limit_is_an_error_row(self, tmp_path):
+        """At -150 dB over 2**62 UEs the closed form would sum about 2e17
+        binomial terms; that point is an error row, the next one still gets
+        its value, and the CSV and sidecar are written with exit 1."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: analytic\nr_roots: [2]\nalpha_th_db: [-150, 5]\n"
+                       f"p_a: [0.5]\npopulation: {2**62}\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        with open(out, newline="") as fh:
+            low, high = list(csv.DictReader(fh))
+        assert low["status"].startswith("error: the closed form needs ")
+        assert low["status"].endswith(" binomial terms, over the limit of 1048576 (2**20)")
+        assert low["p_success_analytic"] == low["analytic_note"] == ""
+        assert high["status"] == "ok" and float(high["p_success_analytic"]) >= 0.0
+        assert (tmp_path / "r.csv.meta.json").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("n_ss", "[1000]"), ("r_roots", "[900]"), ("m_antennas", "[0]"),

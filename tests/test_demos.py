@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the pdra under src."""
+"""Every demo script runs to completion against the pdra under src and prints
+the text checked in as tests/demo_output/<stem>.txt."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import pdra
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -21,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_text()

@@ -12,7 +12,6 @@ from scipy.stats import chi2
 from pdra.pool import (
     PilotPool,
     build_pattern,
-    build_pool,
     combination_table,
     expansion_factor,
     rank_combination,
@@ -56,7 +55,7 @@ def test_lexicographic_order_is_monotone():
 
 
 def test_unrank_range_checks():
-    pool = build_pool(NZC, n_roots=1, n_ss=32, l=2)
+    pool = PilotPool(NZC, r_roots=1, n_ss=32, l=2)
     with pytest.raises(ValueError):
         pool.root_and_shifts(math.comb(32, 2))
     with pytest.raises(ValueError):
@@ -71,20 +70,40 @@ def test_unrank_range_checks():
 
 def test_pool_rejects_tables_over_the_limit():
     with pytest.raises(ValueError, match="shift-table limit of 1048576"):
-        build_pool(NZC, 1, n_ss=64, l=8)
-    assert build_pool(NZC, 1, n_ss=64, l=4).n_ps == math.comb(64, 4)
+        PilotPool(NZC, 1, n_ss=64, l=8)
+    assert PilotPool(NZC, 1, n_ss=64, l=4).n_ps == math.comb(64, 4)
 
 
 def test_pool_rejects_an_n_zc_that_is_not_an_odd_prime():
-    """The lag tables' closed form needs a prime N_ZC; a composite gets its
-    own message, an even or small value the general one."""
+    """The lag tables' closed form needs a prime N_ZC below 2**30, whose
+    phases stay in int64; a composite gets its own message, an even or small
+    value the general one, and a prime from 2**30 on the bound's."""
     for n_zc in (9, 841):
         with pytest.raises(ValueError, match=f"n_zc must be prime, got {n_zc}"):
-            build_pool(n_zc, 1, n_ss=3, l=1)
+            PilotPool(n_zc, 1, n_ss=3, l=1)
     for n_zc in (840, 2, 1):
         with pytest.raises(ValueError, match=f"n_zc must be an odd integer >= 3, got {n_zc}"):
-            PilotPool(roots=(1,), n_ss=2, l=1, n_zc=n_zc)
-    assert build_pool(139, 2, n_ss=3, l=1).n_zc == 139
+            PilotPool(n_zc, 1, n_ss=2, l=1)
+    for n_zc in (4294967291, 2**31 - 1):  # both prime
+        with pytest.raises(ValueError, match=rf"n_zc must be below 2\*\*30, got {n_zc}"):
+            PilotPool(n_zc, 1, n_ss=2, l=1)
+    assert PilotPool(139, 2, n_ss=3, l=1).n_zc == 139
+
+
+def test_pool_takes_roots_one_to_r():
+    """R roots are the ZC roots 1 .. R, so 1 <= R < N_ZC; R counts the
+    pool's patterns and root index i holds the patterns of root i + 1."""
+    with pytest.raises(ValueError, match="r must be >= 1, got 0"):
+        PilotPool(NZC, 0, n_ss=32, l=2)
+    for r in (NZC, NZC + 1):
+        with pytest.raises(ValueError, match=f"cannot find {r} distinct roots for n_zc={NZC}"):
+            PilotPool(NZC, r, n_ss=32, l=2)
+    pool = PilotPool(139, 138, n_ss=2, l=1)
+    assert pool.n_p == 276
+    root_idx, shifts = pool.root_and_shifts(pool.n_p - 1)
+    assert (root_idx, shifts) == (137, (1,))
+    want = np.roll(generate_root_sequence(139, 138), -pool.n_cs)
+    np.testing.assert_array_equal(pool.pattern_at(pool.n_p - 1), want)
 
 
 def test_expansion_factor_exact():
@@ -136,10 +155,10 @@ def test_build_pattern_rejects_bad_shifts():
 
 
 def test_pool_counts_and_indexing():
-    pool = build_pool(NZC, n_roots=2, n_ss=32, l=2)
+    pool = PilotPool(NZC, r_roots=2, n_ss=32, l=2)
     assert pool.n_ps == 496
     assert pool.n_p == 992
-    assert pool.roots == (1, 2)
+    assert pool.r_roots == 2
 
     root_idx, shifts = pool.root_and_shifts(0)
     assert (root_idx, shifts) == (0, (0, 1))
@@ -153,10 +172,10 @@ def test_pool_counts_and_indexing():
 
 
 def test_pool_pattern_waveforms_consistent():
-    pool = build_pool(NZC, n_roots=2, n_ss=32, l=2)
+    pool = PilotPool(NZC, r_roots=2, n_ss=32, l=2)
     p = pool.pattern_at(498)
     assert pool.root_and_shifts(498) == (1, (0, 3))
-    root = generate_root_sequence(NZC, pool.roots[1])
+    root = generate_root_sequence(NZC, 2)
     want = (np.roll(root, 0) + np.roll(root, -3 * pool.n_cs)) / math.sqrt(2)
     np.testing.assert_allclose(p, want, atol=1e-12)
     assert abs(np.vdot(p, p).real - NZC) < 1e-9
@@ -165,15 +184,15 @@ def test_pool_pattern_waveforms_consistent():
 
 
 def test_pool_shift_step():
-    pool = build_pool(NZC, n_roots=3, n_ss=32, l=2)
+    pool = PilotPool(NZC, r_roots=3, n_ss=32, l=2)
     assert pool.n_cs == 26
     # step 2 would fit 419 shifts into the root; the pool keeps the 300 it asked for
-    wide = build_pool(NZC, n_roots=1, n_ss=300, l=1)
+    wide = PilotPool(NZC, r_roots=1, n_ss=300, l=1)
     assert (wide.n_cs, wide.n_ps) == (2, 300)
 
 
 def test_sample_uniformity_chi_square():
-    pool = build_pool(NZC, n_roots=2, n_ss=32, l=2)
+    pool = PilotPool(NZC, r_roots=2, n_ss=32, l=2)
     rng = np.random.default_rng(2024)
     draws = pool.sample_indices(rng, 10**6)
     counts = np.bincount(draws, minlength=pool.n_p)
@@ -185,7 +204,7 @@ def test_sample_uniformity_chi_square():
 
 
 def test_l1_pool_is_plain_shift_pool():
-    pool = build_pool(NZC, n_roots=2, n_ss=32, l=1)
+    pool = PilotPool(NZC, r_roots=2, n_ss=32, l=1)
     assert pool.n_ps == 32
     assert pool.n_p == 64
     _, shifts = pool.root_and_shifts(33)

@@ -8,7 +8,7 @@ import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
 from pdra.geometry import ChannelModelSpec, correlated_channels, correlation_matrix
-from pdra.pool import build_pattern, build_pool, combination_table
+from pdra.pool import PilotPool, build_pattern, combination_table
 from pdra.simulate import (
     BLOCK_TRIALS,
     EVENTS,
@@ -36,7 +36,7 @@ from pdra.simulate import (
     trial_rng,
     wilson_interval,
 )
-from pdra.zc import correlation_profile, default_roots, generate_root_sequence
+from pdra.zc import correlation_profile, generate_root_sequence
 
 from oracles import (
     build_received_pilot,
@@ -53,7 +53,7 @@ def small_config(m_antennas: int = 8, **overrides) -> ScenarioConfig:
     fields = dict(
         population=10,
         p_a=1.0,
-        pool=build_pool(N_ZC, n_roots=2, n_ss=16, l=2),
+        pool=PilotPool(N_ZC, r_roots=2, n_ss=16, l=2),
         channel=ChannelModelSpec(m_antennas=m_antennas),
         snr_db=0.0,
         alpha_th_db=5.0,
@@ -105,7 +105,7 @@ class TestTrialRng:
 
 class TestReceivedPilot:
     def test_noiseless_single_ue_despreads_exactly(self):
-        pool = build_pool(N_ZC, n_roots=1, n_ss=32, l=2)
+        pool = PilotPool(N_ZC, r_roots=1, n_ss=32, l=2)
         pat = pool.pattern_at(17)
         rng = np.random.default_rng(0)
         h = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / math.sqrt(2)
@@ -124,7 +124,7 @@ class TestReceivedPilot:
         assert np.mean(np.abs(y) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_signal_plus_noise_power(self):
-        pool = build_pool(N_ZC, n_roots=1, n_ss=32, l=2)
+        pool = PilotPool(N_ZC, r_roots=1, n_ss=32, l=2)
         pat = pool.pattern_at(3)
         rng = np.random.default_rng(2)
         h = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) / math.sqrt(2)
@@ -153,7 +153,7 @@ class TestClassification:
 
     def test_cross_root_copy_is_e0(self):
         # one pattern per root: the other UE copies it on its own root or not
-        pool = build_pool(N_ZC, n_roots=2, n_ss=4, l=4)
+        pool = PilotPool(N_ZC, r_roots=2, n_ss=4, l=4)
         cfg = small_config(population=2, pool=pool)
         events = {(out.n_same_root_others, out.tagged_event)
                   for out in (run_trial(cfg, t) for t in range(20))}
@@ -249,7 +249,7 @@ class TestMatchedFilter:
 
 @pytest.fixture(scope="module")
 def pool():
-    return build_pool(N_ZC, n_roots=3, n_ss=32, l=2)
+    return PilotPool(N_ZC, r_roots=3, n_ss=32, l=2)
 
 
 class TestCorrelatorAlgebra:
@@ -267,7 +267,7 @@ class TestCorrelatorAlgebra:
                 np.ones(len(shifts_j), bool),
             )[0]
             wav_i = pool.pattern_at(int(i))
-            base_j = generate_root_sequence(N_ZC, pool.roots[root_j])
+            base_j = generate_root_sequence(N_ZC, root_j + 1)
             despread = sum(np.roll(base_j, -v * pool.n_cs) for v in shifts_j)
             despread = despread / np.linalg.norm(despread)
             direct = complex(np.sum(wav_i * np.conj(despread)))
@@ -293,8 +293,8 @@ class TestCorrelatorAlgebra:
         rng = np.random.default_rng(13)
         for n_zc in (139, 839):
             for n_ss in range(2, 65):
-                base = build_pool(n_zc, n_roots=3, n_ss=n_ss, l=1)
-                table = _root_pair_profiles(n_zc, base.roots, np.arange(n_zc))
+                base = PilotPool(n_zc, r_roots=3, n_ss=n_ss, l=1)
+                table = _root_pair_profiles(n_zc, range(1, 4), np.arange(n_zc))
 
                 def loop(l, roots, shifts, d_root, d_shifts, used):
                     scale = 1.0 / math.sqrt(l)
@@ -337,10 +337,10 @@ class TestCorrelatorAlgebra:
     @pytest.mark.parametrize("n_zc", [139, 839])
     def test_profile_table_matches_direct_sum(self, n_zc):
         """The closed-form root-pair table equals direct summation at every
-        lag, for the default prefixes R = 1 .. 6 and an unordered set that is
-        no prefix; a root against itself is exactly 0 off lag 0."""
+        lag, for the pool root sets 1 .. R, R = 1 .. 6, and an unordered set
+        that is no such prefix; a root against itself is exactly 0 off lag 0."""
         lags = np.arange(n_zc)
-        for roots in [default_roots(n_zc, r) for r in range(1, 7)] + [(5, 2, 7)]:
+        for roots in [range(1, r + 1) for r in range(1, 7)] + [(5, 2, 7)]:
             table = _root_pair_profiles(n_zc, roots, lags)
             for i, a in enumerate(roots):
                 for j, b in enumerate(roots):
@@ -348,6 +348,37 @@ class TestCorrelatorAlgebra:
                                                  generate_root_sequence(n_zc, b))
                     np.testing.assert_allclose(table[i, j], direct, rtol=0, atol=1e-9)
                 assert table[i, i, 0] == n_zc and not table[i, i, 1:].any()
+
+    def test_profile_table_at_the_largest_accepted_n_zc(self):
+        """At 1073741789, the largest prime below 2**30, the int64 phases of
+        the table equal the Gauss-sum formula in Python integers: A, B and C
+        as stated, k = C - B^2/(4A) mod N, and the Legendre symbol by Euler's
+        criterion.  The same oracle matches direct summation at N = 139."""
+        def gauss(n, a, b, tau):
+            if a == b:
+                return n if tau == 0 else 0
+            half = pow(2, -1, n)
+            big_a = (a - b) * half % n
+            big_b = (a * (2 * tau + 1) - b) * half % n
+            big_c = a * tau * (tau + 1) * half % n
+            k = (big_c - big_b * big_b * pow(4 * big_a, -1, n)) % n
+            legendre = 1 if pow(big_a, (n - 1) // 2, n) == 1 else -1
+            eps = 1 if n % 4 == 1 else 1j
+            return legendre * eps.conjugate() * math.sqrt(n) * np.exp(-2j * math.pi * k / n)
+
+        roots = (1, 2, 3, 4)
+        direct = correlation_profile(generate_root_sequence(139, 2),
+                                     generate_root_sequence(139, 5))
+        for tau in (0, 1, 70, 138):
+            assert abs(gauss(139, 2, 5, tau) - direct[tau]) < 1e-9
+        n_zc = 1073741789
+        pool = PilotPool(n_zc, len(roots), n_ss=32, l=2)
+        lags = np.append(np.arange(-31, 32) * pool.n_cs % n_zc, [n_zc - 1, n_zc // 2])
+        table = _root_pair_profiles(n_zc, roots, lags)
+        for i, a in enumerate(roots):
+            for j, b in enumerate(roots):
+                want = [gauss(n_zc, a, b, int(tau)) for tau in lags]
+                np.testing.assert_allclose(table[i, j], want, rtol=0, atol=1e-6)
 
     def test_fast_path_matches_matrix_route(self, pool):
         """Full estimate: explicit Y-despreading vs coefficient superposition."""
@@ -358,12 +389,12 @@ class TestCorrelatorAlgebra:
         h = (rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))) / math.sqrt(2)
         p_lin = db_to_linear(5.0)
         waveforms = np.array([
-            build_pattern(generate_root_sequence(N_ZC, pool.roots[r]), s, pool.n_cs)
+            build_pattern(generate_root_sequence(N_ZC, r + 1), s, pool.n_cs)
             for r, s in assigned
         ])
         y = build_received_pilot(h, waveforms, p_lin, rng, noise_variance=0.0)
         # E1 despreading by the free component (shift 0) of the tagged pattern.
-        despread = generate_root_sequence(N_ZC, pool.roots[0])
+        despread = generate_root_sequence(N_ZC, 1)
         g_explicit = mf_channel_estimate(y, despread)
 
         corr = _PatternCorrelator(pool)
@@ -376,9 +407,9 @@ class TestCorrelatorCache:
     """Each pool's lag table is built once per process, whoever asks for it."""
 
     def test_equal_pools_share_one_correlator(self):
-        corr = _correlator(build_pool(N_ZC, n_roots=3, n_ss=32, l=2))
-        assert _correlator(build_pool(N_ZC, n_roots=3, n_ss=32, l=2)) is corr
-        assert _correlator(build_pool(N_ZC, n_roots=3, n_ss=32, l=1)) is not corr
+        corr = _correlator(PilotPool(N_ZC, r_roots=3, n_ss=32, l=2))
+        assert _correlator(PilotPool(N_ZC, r_roots=3, n_ss=32, l=2)) is corr
+        assert _correlator(PilotPool(N_ZC, r_roots=3, n_ss=32, l=1)) is not corr
 
     def test_fig6_campaign_builds_one_correlator_per_pool(self, monkeypatch):
         """fig6's 16 points hold 4 distinct pools (R = 1 .. 4), so a campaign
@@ -396,7 +427,7 @@ class TestCorrelatorCache:
         results = run_campaign(configs)
         assert all(res.status == "ok" for res in results.values())
         assert len(configs) == 16
-        assert sorted(len(p.roots) for p in built) == [1, 2, 3, 4]
+        assert sorted(p.r_roots for p in built) == [1, 2, 3, 4]
         assert set(built) == {cfg.pool for cfg in configs.values()}
 
 
@@ -493,7 +524,7 @@ class TestSameRootLaw:
         for n_zc in (139, N_ZC):
             for _ in range(40):
                 l = int(rng.integers(1, 4))
-                pool = build_pool(n_zc, n_roots=int(rng.integers(1, 5)),
+                pool = PilotPool(n_zc, r_roots=int(rng.integers(1, 5)),
                                   n_ss=int(rng.integers(max(l, 2), 17)), l=l)
                 n_active = rng.integers(1, 16, size=BLOCK_TRIALS)
                 valid = np.arange(n_active.max()) < n_active[:, None]
@@ -575,7 +606,7 @@ class TestRunTrial:
             assert out.k_other_roots == 0
 
     def test_degenerate_pool_always_collides(self):
-        pool = build_pool(N_ZC, n_roots=1, n_ss=4, l=4)
+        pool = PilotPool(N_ZC, r_roots=1, n_ss=4, l=4)
         assert pool.n_p == 1
         cfg = small_config(population=2, pool=pool)
         for t in range(10):
@@ -624,7 +655,7 @@ class TestRunTrial:
         cfg = small_config(
             m_antennas=128,
             population=10,
-            pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=2),
+            pool=PilotPool(N_ZC, r_roots=2, n_ss=32, l=2),
             snr_db=10.0,
             trials=4000,
         )
@@ -674,7 +705,7 @@ class TestBlockEngine:
     def test_counted_rows_without_live_row(self):
         """A correlated block whose counted rows hold no E0 or E1 row, while
         later rows do, gives NaN SINRs and no success."""
-        cfg = small_config(population=12, pool=build_pool(N_ZC, n_roots=1, n_ss=4, l=2),
+        cfg = small_config(population=12, pool=PilotPool(N_ZC, r_roots=1, n_ss=4, l=2),
                            channel=ChannelModelSpec(16, 0.7))
         for block in range(50):
             full = run_block(cfg, block)
@@ -730,7 +761,7 @@ class TestBlockEngine:
         coefficients of the one-row call on those shifts alone."""
         corr = _PatternCorrelator(pool)
         rng = np.random.default_rng(22)
-        roots = rng.integers(0, len(pool.roots), (16, 7))
+        roots = rng.integers(0, pool.r_roots, (16, 7))
         shifts = pool.shift_table[rng.integers(0, pool.n_ps, (16, 7))]
         used = rng.random((16, 2)) < 0.7
         used[:, 0] |= ~used[:, 1]
@@ -743,7 +774,7 @@ class TestBlockEngine:
 
 class TestForcedInterference:
     def test_needs_two_roots(self):
-        pool = build_pool(N_ZC, n_roots=1, n_ss=32, l=2)
+        pool = PilotPool(N_ZC, r_roots=1, n_ss=32, l=2)
         with pytest.raises(ValueError):
             run_forced_interference_trial(pool, 8, 1, 10.0, 1, 0)
 
@@ -753,7 +784,7 @@ class TestForcedInterference:
         array grows.  High SNR keeps the noise floor out of the comparison.
         Convergence is slow (relative error scales like N_ZC / M), which is
         why only the trend is asserted here."""
-        pool = build_pool(N_ZC, n_roots=4, n_ss=32, l=2)
+        pool = PilotPool(N_ZC, r_roots=4, n_ss=32, l=2)
         mean_devs = []
         for m in (64, 256, 1024):
             ratios = [
@@ -767,7 +798,7 @@ class TestForcedInterference:
         assert mean_devs[0] > mean_devs[1] > mean_devs[2]
 
     def test_no_interferers_is_noise_limited(self):
-        pool = build_pool(N_ZC, n_roots=2, n_ss=32, l=2)
+        pool = PilotPool(N_ZC, r_roots=2, n_ss=32, l=2)
         sinr, limit = run_forced_interference_trial(pool, 512, 0, 10.0, 3, 0)
         assert limit == math.inf
         # g = sqrt(P) h + noise, so SINR approaches P ||h||^2 ~ P M.
@@ -777,7 +808,7 @@ class TestForcedInterference:
 class TestCampaign:
     def test_thread_count_does_not_change_results(self):
         configs = {
-            pid: small_config(trials=50, pool=build_pool(N_ZC, n_roots=r, n_ss=16, l=2))
+            pid: small_config(trials=50, pool=PilotPool(N_ZC, r_roots=r, n_ss=16, l=2))
             for pid, r in enumerate((1, 2))
         }
         seq = run_campaign(configs, threads=1)
@@ -808,7 +839,7 @@ class TestCampaign:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         configs = {
-            pid: small_config(trials=20, pool=build_pool(N_ZC, n_roots=r, n_ss=16, l=2))
+            pid: small_config(trials=20, pool=PilotPool(N_ZC, r_roots=r, n_ss=16, l=2))
             for pid, r in enumerate((1, 2, 3))
         }
         assert run_campaign(configs, threads=64) == run_campaign(configs, threads=1)
@@ -840,7 +871,7 @@ class TestCampaign:
         }
         new = build_scenario(point, N_ZC, trials=7, master_seed=3)
         assert new.pool.n_ss == 32 and new.pool.l == 1
-        assert len(new.pool.roots) == 3
+        assert new.pool.r_roots == 3
         assert new.channel == ChannelModelSpec(m_antennas=16, rho=0.5)
         assert new.pool.n_zc == N_ZC
         assert (new.population, new.p_a) == (50, 0.1)
@@ -859,13 +890,13 @@ class TestAnalyticReference:
         assert analytic_reference(fixed) == analytic_reference(full)
 
     def test_l3_has_no_closed_form(self):
-        cfg = small_config(pool=build_pool(N_ZC, n_roots=1, n_ss=16, l=3))
+        cfg = small_config(pool=PilotPool(N_ZC, r_roots=1, n_ss=16, l=3))
         assert analytic_reference(cfg) is None
 
     def test_fixed_activity_uses_pattern_model(self):
         from pdra.analytic import AnalyticParams, success_probability_pdra
 
-        cfg = small_config(pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=2))
+        cfg = small_config(pool=PilotPool(N_ZC, r_roots=2, n_ss=32, l=2))
         params = AnalyticParams(r_roots=2, n_ss=32, n_zc=N_ZC, alpha_th=db_to_linear(5.0))
         assert analytic_reference(cfg) == pytest.approx(
             success_probability_pdra(params, 10), abs=1e-15
@@ -874,7 +905,7 @@ class TestAnalyticReference:
     def test_single_sequence_uses_baseline_model(self):
         from pdra.analytic import AnalyticParams, success_probability_conventional
 
-        cfg = small_config(pool=build_pool(N_ZC, n_roots=2, n_ss=32, l=1))
+        cfg = small_config(pool=PilotPool(N_ZC, r_roots=2, n_ss=32, l=1))
         params = AnalyticParams(r_roots=2, n_ss=32, n_zc=N_ZC, alpha_th=db_to_linear(5.0))
         assert analytic_reference(cfg) == pytest.approx(
             success_probability_conventional(params, 10), abs=1e-15

@@ -9,11 +9,10 @@ from pdra.zc import (
     compute_ncs,
     correlation_profile,
     cyclic_shift,
-    default_roots,
     generate_root_sequence,
     shifts_per_root,
 )
-from pdra.pool import build_pool
+from pdra.pool import PilotPool
 
 from oracles import periodic_crosscorrelation
 
@@ -128,8 +127,8 @@ def test_compute_ncs_rejects_oversized_cell():
 
 
 def test_shift_plans_for_preset_sizes():
-    assert build_pool(NZC, 1, n_ss=32, l=2).n_cs == 26
-    assert build_pool(NZC, 1, n_ss=64, l=2).n_cs == 13
+    assert PilotPool(NZC, 1, n_ss=32, l=2).n_cs == 26
+    assert PilotPool(NZC, 1, n_ss=64, l=2).n_cs == 13
     assert shifts_per_root(NZC, 26) == 32
 
 
@@ -137,11 +136,6 @@ def test_shift_plans_for_preset_sizes():
 def test_shifts_per_root_rejects_unusable_steps(n_cs):
     with pytest.raises(ValueError, match="n_cs must satisfy|n_ss must be >= 2"):
         shifts_per_root(NZC, n_cs)
-
-
-def test_default_roots_prime_length():
-    assert default_roots(839, 8) == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert default_roots(15, 4) == (1, 2, 4, 7)
 
 
 def test_crosscorrelation_length_mismatch_rejected():
