@@ -5,10 +5,11 @@ facts the whole pilot construction rests on, and sizes the cyclic shift
 offset from cell geometry.
 """
 
+import math
+
 import numpy as np
 
 from pdra import (
-    compute_ncs,
     correlation_profile,
     cyclic_shift,
     generate_root_sequence,
@@ -16,6 +17,15 @@ from pdra import (
 )
 
 N_ZC = 839
+SPEED_OF_LIGHT_M_S = 299_792_458.0
+
+
+def compute_ncs(cell_radius_m, tau_max_s, n_zc, delta_f_ra_hz, n_g=0):
+    """Smallest shift step covering round-trip delay, delay spread and guard:
+    N_CS = ceil((2 R_c / c + tau_max) n_zc delta_f_ra) + n_g, at least 1."""
+    guard_time = 2.0 * cell_radius_m / SPEED_OF_LIGHT_M_S + tau_max_s
+    return max(math.ceil(guard_time * n_zc * delta_f_ra_hz) + n_g, 1)
+
 
 u1 = generate_root_sequence(N_ZC, 1)
 u2 = generate_root_sequence(N_ZC, 2)

@@ -5,17 +5,18 @@ cell, and inspects the exponential antenna-correlation model that the
 correlated-fading simulations draw from.
 """
 
+import math
+
 import numpy as np
 
-from pdra import (
-    CellLayout,
-    UePlacement,
-    correlated_channels,
-    correlation_factor,
-    correlation_matrix,
-    drop_ue,
-    pathloss_db,
-)
+from pdra import CellLayout, UePlacement, correlation_factor, drop_ue
+from pdra.geometry import expand_ramps, ramp_tables, toeplitz_channels
+
+
+def pathloss_db(distance_m):
+    """Urban-micro NLoS mean pathloss slope 10 n log10(d), n = 3.8."""
+    return 10.0 * 3.8 * math.log10(distance_m)
+
 
 layout = CellLayout()
 centers = layout.cell_centers()
@@ -31,16 +32,20 @@ for ue in drops:
           f"pathloss {pathloss_db(ue.distance_m):5.1f} dB")
 
 m, rho = 8, 0.7
-r = correlation_matrix(m, rho, delta=0.3)
+# exponential correlation steered by delta = 0.3: R[i, j] = rho^|j-i| e^{j delta (j-i)}
+lag = np.arange(m)[None, :] - np.arange(m)[:, None]
+r = rho ** np.abs(lag) * np.exp(1j * 0.3 * lag)
 print(f"\n{m}-antenna correlation matrix, rho={rho}: "
       f"|R[0,1]|={abs(r[0, 1]):.2f}, |R[0,4]|={abs(r[0, 4]):.3f} (decays as rho^k)")
 
 f = correlation_factor(m, rho, delta=0.3)
 print(f"factor reproduces R: {np.allclose(f @ f.conj().T, r)}")
 
+# CN(0, R) draws: the real Toeplitz factor filters each row, then every row
+# takes the phase ramp e^{-j delta k} of the UE's angle
 place = UePlacement(x_m=100 * np.cos(0.3), y_m=100 * np.sin(0.3))
-samples = correlated_channels(rng.standard_normal((20000, 2, m)), rho,
-                              [place.angle_rad] * 20000)
+samples = toeplitz_channels(rng.standard_normal((20000, 2, m)), rho)
+samples *= expand_ramps(*ramp_tables(-place.angle_rad, m), m)
 emp = samples.T @ samples.conj() / len(samples)
 print(f"sample covariance of 20k draws matches R within "
       f"{np.max(np.abs(emp - r)):.3f} (Monte Carlo error)")

@@ -33,11 +33,8 @@ from .geometry import (
     CellLayout,
     ChannelModelSpec,
     UePlacement,
-    correlated_channels,
     correlation_factor,
-    correlation_matrix,
     drop_ue,
-    pathloss_db,
 )
 from .pool import (
     PilotPool,
@@ -61,7 +58,6 @@ from .simulate import (
     wilson_interval,
 )
 from .zc import (
-    compute_ncs,
     correlation_profile,
     cyclic_shift,
     generate_root_sequence,

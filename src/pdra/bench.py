@@ -29,7 +29,7 @@ from .analytic import (
     no_closed_form_reason,
     p_no_pattern_collision_binomial,
 )
-from .geometry import drop_ue
+from .geometry import drop_positions
 from .simulate import (
     CELL_LAYOUT,
     ScenarioConfig,
@@ -275,12 +275,16 @@ def expand_grid(spec: ExperimentSpec) -> list[dict]:
 
 def _point_error(
     spec: ExperimentSpec, point: dict
-) -> tuple[ScenarioConfig | None, str | None]:
-    """Build one grid point: (built, None), or (None, error) when it cannot run."""
+) -> tuple[ScenarioConfig | None, tuple[float | None, str] | None, str | None]:
+    """Build one grid point and, in every mode but simulate, its closed-form
+    column: (built, analytic, None), or (None, None, error) when the point
+    cannot be built or its closed form raises, so that it is not simulated."""
     try:
-        return build_scenario(point, spec.n_zc, spec.trials, spec.master_seed), None
+        built = build_scenario(point, spec.n_zc, spec.trials, spec.master_seed)
+        analytic = None if spec.mode == "simulate" else _analytic_value(spec, built)
     except ValueError as exc:
-        return None, str(exc)
+        return None, None, str(exc)
+    return built, analytic, None
 
 
 def _analytic_value(
@@ -310,32 +314,29 @@ def _fmt(value) -> str:
 def _result_rows(
     spec: ExperimentSpec,
     points: list[dict],
-    built: list[tuple[ScenarioConfig | None, str | None]],
+    built: list[
+        tuple[ScenarioConfig | None, tuple[float | None, str] | None, str | None]
+    ],
     sim_results: dict[int, SweepResult] | None,
 ) -> list[dict]:
-    """One CSV row per point.  A point that cannot be built, or whose closed
-    form raises, is an error row with no values."""
+    """One CSV row per point, from the build pass (_point_error) and the
+    campaign.  A point with an error is an error row with no values."""
     rows = []
-    for idx, (point, (point_built, error)) in enumerate(zip(points, built)):
+    for idx, (point, (_, analytic, error)) in enumerate(zip(points, built)):
         row = {col: "" for col in CSV_COLUMNS}
         row.update({k: _fmt(v) for k, v in point.items()})
         row["alpha_th_linear"] = _fmt(db_to_linear(point["alpha_th_db"]))
         row["snr_linear"] = _fmt(db_to_linear(point["snr_db"]))
         row["seed"] = str(spec.master_seed)
         row["trials"] = "0"
-        if error is None and spec.mode != "simulate":
-            try:
-                value, note = _analytic_value(spec, point_built)
-            except ValueError as exc:
-                error = str(exc)
         if error is not None:
             row["status"] = f"error: {error}"
             rows.append(row)
             continue
         status = "ok"
-        if spec.mode != "simulate":
-            row["p_success_analytic"] = _fmt(value)
-            row["analytic_note"] = note
+        if analytic is not None:
+            row["p_success_analytic"] = _fmt(analytic[0])
+            row["analytic_note"] = analytic[1]
         if sim_results is not None:
             res = sim_results[idx]
             status = res.status
@@ -393,7 +394,7 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     points = expand_grid(spec)
     built = [_point_error(spec, p) for p in points]
     # keyed by grid index: the index is the point's RNG substream id
-    configs = {idx: cfg for idx, (cfg, _) in enumerate(built) if cfg is not None}
+    configs = {idx: cfg for idx, (cfg, _, _) in enumerate(built) if cfg is not None}
     sim_results = None
     if spec.mode in ("simulate", "both") and configs:
         echo(
@@ -417,7 +418,7 @@ def run_topology(out: str, master_seed: int, echo=print) -> int:
         raise SchemaError(f"master_seed must be >= 0, got {master_seed}")
     layout = CELL_LAYOUT
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-    ue = drop_ue(layout, rng)
+    ue_x, ue_y = drop_positions(layout, rng, 1)[0]
     columns = ["kind", "index", "x_m", "y_m", "cell_radius_m", "min_dist_m"]
     rows = [
         {
@@ -429,7 +430,7 @@ def run_topology(out: str, master_seed: int, echo=print) -> int:
     ]
     rows.append({
         "kind": "ue", "index": "0",
-        "x_m": _fmt(ue.x_m), "y_m": _fmt(ue.y_m),
+        "x_m": _fmt(float(ue_x)), "y_m": _fmt(float(ue_y)),
         "cell_radius_m": "", "min_dist_m": _fmt(layout.min_dist_m),
     })
     write_csv(out, rows, columns)

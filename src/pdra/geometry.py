@@ -2,8 +2,7 @@
 
 The simulator assumes perfect uplink power control, so placement geometry
 enters the link model only through the per-UE departure angle that steers
-the antenna correlation matrix.  The mean pathloss slope is provided for
-inspecting a drop (demo 05), not for the success statistics.
+the antenna correlation matrix.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# urban micro mean-pathloss slopes
-PATHLOSS_EXPONENT = {"nlos": 3.8, "los": 2.5}
 
 
 @dataclass(frozen=True)
@@ -122,19 +118,9 @@ def drop_ue(layout: CellLayout, rng: np.random.Generator) -> UePlacement:
     return UePlacement(x_m=float(x), y_m=float(y))
 
 
-def correlation_matrix(m: int, rho: float, delta: float) -> np.ndarray:
-    """Exponential correlation with angle steering: R[i,j] = rho^|j-i| e^{j delta (j-i)}."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    idx = np.arange(m)
-    diff = idx[None, :] - idx[:, None]  # j - i
-    return rho ** np.abs(diff) * np.exp(1j * delta * diff)
-
-
 def correlation_factor(m: int, rho: float, delta: float) -> np.ndarray:
-    """Factor F with F F^H equal to correlation_matrix(m, rho, delta).
+    """Factor F with F F^H = R, R[i, j] = rho^|j-i| e^{j delta (j-i)}: the
+    exponential correlation steered by the departure angle delta.
 
     R = D T D^H with T the real exponential Toeplitz and D = diag(e^{-j delta i}),
     so F = D L with L the Cholesky factor of T: L[i, j] = rho^(i-j) for
@@ -226,27 +212,3 @@ def toeplitz_channels(raw: np.ndarray, rho: float) -> np.ndarray:
     np.copyto(x.real, y[:, 0, :m])
     np.copyto(x.imag, y[:, 1, :m])
     return x
-
-
-def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
-    """CN(0, R) rows from (n, 2, M) standard normals, one steering angle per row.
-
-    Row i equals correlation_factor(M, rho, angles[i]) @ w_i with
-    w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the real Toeplitz factor
-    filters every row (toeplitz_channels), then each row takes the phase ramp
-    e^{-j delta k} of its angle (ramp_tables).
-    """
-    m = raw.shape[-1]
-    rows = toeplitz_channels(raw, rho)
-    rows *= expand_ramps(*ramp_tables(-np.asarray(angles, dtype=float), m), m)
-    return rows
-
-
-def pathloss_db(distance_m: float, scenario: str = "nlos") -> float:
-    """Mean pathloss slope 10*n*log10(d), n = 3.8 (NLoS) or 2.5 (LoS)."""
-    if scenario not in PATHLOSS_EXPONENT:
-        raise ValueError(f"scenario must be one of {sorted(PATHLOSS_EXPONENT)}, got {scenario!r}")
-    if distance_m <= 0:
-        raise ValueError(f"distance_m must be positive, got {distance_m}")
-    return 10.0 * PATHLOSS_EXPONENT[scenario] * math.log10(distance_m)
-

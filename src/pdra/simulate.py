@@ -85,9 +85,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
-# numpy loads these submodules on first use; importing them here keeps that
-# cost out of the first block of a campaign
-from numpy.fft import fft, ifft
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .analytic import (
@@ -458,6 +455,8 @@ def _same_root_power(
     gives the autocorrelation a(k) of each row, and
     g^H R_n g = 2 Re sum_{k<M} rho^k e^{j delta_n k} a(k) - a(0).
     """
+    from numpy.fft import fft, ifft
+
     m = g.shape[1]
     n_hi, n_lo = hi.shape[-2], lo.shape[-1]
     weight = rho ** np.arange(n_hi * n_lo)

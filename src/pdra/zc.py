@@ -3,8 +3,9 @@
 Root sequences c_u[l] = exp(-j*pi*u*l*(l+1)/N_ZC) for odd prime-length N_ZC
 have unit modulus, ideal periodic autocorrelation, and constant-magnitude
 sqrt(N_ZC) cross-correlation between distinct coprime roots.  Cyclic shifts
-in steps of N_CS samples stay mutually orthogonal as long as N_CS covers the
-round-trip delay plus delay spread of the cell.
+of one root in steps of N_CS samples are mutually orthogonal; a pool takes
+N_CS = N_ZC // N_SS (pool.PilotPool).  Demo 01 shows how N_CS would be sized
+from a cell's round-trip delay and delay spread.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
 @lru_cache(maxsize=64)
@@ -62,31 +61,6 @@ def cyclic_shift(samples: np.ndarray, v: int, n_cs: int) -> np.ndarray:
     if not 0 <= v < n_ss:
         raise ValueError(f"shift index v must satisfy 0 <= v < {n_ss}, got {v}")
     return np.roll(samples, -v * n_cs)
-
-
-def compute_ncs(
-    cell_radius_m: float,
-    tau_max_s: float,
-    n_zc: int,
-    delta_f_ra_hz: float,
-    n_g: int = 0,
-) -> int:
-    """Smallest shift step covering round-trip delay, delay spread and guard.
-
-    N_CS = ceil((2*R_c/c + tau_max) * n_zc * delta_f_ra) + n_g, clamped to a
-    minimum of 1.  Raises when the cell is too large for any two shifts of one
-    root to remain orthogonal (N_CS >= n_zc).
-    """
-    if cell_radius_m < 0 or tau_max_s < 0 or delta_f_ra_hz <= 0 or n_g < 0:
-        raise ValueError("cell_radius_m, tau_max_s >= 0 and delta_f_ra_hz > 0 required")
-    guard_time = 2.0 * cell_radius_m / SPEED_OF_LIGHT_M_S + tau_max_s
-    n_cs = math.ceil(guard_time * n_zc * delta_f_ra_hz) + n_g
-    n_cs = max(n_cs, 1)
-    if n_cs >= n_zc:
-        raise ValueError(
-            f"cell too large for single-root orthogonality: N_CS={n_cs} >= n_zc={n_zc}"
-        )
-    return n_cs
 
 
 def shifts_per_root(n_zc: int, n_cs: int) -> int:

@@ -162,6 +162,33 @@ def explicit_iid_sinr(
     return snr_linear * power[0] / (snr_linear * power[1:].sum() + np.vdot(g, g).real)
 
 
+def correlation_matrix(m: int, rho: float, delta: float) -> np.ndarray:
+    """Exponential correlation with angle steering: R[i,j] = rho^|j-i| e^{j delta (j-i)}."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    idx = np.arange(m)
+    diff = idx[None, :] - idx[:, None]  # j - i
+    return rho ** np.abs(diff) * np.exp(1j * delta * diff)
+
+
+def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
+    """CN(0, R) rows from (n, 2, M) standard normals, one steering angle per row.
+
+    Row i equals pdra.geometry.correlation_factor(M, rho, angles[i]) @ w_i
+    with w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the engine's real
+    Toeplitz factor filters every row (toeplitz_channels), then each row
+    takes the phase ramp e^{-j delta k} of its angle (ramp_tables).
+    """
+    from pdra.geometry import expand_ramps, ramp_tables, toeplitz_channels
+
+    m = raw.shape[-1]
+    rows = toeplitz_channels(raw, rho)
+    rows *= expand_ramps(*ramp_tables(-np.asarray(angles, dtype=float), m), m)
+    return rows
+
+
 def explicit_correlated_sinr(
     coefs: np.ndarray, angles: np.ndarray, rho: float, m: int,
     snr_linear: float, rng: np.random.Generator, draws: int,
@@ -170,13 +197,11 @@ def explicit_correlated_sinr(
 
     Each draw takes one (n + 1, 2, m) array of normals: every UE's channel,
     whatever its coefficient, steered by its angle through
-    pdra.geometry.correlated_channels (checked against the dense closed-form
-    factor in tests/test_geometry.py), then the noise w.  The estimate is
+    correlated_channels (checked against the dense closed-form factor in
+    tests/test_geometry.py), then the noise w.  The estimate is
     g = sqrt(P) sum_n c_n h_n + w, and each draw returns
     P |h_0^H g|^2 / (P sum_{n>0} |h_n^H g|^2 + ||g||^2).
     """
-    from pdra.geometry import correlated_channels
-
     n = len(coefs)
     raw = rng.standard_normal((draws, n + 1, 2, m))
     h = correlated_channels(raw[:, :n].reshape(-1, 2, m), rho,

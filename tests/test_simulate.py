@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
-from pdra.geometry import ChannelModelSpec, correlated_channels, correlation_matrix
+from pdra.geometry import ChannelModelSpec
 from pdra.pool import PilotPool, build_pattern, combination_table
 from pdra.simulate import (
     BLOCK_TRIALS,
@@ -41,6 +41,8 @@ from pdra.zc import correlation_profile, generate_root_sequence
 from oracles import (
     build_received_pilot,
     classify_collision_sets,
+    correlated_channels,
+    correlation_matrix,
     explicit_correlated_sinr,
     explicit_iid_sinr,
     mf_channel_estimate,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pdra.zc import (
-    compute_ncs,
     correlation_profile,
     cyclic_shift,
     generate_root_sequence,
@@ -110,20 +109,6 @@ def test_config_validation():
         generate_root_sequence(839, 0)
     with pytest.raises(ValueError, match="root_u"):
         generate_root_sequence(839, 839)
-
-
-def test_compute_ncs_reference_cell():
-    # 1.5 km cell, 5 us delay spread, 1.25 kHz subcarriers
-    assert compute_ncs(1500.0, 5e-6, 839, 1250.0) == 16
-
-
-def test_compute_ncs_clamps_to_one():
-    assert compute_ncs(0.0, 0.0, 839, 1250.0) == 1
-
-
-def test_compute_ncs_rejects_oversized_cell():
-    with pytest.raises(ValueError, match="single-root orthogonality"):
-        compute_ncs(1.0e6, 5e-4, 839, 1250.0)
 
 
 def test_shift_plans_for_preset_sizes():
