@@ -9,12 +9,7 @@ import math
 
 import numpy as np
 
-from pdra import (
-    correlation_profile,
-    cyclic_shift,
-    generate_root_sequence,
-    shifts_per_root,
-)
+from pdra import correlation_profile, cyclic_shift, generate_root_sequence
 
 N_ZC = 839
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -25,6 +20,16 @@ def compute_ncs(cell_radius_m, tau_max_s, n_zc, delta_f_ra_hz, n_g=0):
     N_CS = ceil((2 R_c / c + tau_max) n_zc delta_f_ra) + n_g, at least 1."""
     guard_time = 2.0 * cell_radius_m / SPEED_OF_LIGHT_M_S + tau_max_s
     return max(math.ceil(guard_time * n_zc * delta_f_ra_hz) + n_g, 1)
+
+
+def shifts_per_root(n_zc, n_cs):
+    """N_SS = floor(n_zc / n_cs): the shifts of one root at step n_cs."""
+    if n_cs < 1 or n_cs >= n_zc:
+        raise ValueError(f"n_cs must satisfy 1 <= n_cs < n_zc, got {n_cs}")
+    n_ss = n_zc // n_cs
+    if n_ss < 2:
+        raise ValueError(f"n_ss must be >= 2 for a usable shift family, got {n_ss}")
+    return n_ss
 
 
 u1 = generate_root_sequence(N_ZC, 1)

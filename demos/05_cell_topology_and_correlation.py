@@ -9,8 +9,14 @@ import math
 
 import numpy as np
 
-from pdra import CellLayout, UePlacement, correlation_factor, drop_ue
-from pdra.geometry import expand_ramps, ramp_tables, toeplitz_channels
+from pdra import UePlacement, correlation_factor, drop_ue
+from pdra.geometry import (
+    CELL_RADIUS_M,
+    cell_centers,
+    expand_ramps,
+    ramp_tables,
+    toeplitz_channels,
+)
 
 
 def pathloss_db(distance_m):
@@ -18,15 +24,14 @@ def pathloss_db(distance_m):
     return 10.0 * 3.8 * math.log10(distance_m)
 
 
-layout = CellLayout()
-centers = layout.cell_centers()
+centers = cell_centers()
 ring = np.hypot(centers[:, 0], centers[:, 1])
-print(f"{layout.n_cells} cells: center + {np.sum(np.isclose(ring, ring[1]))} first-tier "
-      f"+ {layout.n_cells - 1 - int(np.sum(np.isclose(ring, ring[1])))} outer")
-print(f"nearest-neighbor spacing {ring[1]:.1f} m for {layout.radius_m:.0f} m cell radius")
+print(f"{len(centers)} cells: center + {np.sum(np.isclose(ring, ring[1]))} first-tier "
+      f"+ {len(centers) - 1 - int(np.sum(np.isclose(ring, ring[1])))} outer")
+print(f"nearest-neighbor spacing {ring[1]:.1f} m for {CELL_RADIUS_M:.0f} m cell radius")
 
 rng = np.random.default_rng(11)
-drops = [drop_ue(layout, rng) for _ in range(5)]
+drops = [drop_ue(rng) for _ in range(5)]
 for ue in drops:
     print(f"  UE at ({ue.x_m:7.1f}, {ue.y_m:7.1f}) m, distance {ue.distance_m:6.1f} m, "
           f"pathloss {pathloss_db(ue.distance_m):5.1f} dB")

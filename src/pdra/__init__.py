@@ -4,7 +4,7 @@ Subpackages:
     zc        Zadoff-Chu sequences, cyclic shifts, correlation primitives
     pool      combinatorial pattern pool over shift subsets
     analytic  closed-form success-probability model
-    geometry  cell layout, UE drops, channel correlation models
+    geometry  the cell grid, UE drops, channel correlation models
     simulate  Monte-Carlo access-opportunity engine
     bench     experiment specs, presets, CSV campaigns, CLI entry point
 """
@@ -30,7 +30,6 @@ from .analytic import (
     success_probability_random_activity,
 )
 from .geometry import (
-    CellLayout,
     ChannelModelSpec,
     UePlacement,
     correlation_factor,
@@ -61,7 +60,6 @@ from .zc import (
     correlation_profile,
     cyclic_shift,
     generate_root_sequence,
-    shifts_per_root,
 )
 
 __version__ = "0.1.0"

@@ -29,9 +29,8 @@ from .analytic import (
     no_closed_form_reason,
     p_no_pattern_collision_binomial,
 )
-from .geometry import drop_positions
+from .geometry import CELL_RADIUS_M, MIN_DIST_M, cell_centers, drop_positions
 from .simulate import (
-    CELL_LAYOUT,
     ScenarioConfig,
     SweepResult,
     analytic_reference,
@@ -221,8 +220,6 @@ def parse_config(path: str) -> dict:
         cast = _CASTS[_CONFIG_TYPES[key]]
         if key not in GRID_AXES:
             fields[key] = cast(key, value)
-        elif value is None and key in ACTIVITY_LEGS:  # switches that leg off
-            fields[key] = None
         else:
             items = value if isinstance(value, list) else [value]
             fields[key] = tuple(cast(key, v) for v in items)
@@ -244,14 +241,13 @@ def build_spec(
         fields.update(PRESETS[preset])
         fields["preset"] = preset
     for layer in (config_fields or {}), (flag_fields or {}):
-        # None leaves a field as it is, except on an activity leg, where it
-        # switches that leg off.  A layer that sets one leg and does not name
-        # the other switches the other off.
+        # None leaves a field as it is.  A layer that sets one activity leg
+        # and not the other switches the other off.
         for key, value in layer.items():
-            if value is not None or key in ACTIVITY_LEGS:
+            if value is not None:
                 fields[key] = value
         for leg, other in ACTIVITY_LEGS, ACTIVITY_LEGS[::-1]:
-            if layer.get(leg) is not None and other not in layer:
+            if layer.get(leg) is not None and layer.get(other) is None:
                 fields[other] = None
     spec = ExperimentSpec(**fields)
     spec.validate()
@@ -398,7 +394,7 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     sim_results = None
     if spec.mode in ("simulate", "both") and configs:
         echo(
-            f"running {len(points)} grid points x {spec.trials} trials "
+            f"running {len(configs)} grid points x {spec.trials} trials "
             f"(seed={spec.master_seed}, threads={spec.threads})"
         )
         sim_results = run_campaign(configs, threads=spec.threads)
@@ -416,25 +412,25 @@ def run_topology(out: str, master_seed: int, echo=print) -> int:
     """Export the cell grid of the correlated trials and one seeded UE drop as CSV."""
     if master_seed < 0:
         raise SchemaError(f"master_seed must be >= 0, got {master_seed}")
-    layout = CELL_LAYOUT
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-    ue_x, ue_y = drop_positions(layout, rng, 1)[0]
+    ue_x, ue_y = drop_positions(rng, 1)[0]
+    centers = cell_centers()
     columns = ["kind", "index", "x_m", "y_m", "cell_radius_m", "min_dist_m"]
     rows = [
         {
             "kind": "cell", "index": str(i),
             "x_m": _fmt(float(x)), "y_m": _fmt(float(y)),
-            "cell_radius_m": _fmt(layout.radius_m), "min_dist_m": "",
+            "cell_radius_m": _fmt(CELL_RADIUS_M), "min_dist_m": "",
         }
-        for i, (x, y) in enumerate(layout.cell_centers())
+        for i, (x, y) in enumerate(centers)
     ]
     rows.append({
         "kind": "ue", "index": "0",
         "x_m": _fmt(float(ue_x)), "y_m": _fmt(float(ue_y)),
-        "cell_radius_m": "", "min_dist_m": _fmt(layout.min_dist_m),
+        "cell_radius_m": "", "min_dist_m": _fmt(MIN_DIST_M),
     })
     write_csv(out, rows, columns)
-    echo(f"wrote {out} ({layout.n_cells} cells + 1 UE)")
+    echo(f"wrote {out} ({len(centers)} cells + 1 UE)")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Cell layout, UE placement, and antenna-domain channel models.
+"""The one cell of the correlated trials, UE placement, and antenna-domain
+channel models.
 
 The simulator assumes perfect uplink power control, so placement geometry
 enters the link model only through the per-UE departure angle that steers
@@ -14,42 +15,26 @@ from functools import lru_cache
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    """Hexagonal cell grid: a center cell surrounded by full rings of neighbors."""
+# UEs drop in the center cell, at least MIN_DIST_M from its base station.
+CELL_RADIUS_M = 500.0
+MIN_DIST_M = 30.0
+TIERS = 2
 
-    radius_m: float = 500.0
-    min_dist_m: float = 30.0
-    tiers: int = 2
 
-    def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
-        if not 0 <= self.min_dist_m < self.radius_m:
-            raise ValueError(
-                f"min_dist_m must lie in [0, radius_m), got {self.min_dist_m}"
-            )
-        if self.tiers < 0:
-            raise ValueError(f"tiers must be >= 0, got {self.tiers}")
-
-    @property
-    def n_cells(self) -> int:
-        return 1 + 3 * self.tiers * (self.tiers + 1)
-
-    def cell_centers(self) -> np.ndarray:
-        """(n_cells, 2) base-station positions, center cell first."""
-        spacing = math.sqrt(3.0) * self.radius_m
-        centers = []
-        t = self.tiers
-        for q in range(-t, t + 1):
-            for r in range(-t, t + 1):
-                if abs(q + r) > t:
-                    continue
-                x = spacing * (q + r / 2.0)
-                y = spacing * (math.sqrt(3.0) / 2.0) * r
-                centers.append((math.hypot(x, y), x, y))
-        centers.sort(key=lambda c: (round(c[0], 9), round(c[1], 9), round(c[2], 9)))
-        return np.array([(x, y) for _, x, y in centers])
+def cell_centers() -> np.ndarray:
+    """(cells, 2) base-station positions of the center cell and TIERS full
+    rings of neighbors, center cell first."""
+    spacing = math.sqrt(3.0) * CELL_RADIUS_M
+    centers = []
+    for q in range(-TIERS, TIERS + 1):
+        for r in range(-TIERS, TIERS + 1):
+            if abs(q + r) > TIERS:
+                continue
+            x = spacing * (q + r / 2.0)
+            y = spacing * (math.sqrt(3.0) / 2.0) * r
+            centers.append((math.hypot(x, y), x, y))
+    centers.sort(key=lambda c: (round(c[0], 9), round(c[1], 9), round(c[2], 9)))
+    return np.array([(x, y) for _, x, y in centers])
 
 
 @dataclass(frozen=True)
@@ -94,27 +79,27 @@ def _inside_hexagon(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
     )
 
 
-def drop_positions(layout: CellLayout, rng: np.random.Generator, n: int) -> np.ndarray:
+def drop_positions(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) uniform drops in the center hexagon outside the BS exclusion disk.
 
     Rejection over arrays: each round draws one (x, y) candidate per missing
     drop, uniform in the bounding square, and keeps those that land in the
     cell; the first n accepted, in draw order, are the drops.
     """
-    r = layout.radius_m
+    r = CELL_RADIUS_M
     kept = np.empty((0, 2))
     while len(kept) < n:
         xy = rng.uniform(-r, r, size=(n - len(kept), 2))
         ok = _inside_hexagon(xy[:, 0], xy[:, 1], r) & (
-            np.hypot(xy[:, 0], xy[:, 1]) >= layout.min_dist_m
+            np.hypot(xy[:, 0], xy[:, 1]) >= MIN_DIST_M
         )
         kept = np.concatenate([kept, xy[ok]])
     return kept
 
 
-def drop_ue(layout: CellLayout, rng: np.random.Generator) -> UePlacement:
+def drop_ue(rng: np.random.Generator) -> UePlacement:
     """One uniform drop: drop_positions with n = 1, one (x, y) per attempt."""
-    x, y = drop_positions(layout, rng, 1)[0]
+    x, y = drop_positions(rng, 1)[0]
     return UePlacement(x_m=float(x), y_m=float(y))
 
 

@@ -98,7 +98,6 @@ from .analytic import (
 )
 from .geometry import (
     ChannelModelSpec,
-    CellLayout,
     drop_positions,
     expand_ramps,
     ramp_tables,
@@ -120,9 +119,6 @@ EVENTS = (EVENT_E0, EVENT_E1, EVENT_E2, EVENT_IDENTICAL)
 BLOCK_TRIALS = 64
 
 Z_95 = 1.959963984540054
-
-# Correlated trials drop their UEs in the center cell of this grid.
-CELL_LAYOUT = CellLayout()
 
 
 @dataclass(frozen=True)
@@ -548,7 +544,7 @@ def _live_sinr(
     n_active = valid.sum(axis=1)
     if channel.rho == 0.0:
         return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng, len(drawn))
-    xy = drop_positions(CELL_LAYOUT, rng, int(drawn.sum()))[:n_active.sum()]
+    xy = drop_positions(rng, int(drawn.sum()))[:n_active.sum()]
     # h_n carries e^{-j delta_n k}, the quadratic form of a same-root other
     # e^{+j delta_n k}: one signed angle per UE
     signed = np.zeros(valid.shape)

@@ -11,18 +11,13 @@ from a cell's round-trip delay and delay spread.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 
-@lru_cache(maxsize=64)
 def generate_root_sequence(n_zc: int, root_u: int) -> np.ndarray:
-    """Root c_u[l] = exp(-j*pi*u*l*(l+1)/n_zc), l = 0..n_zc-1.
-
-    The array is read-only and cached, so every caller of one root reads the
-    same samples.
-    """
+    """Root c_u[l] = exp(-j*pi*u*l*(l+1)/n_zc), l = 0..n_zc-1, as a read-only
+    array."""
     if n_zc < 3 or n_zc % 2 == 0:
         raise ValueError(f"n_zc must be an odd integer >= 3, got {n_zc}")
     if not 1 <= root_u < n_zc:
@@ -61,16 +56,6 @@ def cyclic_shift(samples: np.ndarray, v: int, n_cs: int) -> np.ndarray:
     if not 0 <= v < n_ss:
         raise ValueError(f"shift index v must satisfy 0 <= v < {n_ss}, got {v}")
     return np.roll(samples, -v * n_cs)
-
-
-def shifts_per_root(n_zc: int, n_cs: int) -> int:
-    """N_SS = floor(n_zc / n_cs): the shifts of one root at step n_cs."""
-    if n_cs < 1 or n_cs >= n_zc:
-        raise ValueError(f"n_cs must satisfy 1 <= n_cs < n_zc, got {n_cs}")
-    n_ss = n_zc // n_cs
-    if n_ss < 2:
-        raise ValueError(f"n_ss must be >= 2 for a usable shift family, got {n_ss}")
-    return n_ss
 
 
 def correlation_profile(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -62,6 +62,16 @@ class TestSpecLayering:
         assert spec.trials == 9
         assert spec.master_seed == 3
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig5"])
+    def test_none_leaves_an_activity_leg_unset(self, preset):
+        """None is "unset" in every layer: naming a leg None beside no other
+        keeps the preset's leg, and beside the other leg changes nothing."""
+        assert build_spec(preset, {"n_active": None, "p_a": None}) == build_spec(preset)
+        fixed = build_spec(preset, {"n_active": (6,), "p_a": None})
+        assert (fixed.n_active, fixed.p_a) == ((6,), None)
+        random = build_spec(preset, {"n_active": None, "p_a": (0.002,)})
+        assert (random.n_active, random.p_a) == (None, (0.002,))
+
     def test_every_preset_expands(self):
         for name in PRESETS:
             spec = build_spec(name)
@@ -588,10 +598,10 @@ class TestMainCli:
         assert not out.exists()
         assert not any(sidecar.iterdir())
 
-    @pytest.mark.parametrize("key", [k for k in AXIS_KEYS if k not in ("n_active", "p_a")])
+    @pytest.mark.parametrize("key", AXIS_KEYS)
     def test_null_grid_axis_exits_two_before_any_output(self, tmp_path, capsys, key):
-        """null switches off an activity leg and nothing else: on another axis
-        it is an error, not the preset's or the default's value."""
+        """null is an error on every axis, the activity legs included, not the
+        preset's or the default's value."""
         fields = {"mode": "both", "r_roots": [1], "n_ss": [16], "m_antennas": [4],
                   "trials": 5, key: None}
         cfg = tmp_path / "exp.yaml"
@@ -602,6 +612,17 @@ class TestMainCli:
         assert f"key {key!r} needs" in captured.err
         assert "running" not in captured.out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+    def test_running_line_counts_only_the_points_simulated(self, tmp_path, capsys):
+        """N_SS = 1000 (above N_ZC = 839) fails to build, so one point runs."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("mode: simulate\nr_roots: [1]\nm_antennas: 4\nn_ss: [16, 1000]\n"
+                       "n_active: 3\ntrials: 5\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert "running 1 grid points x 5 trials" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            assert [row["trials"] for row in csv.DictReader(fh)] == ["5", "0"]
 
     def test_help_shows_the_spec_defaults(self, monkeypatch, capsys):
         """Every default --help shows is the spec's, and every preset's SNR."""

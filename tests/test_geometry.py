@@ -1,4 +1,4 @@
-"""Unit tests for cell layout, UE drops, and channel correlation models."""
+"""Unit tests for the cell grid, UE drops, and channel correlation models."""
 
 import math
 
@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from pdra.geometry import (
-    CellLayout,
+    CELL_RADIUS_M,
+    MIN_DIST_M,
+    TIERS,
     ChannelModelSpec,
     UePlacement,
+    cell_centers,
     correlation_factor,
     drop_positions,
     drop_ue,
@@ -18,15 +21,12 @@ from oracles import correlated_channels, correlation_matrix
 
 
 def test_cell_counts_by_tier():
-    assert CellLayout(tiers=0).n_cells == 1
-    assert CellLayout(tiers=1).n_cells == 7
-    assert CellLayout(tiers=2).n_cells == 19
-    assert CellLayout(tiers=3).n_cells == 37
+    # the center cell and TIERS full rings of 6, 12, ... neighbors
+    assert len(cell_centers()) == 1 + 3 * TIERS * (TIERS + 1) == 19
 
 
 def test_two_tier_grid_geometry():
-    layout = CellLayout(radius_m=500.0, tiers=2)
-    centers = layout.cell_centers()
+    centers = cell_centers()
     assert centers.shape == (19, 2)
     np.testing.assert_allclose(centers[0], [0.0, 0.0], atol=1e-9)
     d = np.hypot(centers[:, 0], centers[:, 1])
@@ -37,35 +37,24 @@ def test_two_tier_grid_geometry():
     assert np.sum(np.isclose(d, math.sqrt(3.0) * spacing)) == 6
 
 
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        CellLayout(radius_m=0.0)
-    with pytest.raises(ValueError):
-        CellLayout(min_dist_m=500.0, radius_m=500.0)
-    with pytest.raises(ValueError):
-        CellLayout(tiers=-1)
-
-
 def test_drops_respect_cell_and_exclusion():
-    layout = CellLayout()
     rng = np.random.default_rng(11)
     s3 = math.sqrt(3.0)
     for _ in range(2000):
-        p = drop_ue(layout, rng)
-        assert p.distance_m >= layout.min_dist_m
-        assert abs(p.y_m) <= s3 / 2 * layout.radius_m + 1e-9
-        assert abs(s3 * p.x_m + p.y_m) <= s3 * layout.radius_m + 1e-9
-        assert abs(s3 * p.x_m - p.y_m) <= s3 * layout.radius_m + 1e-9
+        p = drop_ue(rng)
+        assert p.distance_m >= MIN_DIST_M
+        assert abs(p.y_m) <= s3 / 2 * CELL_RADIUS_M + 1e-9
+        assert abs(s3 * p.x_m + p.y_m) <= s3 * CELL_RADIUS_M + 1e-9
+        assert abs(s3 * p.x_m - p.y_m) <= s3 * CELL_RADIUS_M + 1e-9
         assert -math.pi <= p.angle_rad <= math.pi
 
 
 def test_array_drops_keep_first_accepted_candidates():
     """The n drops are the first n candidates, in draw order, of one stream of
     uniform (x, y) pairs that land in the cell; drop_ue is the case n = 1."""
-    layout = CellLayout()
     s3 = math.sqrt(3.0)
     for n in (1, 7, 500):
-        got = drop_positions(layout, np.random.default_rng(n), n)
+        got = drop_positions(np.random.default_rng(n), n)
         cands = np.random.default_rng(n).uniform(-500.0, 500.0, size=(4 * n + 60, 2))
         want = [
             (x, y) for x, y in cands
@@ -74,14 +63,13 @@ def test_array_drops_keep_first_accepted_candidates():
         ][:n]
         assert got.shape == (n, 2)
         np.testing.assert_array_equal(got, np.array(want))
-    ue = drop_ue(layout, np.random.default_rng(1))
-    assert (ue.x_m, ue.y_m) == tuple(drop_positions(layout, np.random.default_rng(1), 1)[0])
+    ue = drop_ue(np.random.default_rng(1))
+    assert (ue.x_m, ue.y_m) == tuple(drop_positions(np.random.default_rng(1), 1)[0])
 
 
 def test_exclusion_disk_area_fraction():
     # the 30 m disk removes pi*30^2 / (3*sqrt(3)/2 * 500^2) = 0.435% of the cell
-    layout = CellLayout()
-    frac = math.pi * layout.min_dist_m**2 / (1.5 * math.sqrt(3.0) * layout.radius_m**2)
+    frac = math.pi * MIN_DIST_M**2 / (1.5 * math.sqrt(3.0) * CELL_RADIUS_M**2)
     assert abs(frac - 0.004353) < 1e-6
 
     rng = np.random.default_rng(7)
