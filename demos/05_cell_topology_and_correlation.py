@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 
-from pdra import UePlacement, correlation_factor, drop_ue
 from pdra.geometry import (
     CELL_RADIUS_M,
+    UePlacement,
     cell_centers,
+    correlation_factor,
+    drop_ue,
     expand_ramps,
     ramp_tables,
     toeplitz_channels,

@@ -29,12 +29,6 @@ from .analytic import (
     success_probability_pdra,
     success_probability_random_activity,
 )
-from .geometry import (
-    ChannelModelSpec,
-    UePlacement,
-    correlation_factor,
-    drop_ue,
-)
 from .pool import (
     PilotPool,
     build_pattern,
@@ -47,9 +41,6 @@ from .simulate import (
     TrialOutcome,
     analytic_reference,
     build_scenario,
-    classify_tagged_collision,
-    detect_data_symbol,
-    mf_sinr,
     run_campaign,
     run_forced_interference_trial,
     run_point,

@@ -72,7 +72,7 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of one sweep: grid axes plus run controls."""
+    """One sweep: grid axes plus run controls, checked when built."""
 
     mode: str = "both"
     preset: str | None = None
@@ -92,7 +92,7 @@ class ExperimentSpec:
     threads: int = 1
     out: str = "pdra-results.csv"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
         if reason := n_zc_error(self.n_zc):
@@ -210,7 +210,7 @@ def parse_config(path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise SchemaError(f"config must be a flat key-value mapping, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES), key=str)
     if unknown:
         raise SchemaError(
             f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_TYPES)}"
@@ -231,7 +231,7 @@ def build_spec(
     config_fields: dict | None = None,
     flag_fields: dict | None = None,
 ) -> ExperimentSpec:
-    """Layer preset, config file, and flags (later wins), then validate."""
+    """Layer preset, config file, and flags (later wins) into one spec."""
     fields: dict = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -250,7 +250,6 @@ def build_spec(
             if layer.get(leg) is not None and layer.get(other) is None:
                 fields[other] = None
     spec = ExperimentSpec(**fields)
-    spec.validate()
     if "population" in (config_fields or {}) and spec.p_a is None:
         raise SchemaError("key 'population' applies only with p_a, not with n_active")
     return spec

@@ -54,21 +54,6 @@ class UePlacement:
         return math.atan2(self.y_m, self.x_m)
 
 
-@dataclass(frozen=True)
-class ChannelModelSpec:
-    """Antenna count and spatial correlation of the UE-to-BS channel; rho = 0
-    is i.i.d. fading."""
-
-    m_antennas: int
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.m_antennas < 1:
-            raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-
-
 def _inside_hexagon(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
     # flat-top hexagon with vertices at (+-radius, 0), (+-radius/2, +-sqrt(3)/2 radius)
     s3 = math.sqrt(3.0)

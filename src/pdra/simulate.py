@@ -97,7 +97,6 @@ from .analytic import (
     success_probability_pdra,
 )
 from .geometry import (
-    ChannelModelSpec,
     drop_positions,
     expand_ramps,
     ramp_tables,
@@ -130,13 +129,18 @@ class ScenarioConfig:
     population: int
     p_a: float
     pool: PilotPool
-    channel: ChannelModelSpec
+    m_antennas: int
+    rho: float  # antenna correlation; 0 is i.i.d. fading
     snr_db: float
     alpha_th_db: float
     trials: int
     master_seed: int
 
     def __post_init__(self):
+        if self.m_antennas < 1:
+            raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if not 1 <= self.population <= 2**63:  # numpy's binomial draw takes n < 2**63
             raise ValueError(f"population must lie in [1, 2**63], got {self.population}")
         if not 0.0 <= self.p_a <= 1.0:
@@ -183,7 +187,8 @@ def build_scenario(
         population=population,
         p_a=p_a,
         pool=PilotPool(n_zc, point["r_roots"], point["n_ss"], point["l"]),
-        channel=ChannelModelSpec(point["m_antennas"], rho=point["rho"]),
+        m_antennas=point["m_antennas"],
+        rho=point["rho"],
         snr_db=point["snr_db"],
         alpha_th_db=point["alpha_th_db"],
         trials=trials,
@@ -538,12 +543,12 @@ def _live_sinr(
     else one trial per row after the drops of all their UEs.  roots to same
     hold those rows of run_block's arrays; drawn holds the UE counts of every
     live row of the block, whose gammas or drops are all drawn."""
-    p_lin, channel = db_to_linear(config.snr_db), config.channel
+    p_lin = db_to_linear(config.snr_db)
     coefs = _correlator(config.pool).coefficient(
         roots, shifts, roots[:, 0], shifts[:, 0], ~shared) * valid
     n_active = valid.sum(axis=1)
-    if channel.rho == 0.0:
-        return _rank_one_sinr(coefs, n_active, p_lin, channel.m_antennas, rng, len(drawn))
+    if config.rho == 0.0:
+        return _rank_one_sinr(coefs, n_active, p_lin, config.m_antennas, rng, len(drawn))
     xy = drop_positions(rng, int(drawn.sum()))[:n_active.sum()]
     # h_n carries e^{-j delta_n k}, the quadratic form of a same-root other
     # e^{+j delta_n k}: one signed angle per UE
@@ -555,7 +560,7 @@ def _live_sinr(
     order = np.argsort(same | ~valid, axis=1, kind="stable")
     return _correlated_sinr(
         np.take_along_axis(coefs, order, axis=1), np.take_along_axis(signed, order, axis=1),
-        n_active - same.sum(axis=1), n_active, channel.rho, channel.m_antennas, p_lin, rng,
+        n_active - same.sum(axis=1), n_active, config.rho, config.m_antennas, p_lin, rng,
     )
 
 

@@ -174,19 +174,24 @@ def correlation_matrix(m: int, rho: float, delta: float) -> np.ndarray:
 
 
 def correlated_channels(raw: np.ndarray, rho: float, angles) -> np.ndarray:
-    """CN(0, R) rows from (n, 2, M) standard normals, one steering angle per row.
+    """CN(0, R) channels from (..., 2, M) standard normals, with steering
+    angles that broadcast against raw.shape[:-2].
 
-    Row i equals pdra.geometry.correlation_factor(M, rho, angles[i]) @ w_i
-    with w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the engine's real
-    Toeplitz factor filters every row (toeplitz_channels), then each row
-    takes the phase ramp e^{-j delta k} of its angle (ramp_tables).
+    Channel i equals pdra.geometry.correlation_factor(M, rho, angles[i]) @ w_i
+    with w_i = (raw[i, 0] + j raw[i, 1]) / sqrt(2): the AR(1) recursion
+    x_0 = w_0, x_k = rho x_{k-1} + sqrt(1 - rho^2) w_k over the antennas, one
+    step for every channel at once, then the phase ramp e^{-j delta k} of its
+    angle.
     """
-    from pdra.geometry import expand_ramps, ramp_tables, toeplitz_channels
-
     m = raw.shape[-1]
-    rows = toeplitz_channels(raw, rho)
-    rows *= expand_ramps(*ramp_tables(-np.asarray(angles, dtype=float), m), m)
-    return rows
+    # antenna-major, so that each step reads and writes one contiguous slice
+    w = np.moveaxis(raw[..., 0, :] + 1j * raw[..., 1, :], -1, 0).copy() / math.sqrt(2.0)
+    x = np.empty_like(w)
+    x[0] = w[0]
+    for k in range(1, m):
+        x[k] = rho * x[k - 1] + math.sqrt(1.0 - rho * rho) * w[k]
+    ramps = np.exp(-1j * np.multiply.outer(np.asarray(angles, dtype=float), np.arange(m)))
+    return np.moveaxis(x, 0, -1) * ramps
 
 
 def explicit_correlated_sinr(
@@ -204,8 +209,7 @@ def explicit_correlated_sinr(
     """
     n = len(coefs)
     raw = rng.standard_normal((draws, n + 1, 2, m))
-    h = correlated_channels(raw[:, :n].reshape(-1, 2, m), rho,
-                            np.tile(angles, draws)).reshape(draws, n, m)
+    h = correlated_channels(raw[:, :n], rho, angles)
     w = (raw[:, n, 0] + 1j * raw[:, n, 1]) / math.sqrt(2.0)
     g = math.sqrt(snr_linear) * np.einsum("n,dnm->dm", coefs, h) + w
     power = np.abs(np.einsum("dnm,dm->dn", h.conj(), g)) ** 2

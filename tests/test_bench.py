@@ -81,27 +81,33 @@ class TestSpecLayering:
 class TestValidation:
     def test_l3_analytic_success_rejected(self):
         with pytest.raises(SchemaError, match=r"analytic model defined only for L in \{1, 2\}"):
-            ExperimentSpec(mode="analytic", l=(3,)).validate()
+            ExperimentSpec(mode="analytic", l=(3,))
 
     def test_bad_n_zc_rejected(self):
         for n_zc in (840, 2, 1):
             with pytest.raises(SchemaError, match="n_zc must be an odd integer"):
-                ExperimentSpec(n_zc=n_zc).validate()
+                ExperimentSpec(n_zc=n_zc)
         for n_zc in (9, 841):  # 841 = 29^2
             with pytest.raises(SchemaError, match=f"n_zc must be prime, got {n_zc}"):
-                ExperimentSpec(n_zc=n_zc).validate()
+                ExperimentSpec(n_zc=n_zc)
         for n_zc in (4294967291, 2**31 - 1):  # primes whose tables overflow int64
             with pytest.raises(SchemaError, match=rf"n_zc must be below 2\*\*30, got {n_zc}"):
-                ExperimentSpec(n_zc=n_zc).validate()
+                ExperimentSpec(n_zc=n_zc)
 
     def test_l3_simulate_allowed(self):
-        ExperimentSpec(mode="simulate", l=(3,)).validate()
+        ExperimentSpec(mode="simulate", l=(3,))
 
     def test_activity_models_mutually_exclusive(self):
         with pytest.raises(SchemaError, match="mutually exclusive"):
-            ExperimentSpec(n_active=(10,), p_a=(0.001,)).validate()
+            ExperimentSpec(n_active=(10,), p_a=(0.001,))
         with pytest.raises(SchemaError, match="mutually exclusive"):
-            ExperimentSpec(n_active=None, p_a=None).validate()
+            ExperimentSpec(n_active=None, p_a=None)
+
+    def test_run_experiment_gets_no_spec_without_an_activity_leg(self, tmp_path):
+        """The spec is checked when built, before run_experiment can start."""
+        with pytest.raises(SchemaError, match="mutually exclusive"):
+            run_experiment(ExperimentSpec(n_active=None, out=str(tmp_path / "r.csv")))
+        assert not any(tmp_path.iterdir())
 
     def test_metric_key_exits_two_before_the_campaign(self, tmp_path, capsys):
         """The collision curve is a mode; a metric key is an unknown key."""
@@ -117,11 +123,11 @@ class TestValidation:
 
     def test_empty_axis_rejected(self):
         with pytest.raises(SchemaError, match="r_roots"):
-            ExperimentSpec(r_roots=()).validate()
+            ExperimentSpec(r_roots=())
 
     def test_bad_mode_rejected(self):
         with pytest.raises(SchemaError, match="mode"):
-            ExperimentSpec(mode="quick").validate()
+            ExperimentSpec(mode="quick")
 
 
 class TestParseConfig:
@@ -269,7 +275,7 @@ class TestConfigProperties:
 def test_every_empty_axis_is_rejected(name):
     fields = {name: (), "n_active": None} if name == "p_a" else {name: ()}
     with pytest.raises(SchemaError, match=f"grid axis {name} is empty"):
-        ExperimentSpec(**fields).validate()
+        ExperimentSpec(**fields)
 
 
 class TestGridExpansion:
@@ -515,6 +521,15 @@ class TestMainCli:
         code = main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_string_key_exits_two_before_any_output(self, tmp_path, capsys):
+        """A YAML key that is not a string is an unknown key like any other."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("1: 2\nfoo: 3\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys [1, 'foo']" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
     @pytest.mark.parametrize("n_zc", [840, 1, 2, 9, 841, 4294967291, 2**31 - 1])
     def test_bad_n_zc_exits_two_before_any_output(self, tmp_path, capsys, n_zc):
@@ -955,7 +970,7 @@ def test_perfbench_trace_wraps_resolve():
 
 def test_readme_config_table_matches_the_schema(tmp_path):
     """The README's config-key table names exactly the keys parse_config
-    takes and the modes validate accepts, and its YAML example builds."""
+    takes and the modes ExperimentSpec accepts, and its YAML example builds."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     after = readme.split("A config file is a flat YAML mapping of these keys", 1)[1]
     table = re.search(r"\n((?:\|.*\|\n)+)", after).group(1).splitlines()[2:]

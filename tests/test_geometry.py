@@ -9,12 +9,14 @@ from pdra.geometry import (
     CELL_RADIUS_M,
     MIN_DIST_M,
     TIERS,
-    ChannelModelSpec,
     UePlacement,
     cell_centers,
     correlation_factor,
     drop_positions,
     drop_ue,
+    expand_ramps,
+    ramp_tables,
+    toeplitz_channels,
 )
 
 from oracles import correlated_channels, correlation_matrix
@@ -131,11 +133,14 @@ def test_channel_rows_match_factor_oracle(m, rho):
     raw = rng.standard_normal((3, 2, m))
     angles = [0.0, 1.1, -2.5]
     rows = correlated_channels(raw, rho, angles)
-    for row, r, angle in zip(rows, raw, angles):
+    # the engine's blocked filter and factored ramps, against the same factor
+    engine = toeplitz_channels(raw, rho) * expand_ramps(*ramp_tables(-np.array(angles), m), m)
+    for row, engine_row, r, angle in zip(rows, engine, raw, angles):
         w = (r[0] + 1j * r[1]) / np.sqrt(2.0)
-        np.testing.assert_allclose(
-            row, correlation_factor(m, rho, angle) @ w, rtol=0, atol=1e-12
-        )
+        for got in (row, engine_row):
+            np.testing.assert_allclose(
+                got, correlation_factor(m, rho, angle) @ w, rtol=0, atol=1e-12
+            )
 
     # one (1, 2, m) draw holds the same values as two draws of m
     place = UePlacement(x_m=-120.0, y_m=40.0)
@@ -168,10 +173,6 @@ def test_correlated_channel_adjacent_correlation():
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
 
 
-def test_channel_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelModelSpec(m_antennas=0)
-    with pytest.raises(ValueError):
-        ChannelModelSpec(m_antennas=8, rho=1.0)
+def test_correlation_matrix_rejects_negative_rho():
     with pytest.raises(ValueError):
         correlation_matrix(8, -0.1, 0.0)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pdra.analytic import collision_event_probs, db_to_linear
-from pdra.geometry import ChannelModelSpec
 from pdra.pool import PilotPool, build_pattern, combination_table
 from pdra.simulate import (
     BLOCK_TRIALS,
@@ -56,7 +55,8 @@ def small_config(m_antennas: int = 8, **overrides) -> ScenarioConfig:
         population=10,
         p_a=1.0,
         pool=PilotPool(N_ZC, r_roots=2, n_ss=16, l=2),
-        channel=ChannelModelSpec(m_antennas=m_antennas),
+        m_antennas=m_antennas,
+        rho=0.0,
         snr_db=0.0,
         alpha_th_db=5.0,
         trials=100,
@@ -669,8 +669,7 @@ class TestRunTrial:
 
 def block_configs():
     """Random activity (padded rows) over i.i.d. and correlated channels."""
-    return [small_config(population=2000, p_a=0.004, channel=ChannelModelSpec(16, rho),
-                         snr_db=-3.0)
+    return [small_config(16, population=2000, p_a=0.004, rho=rho, snr_db=-3.0)
             for rho in (0.0, 0.7)]
 
 
@@ -707,8 +706,8 @@ class TestBlockEngine:
     def test_counted_rows_without_live_row(self):
         """A correlated block whose counted rows hold no E0 or E1 row, while
         later rows do, gives NaN SINRs and no success."""
-        cfg = small_config(population=12, pool=PilotPool(N_ZC, r_roots=1, n_ss=4, l=2),
-                           channel=ChannelModelSpec(16, 0.7))
+        cfg = small_config(16, population=12, pool=PilotPool(N_ZC, r_roots=1, n_ss=4, l=2),
+                           rho=0.7)
         for block in range(50):
             full = run_block(cfg, block)
             rows = int(np.argmax(full.events < 2))
@@ -874,10 +873,16 @@ class TestCampaign:
         new = build_scenario(point, N_ZC, trials=7, master_seed=3)
         assert new.pool.n_ss == 32 and new.pool.l == 1
         assert new.pool.r_roots == 3
-        assert new.channel == ChannelModelSpec(m_antennas=16, rho=0.5)
+        assert (new.m_antennas, new.rho) == (16, 0.5)
         assert new.pool.n_zc == N_ZC
         assert (new.population, new.p_a) == (50, 0.1)
         assert (new.snr_db, new.alpha_th_db, new.trials, new.master_seed) == (-4.0, 3.0, 7, 3)
+
+    def test_scenario_rejects_a_bad_channel(self):
+        with pytest.raises(ValueError, match="m_antennas must be >= 1, got 0"):
+            small_config(m_antennas=0)
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\), got 1.0"):
+            small_config(m_antennas=8, rho=1.0)
 
 
 class TestAnalyticReference:
