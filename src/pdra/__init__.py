@@ -16,7 +16,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytic import (
-    AnalyticParams,
     CollisionEventProbs,
     collision_event_probs,
     db_to_linear,
@@ -25,8 +24,6 @@ from .analytic import (
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
     sinr_limited_k_cap,
-    success_probability_conventional,
-    success_probability_pdra,
     success_probability_random_activity,
 )
 from .pool import (

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pool import PilotPool
+
 
 # The closed form's domain: L shifts per pattern, at least MIN_N_SS shifts per
 # root.  no_closed_form_reason and every check of the model read these.
@@ -44,6 +46,12 @@ def no_closed_form_reason(l: int, n_ss: int) -> str | None:
     if n_ss < MIN_N_SS:
         return f"n_ss<{MIN_N_SS}"
     return None
+
+
+def _require_closed_form(pool: PilotPool) -> None:
+    """Raise ValueError naming why the closed form does not cover the pool."""
+    if reason := no_closed_form_reason(pool.l, pool.n_ss):
+        raise ValueError(f"no closed form: {reason}")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -85,32 +93,6 @@ def _binom_cdf(k: int, n: int, p: float | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AnalyticParams:
-    """Pool and threshold of the closed-form model; the UE count is an
-    argument of each probability.
-
-    alpha_th is the linear SINR threshold; interface layers convert from dB.
-    """
-
-    r_roots: int
-    n_ss: int
-    n_zc: int
-    alpha_th: float
-
-    def __post_init__(self):
-        if self.r_roots < 1:
-            raise ValueError(f"r_roots must be >= 1, got {self.r_roots}")
-        if self.n_ss < MIN_N_SS:
-            raise ValueError(f"n_ss must be >= {MIN_N_SS} for the collision "
-                             f"decomposition, got {self.n_ss}")
-        if self.n_zc < 3:
-            raise ValueError(f"n_zc must be >= 3, got {self.n_zc}")
-        if not 0 < self.alpha_th < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"alpha_th must be a positive finite linear value, "
-                             f"got {self.alpha_th}")
-
-
-@dataclass(frozen=True)
 class CollisionEventProbs:
     """Conditional probabilities of the recoverable collision events."""
 
@@ -142,21 +124,20 @@ def p_no_pattern_collision_binomial(p_a: float, population: int, n_p: int) -> fl
     return math.exp((population - 1) * math.log1p(-p_a / n_p))
 
 
-def p_k_other_roots(k: int, n_active: int, params: AnalyticParams) -> float:
+def p_k_other_roots(k: int, n_active: int, pool: PilotPool) -> float:
     """P(K): K of the other n_active - 1 UEs hold different-root patterns.
 
-    This is the two-shift law: N_PS = C(N_SS, 2) patterns per root.
     Conditioned on no exact pattern collision, each other UE is uniform over
-    the remaining R*N_PS - 1 patterns, of which (R-1)*N_PS belong to other
-    roots.  Evaluated via log-gamma to stay exact for large N.
+    the remaining R*N_PS - 1 patterns of the pool, of which (R-1)*N_PS belong
+    to other roots.  Evaluated via log-gamma to stay exact for large N.
     """
+    _require_closed_form(pool)
     n_others = n_active - 1
     if not 0 <= k <= n_others:
         raise ValueError(f"k must lie in [0, {n_others}], got {k}")
-    n_ps = math.comb(params.n_ss, 2)
-    other_root = (params.r_roots - 1) * n_ps
-    same_root = n_ps - 1
-    total = params.r_roots * n_ps - 1
+    other_root = (pool.r_roots - 1) * pool.n_ps
+    same_root = pool.n_ps - 1
+    total = pool.n_p - 1
     if n_others == 0 or other_root == 0:
         return 1.0 if k == 0 else 0.0
     log_p = _ln_comb(n_others, k) - n_others * math.log(total)
@@ -205,6 +186,8 @@ def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
     interferers, L in CLOSED_FORM_L.  Boundary K with equality counts as
     admissible.
     """
+    if not 0 < alpha_th < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"alpha_th must be a positive finite linear value, got {alpha_th}")
     if l not in CLOSED_FORM_L:
         raise ValueError(
             f"asymptotic SINR cap defined only for l in {set(CLOSED_FORM_L)}, got l={l}")
@@ -219,56 +202,56 @@ def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
     return cap
 
 
-def success_probability_pdra(params: AnalyticParams, n_active: int) -> float:
-    """Closed-form matched-filter success probability of two-component
-    patterns among n_active UEs: the random-activity form at p_a = 1."""
-    return success_probability_random_activity(1.0, n_active, params, l=2)
+# Not called by the package: perfbench/traced.py wraps it, here and in
+# simulate, and ROADMAP item 4 removes it with the tracer's name wraps.
+def success_probability_pdra(pool: PilotPool, alpha_th: float, n_active: int) -> float:
+    """Closed-form success probability among n_active UEs: the random-activity
+    form at p_a = 1."""
+    return success_probability_random_activity(1.0, n_active, pool, alpha_th)
 
 
-def success_probability_conventional(params: AnalyticParams, n_active: int) -> float:
-    """Single-shift pilot baseline among n_active UEs, the L = 1 case.
-
-    Non-identical pilots never partially collide, so the event bracket is 1
-    and only the exact collision term and the other-root SINR cap remain:
-    P_S * F(Kcap; n, o/(R*N_SS - 1)) with o = (R-1)*N_SS.
-    """
-    return success_probability_random_activity(1.0, n_active, params, l=1)
+# The same p_a = 1 form, under the second name perfbench/traced.py wraps;
+# ROADMAP item 4 removes it too.
+success_probability_conventional = success_probability_pdra
 
 
 def success_probability_random_activity(
     p_a: float,
     population: int,
-    params: AnalyticParams,
-    l: int = 2,
+    pool: PilotPool,
+    alpha_th: float,
 ) -> float:
     """Success probability of the tagged UE, active by construction, when the
     other population - 1 UEs are each active with probability p_a.
 
-    An active candidate draws one of the N_P = R*C(N_SS, L) patterns
-    uniformly.  Term j = 1..L of the inclusion-exclusion over the tagged
-    shifts is (-1)^(j+1) C(L, j) times the probability that every candidate
-    is inactive or lands in the set S_j of patterns leaving j given tagged
-    shifts free (the o = (R-1)*C(N_SS, L) other-root ones and C(N_SS-j, L) on
-    the tagged root), with at most Kcap of them on other roots.  Per
-    candidate the first event has probability x_j = 1 - p_a(N_P - |S_j|)/N_P
-    and, given it, a candidate sits on another root with probability
-    p_a*o/(N_P*x_j), so term j is c_j * x_j^n * F(Kcap; n, p_a*o/(N_P*x_j)),
-    n = population - 1: exact, with no truncation.  Fixed N is p_a = 1 at
-    population = N; then x_j^n carries P_S.  l shifts per pattern: 2 for
-    pattern-domain pilots, 1 for the single-shift baseline; any other l raises.
+    alpha_th is the linear SINR threshold; interface layers convert from dB.
+    An active candidate draws one of the N_P = R*N_PS patterns of the pool
+    uniformly, N_PS = C(N_SS, L).  Term j = 1..L of the inclusion-exclusion
+    over the tagged shifts is (-1)^(j+1) C(L, j) times the probability that
+    every candidate is inactive or lands in the set S_j of patterns leaving j
+    given tagged shifts free (the o = (R-1)*N_PS other-root ones and
+    C(N_SS-j, L) on the tagged root), with at most Kcap of them on other
+    roots.  Per candidate the first event has probability
+    x_j = 1 - p_a(N_P - |S_j|)/N_P and, given it, a candidate sits on another
+    root with probability p_a*o/(N_P*x_j), so term j is
+    c_j * x_j^n * F(Kcap; n, p_a*o/(N_P*x_j)), n = population - 1: exact, with
+    no truncation.  Fixed N is p_a = 1 at population = N; then x_j^n carries
+    P_S.  L = 2 gives pattern-domain pilots and L = 1 the single-shift
+    baseline, whose non-identical pilots never partially collide; a pool
+    outside the closed form's domain (no_closed_form_reason) raises.
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
+    _require_closed_form(pool)
     n_others = population - 1
-    k_cap = sinr_limited_k_cap(params.n_zc, params.alpha_th, l=l)
-    n_ps = math.comb(params.n_ss, l)
-    n_p = params.r_roots * n_ps
-    o = (params.r_roots - 1) * n_ps
+    l, n_p = pool.l, pool.n_p
+    k_cap = sinr_limited_k_cap(pool.n_zc, alpha_th, l=l)
+    o = (pool.r_roots - 1) * pool.n_ps
     j = range(1, l + 1)
     coef = np.array([(-1) ** (i + 1) * math.comb(l, i) for i in j], dtype=float)
-    sizes = np.array([o + math.comb(params.n_ss - i, l) for i in j])
+    sizes = np.array([o + math.comb(pool.n_ss - i, l) for i in j])
     log_x = np.log1p(-p_a * (n_p - sizes) / n_p)
     cdf = _binom_cdf(min(k_cap, n_others), n_others, p_a * o / n_p / np.exp(log_x))
     return float(coef @ (np.exp(n_others * log_x) * cdf))

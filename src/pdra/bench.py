@@ -93,6 +93,21 @@ class ExperimentSpec:
     out: str = "pdra-results.csv"
 
     def __post_init__(self):
+        # Each config key's field holds its value cast as parse_config casts
+        # it; a grid axis is a nonempty tuple, or None for an activity leg.
+        for name, kind in _CONFIG_TYPES.items():
+            value, cast = getattr(self, name), _CASTS[kind]
+            if name not in GRID_AXES:
+                value = cast(name, value)
+            elif value is None and name in ACTIVITY_LEGS:
+                continue
+            elif not isinstance(value, (tuple, list)):
+                raise SchemaError(f"grid axis {name} needs a tuple or list, got {value!r}")
+            elif not value:
+                raise SchemaError(f"grid axis {name} is empty")
+            else:
+                value = tuple(cast(name, v) for v in value)
+            object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
         if reason := n_zc_error(self.n_zc):
@@ -107,10 +122,6 @@ class ExperimentSpec:
             if bad:
                 raise SchemaError(f"analytic model defined only for L in "
                                   f"{set(CLOSED_FORM_L)}; grid has L={bad}")
-        for name in GRID_AXES:
-            values = getattr(self, name)
-            if not values and (values is not None or name not in ACTIVITY_LEGS):
-                raise SchemaError(f"grid axis {name} is empty")
         bad = sorted(n for n in self.n_active or () if n < 1)
         if bad:
             raise SchemaError(f"n_active entries must be >= 1, got {bad}")
@@ -198,12 +209,22 @@ _CONFIG_TYPES = {
 
 
 def parse_config(path: str) -> dict:
-    """Read a flat YAML mapping of spec fields; unknown keys are rejected."""
+    """Read a flat YAML mapping of spec fields; unknown and repeated keys are
+    rejected."""
     import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)
+            keys = [self.construct_object(key, deep) for key, _ in node.value]
+            repeated = sorted({key for key in keys if keys.count(key) > 1}, key=str)
+            if repeated:
+                raise SchemaError(f"repeated config keys {repeated}")
+            return mapping
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise SchemaError(f"config {path} is not valid YAML: {exc}") from None
     if raw is None:

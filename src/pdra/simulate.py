@@ -88,11 +88,11 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .analytic import (
-    AnalyticParams,
     db_to_linear,
     no_closed_form_reason,
     success_probability_random_activity,
     # not called here; kept as module attributes perfbench/traced.py wraps
+    # until ROADMAP item 4 removes its name wraps
     success_probability_conventional,
     success_probability_pdra,
 )
@@ -608,14 +608,8 @@ def analytic_reference(config: ScenarioConfig) -> float | None:
     """Closed-form success probability for this scenario, when one exists."""
     if no_closed_form_reason(config.pool.l, config.pool.n_ss) is not None:
         return None
-    params = AnalyticParams(
-        r_roots=config.pool.r_roots,
-        n_ss=config.pool.n_ss,
-        n_zc=config.pool.n_zc,
-        alpha_th=db_to_linear(config.alpha_th_db),
-    )
     return success_probability_random_activity(
-        config.p_a, config.population, params, l=config.pool.l
+        config.p_a, config.population, config.pool, db_to_linear(config.alpha_th_db)
     )
 
 

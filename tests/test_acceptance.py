@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from pdra.analytic import (
-    AnalyticParams,
     collision_event_probs,
-    db_to_linear,
     p_k_other_roots,
     p_no_pattern_collision,
 )
@@ -119,11 +117,9 @@ def test_criterion_04_probability_normalization():
     for n_active in (2, 5, 10, 20, 50):
         for r in (1, 2, 3, 4, 5):
             for n_ss in (8, 16, 32, 64):
-                params = AnalyticParams(
-                    r_roots=r, n_ss=n_ss, n_zc=N_ZC, alpha_th=db_to_linear(5.0),
-                )
+                pool = PilotPool(N_ZC, r, n_ss, 2)
                 total = sum(
-                    p_k_other_roots(k, n_active, params) for k in range(n_active)
+                    p_k_other_roots(k, n_active, pool) for k in range(n_active)
                 )
                 worst_sum = max(worst_sum, abs(total - 1.0))
                 points += 1

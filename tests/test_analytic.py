@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles import enumerate_collision_events, naive_success_pdra
 from pdra.analytic import (
-    AnalyticParams,
     _binom_cdf,
     collision_event_probs,
     db_to_linear,
@@ -19,8 +18,6 @@ from pdra.analytic import (
     p_no_pattern_collision,
     p_no_pattern_collision_binomial,
     sinr_limited_k_cap,
-    success_probability_conventional,
-    success_probability_pdra,
     success_probability_random_activity,
 )
 from pdra.pool import PilotPool
@@ -28,8 +25,14 @@ from pdra.pool import PilotPool
 ALPHA_5DB = db_to_linear(5.0)
 
 
-def params(r_roots=2, n_ss=32, n_zc=839, alpha_th=ALPHA_5DB):
-    return AnalyticParams(r_roots=r_roots, n_ss=n_ss, n_zc=n_zc, alpha_th=alpha_th)
+def pool(r_roots=2, n_ss=32, l=2):
+    return PilotPool(839, r_roots, n_ss, l)
+
+
+def fixed_n(n_active, r_roots=2, n_ss=32, l=2, alpha_th=ALPHA_5DB):
+    """The closed form among n_active UEs: random activity at p_a = 1."""
+    return success_probability_random_activity(
+        1.0, n_active, pool(r_roots, n_ss, l), alpha_th)
 
 
 def test_no_collision_probability():
@@ -63,15 +66,16 @@ def test_derived_pool_sizes():
 
 
 def test_p_k_single_root():
-    p = params(r_roots=1)
+    p = pool(r_roots=1)
     assert p_k_other_roots(0, 5, p) == 1.0
     assert p_k_other_roots(3, 5, p) == 0.0
 
 
 def test_p_k_hand_value():
     # N=3, R=2, N_SS=4 so N_PS=6: C(2,1)*6*5 / 11^2 = 60/121
-    p = params(r_roots=2, n_ss=4)
-    assert abs(p_k_other_roots(1, 3, p) - 60.0 / 121.0) < 1e-15
+    assert abs(p_k_other_roots(1, 3, pool(r_roots=2, n_ss=4)) - 60.0 / 121.0) < 1e-15
+    # the same with L = 1, so N_PS = 4: C(2,1)*4*3 / 7^2 = 24/49
+    assert abs(p_k_other_roots(1, 3, pool(r_roots=2, n_ss=4, l=1)) - 24.0 / 49.0) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -79,9 +83,10 @@ def test_p_k_hand_value():
     [(50, 4, 32), (200, 8, 141), (2, 2, 4), (100, 3, 64), (1, 5, 32)],
 )
 def test_p_k_normalizes(n_active, r_roots, n_ss):
-    p = params(r_roots=r_roots, n_ss=n_ss)
-    total = sum(p_k_other_roots(k, n_active, p) for k in range(n_active))
-    assert abs(total - 1.0) < 1e-12
+    for l in (1, 2):
+        p = pool(r_roots=r_roots, n_ss=n_ss, l=l)
+        total = sum(p_k_other_roots(k, n_active, p) for k in range(n_active))
+        assert abs(total - 1.0) < 1e-12, l
 
 
 def test_collision_events_no_others():
@@ -128,26 +133,27 @@ def test_k_cap_at_5db():
     assert sinr_limited_k_cap(800, 2.0, l=2) == 100
     with pytest.raises(ValueError):
         sinr_limited_k_cap(839, ALPHA_5DB, l=3)
+    # a threshold that is not positive and finite is an input error
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha_th must be a positive finite"):
+            sinr_limited_k_cap(839, alpha)
 
 
 def test_success_probability_trivial_cases():
-    assert success_probability_pdra(params(), 1) == 1.0
-    assert success_probability_conventional(params(), 1) == 1.0
+    assert fixed_n(1) == 1.0
+    assert fixed_n(1, l=1) == 1.0
 
 
 def test_success_probability_tiny_threshold_single_root():
     # K-cap inactive and K=0 forced: P = P_S * (p_e0 + p_e1) over all others
-    p = params(r_roots=1, alpha_th=1e-9)
     ev = collision_event_probs(7, 32)
-    n_p = PilotPool(839, 1, n_ss=32, l=2).n_p
-    expected = p_no_pattern_collision(8, n_p) * (ev.p_e0 + ev.p_e1)
-    assert abs(success_probability_pdra(p, 8) - expected) < 1e-14
+    expected = p_no_pattern_collision(8, pool(r_roots=1).n_p) * (ev.p_e0 + ev.p_e1)
+    assert abs(fixed_n(8, r_roots=1, alpha_th=1e-9) - expected) < 1e-14
 
 
 def test_conventional_single_root_is_collision_bound():
-    p = params(r_roots=1, alpha_th=1e-9)
     expected = (1.0 - 1.0 / 32.0) ** 11
-    assert abs(success_probability_conventional(p, 12) - expected) < 1e-14
+    assert abs(fixed_n(12, r_roots=1, l=1, alpha_th=1e-9) - expected) < 1e-14
 
 
 @pytest.mark.parametrize("k_cap", [0, 1, 3, 6, 9])
@@ -161,13 +167,13 @@ def test_conventional_matches_direct_sum(r_roots, k_cap):
         math.comb(n, k) * ((r_roots - 1) * n_ss) ** k * (n_ss - 1) ** (n - k)
         for k in range(min(k_cap, n) + 1)
     ) / others**n * (1.0 - 1.0 / (r_roots * n_ss)) ** n
-    p = params(r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
     assert sinr_limited_k_cap(839, alpha, l=1) == k_cap
-    assert success_probability_conventional(p, n + 1) == pytest.approx(direct, rel=1e-12)
+    got = fixed_n(n + 1, r_roots=r_roots, n_ss=n_ss, l=1, alpha_th=alpha)
+    assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_success_probability_monotone_in_n_active():
-    values = [success_probability_pdra(params(), n) for n in range(1, 60)]
+    values = [fixed_n(n) for n in range(1, 60)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -180,22 +186,15 @@ def test_log_domain_matches_naive_small(r_roots, n_active):
     alphas = [ALPHA_5DB] + [839.0 / (4 * k + 2) for k in caps]
     for n_ss in (5, 8, 14):
         for alpha in alphas:
-            p = params(r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
-            got = success_probability_pdra(p, n_active)
+            got = fixed_n(n_active, r_roots=r_roots, n_ss=n_ss, alpha_th=alpha)
             want = naive_success_pdra(n_active, r_roots, n_ss, 839, alpha)
             assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_random_activity_edges():
-    assert success_probability_random_activity(0.0, 10000, params()) == 1.0
-    assert success_probability_random_activity(0.5, 1, params()) == 1.0
-    # everyone active: the fixed-N model at N = population
-    for r_roots in (1, 3):
-        p = params(r_roots=r_roots)
-        assert (success_probability_random_activity(1.0, 40, p)
-                == success_probability_pdra(p, 40))
-        assert (success_probability_random_activity(1.0, 40, p, l=1)
-                == success_probability_conventional(p, 40))
+    for l in (1, 2):
+        assert success_probability_random_activity(0.0, 10000, pool(l=l), ALPHA_5DB) == 1.0
+        assert success_probability_random_activity(0.5, 1, pool(l=l), ALPHA_5DB) == 1.0
 
 
 def test_random_activity_matches_full_summation():
@@ -203,14 +202,13 @@ def test_random_activity_matches_full_summation():
     from scipy.stats import binom
 
     weights = binom(9999, 0.001).pmf(np.arange(10000))
-    fixed_n = {2: success_probability_pdra, 1: success_probability_conventional}
     # R=1 has no other-root patterns; 20 dB caps K at 2 (pdra) and 8 (baseline)
     for l, r_roots, alpha in ((2, 2, ALPHA_5DB), (2, 1, ALPHA_5DB),
                               (2, 3, 100.0), (1, 3, 100.0)):
-        p = params(r_roots=r_roots, alpha_th=alpha)
-        got = success_probability_random_activity(0.001, 10000, p, l=l)
+        p = pool(r_roots, l=l)
+        got = success_probability_random_activity(0.001, 10000, p, alpha)
         oracle = sum(
-            float(w) * fixed_n[l](p, n + 1)
+            float(w) * success_probability_random_activity(1.0, n + 1, p, alpha)
             for n, w in enumerate(weights)
             if w > 0.0
         )
@@ -277,7 +275,7 @@ def test_closed_form_refuses_a_cdf_over_the_term_limit():
     """A low threshold over a large population would sum K_cap + 1 pmf terms
     with K_cap far above 2**20; the model raises before it allocates them."""
     at = lambda alpha_db, population: success_probability_random_activity(
-        0.5, population, params(alpha_th=db_to_linear(alpha_db)))
+        0.5, population, pool(), db_to_linear(alpha_db))
     for alpha_db, population in (-150, 2**62), (-60, 10**9):
         with pytest.raises(ValueError, match=r"binomial terms, over the limit of 1048576"):
             at(alpha_db, population)
@@ -300,8 +298,7 @@ def test_closed_form_matches_scipy_cdf(monkeypatch):
                                    (1, 2, 4), (1.0, ALPHA_5DB), (1, 2)))
 
     def values():
-        return [success_probability_random_activity(
-            p_a, population, params(r_roots=r, alpha_th=alpha), l=l)
+        return [success_probability_random_activity(p_a, population, pool(r, l=l), alpha)
             for p_a, population, r, alpha, l in cases]
 
     ours = values()
@@ -312,7 +309,7 @@ def test_closed_form_matches_scipy_cdf(monkeypatch):
 def test_figure_orderings_analytic():
     """Pattern pool beats plain shifts; double-size plain pool loses for R > 2."""
     mix = lambda n_ss, l, r: success_probability_random_activity(
-        0.001, 10000, params(r_roots=r, n_ss=n_ss), l=l
+        0.001, 10000, pool(r, n_ss, l), ALPHA_5DB
     )
     for r in (1, 2, 3, 4):
         assert mix(32, 2, r) > mix(32, 1, r)
@@ -321,19 +318,23 @@ def test_figure_orderings_analytic():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        params(n_ss=3)
-    with pytest.raises(ValueError):
-        success_probability_pdra(params(), 0)
+    """Each input the closed form does not cover raises ValueError: a pool
+    outside its domain named by no_closed_form_reason, for P(K) too, and a
+    threshold that is not positive and finite."""
+    for bad_pool, reason in (pool(n_ss=3), "n_ss<4"), (pool(l=3), "l=3"):
+        with pytest.raises(ValueError, match=f"no closed form: {reason}"):
+            success_probability_random_activity(0.1, 100, bad_pool, ALPHA_5DB)
+        with pytest.raises(ValueError, match=f"no closed form: {reason}"):
+            p_k_other_roots(0, 5, bad_pool)
+    with pytest.raises(ValueError, match="population must be >= 1"):
+        fixed_n(0)
     for alpha in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha_th"):
-            params(alpha_th=alpha)
+            fixed_n(10, alpha_th=alpha)
     with pytest.raises(ValueError):
         collision_event_probs(-1, 32)
     with pytest.raises(ValueError):
-        success_probability_random_activity(1.5, 100, params())
-    with pytest.raises(ValueError):
-        success_probability_random_activity(0.1, 100, params(), l=3)
+        success_probability_random_activity(1.5, 100, pool(), ALPHA_5DB)
 
 
 def test_no_closed_form_reason():

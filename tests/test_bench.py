@@ -129,6 +129,35 @@ class TestValidation:
         with pytest.raises(SchemaError, match="mode"):
             ExperimentSpec(mode="quick")
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"trials": "5"}, "key 'trials' needs an integer, got '5'"),
+        ({"master_seed": True}, "key 'master_seed' needs an integer, got True"),
+        ({"population": 2.5, "n_active": None, "p_a": (0.1,)},
+         "key 'population' needs an integer"),
+        ({"mode": 3}, "key 'mode' needs a string, got 3"),
+        ({"n_ss": 32}, "grid axis n_ss needs a tuple or list, got 32"),
+        ({"n_active": None, "p_a": 0.1}, "grid axis p_a needs a tuple or list"),
+        ({"l": (2.5,)}, "key 'l' needs an integer, got 2.5"),
+        ({"rho": (0.0, "0.7")}, "key 'rho' needs a number, got '0.7'"),
+    ], ids=["str-trials", "bool-seed", "float-population", "int-mode", "scalar-axis",
+            "scalar-leg", "float-entry", "str-entry"])
+    def test_field_of_the_wrong_type_rejected(self, fields, message):
+        """Each field is cast as a config key is, so a Python caller gets the
+        config file's SchemaError, not a TypeError."""
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            ExperimentSpec(**fields)
+
+    def test_run_experiment_gets_no_spec_with_a_scalar_axis(self, tmp_path):
+        with pytest.raises(SchemaError, match="grid axis n_ss needs a tuple or list"):
+            run_experiment(ExperimentSpec(n_ss=32, mode="analytic",
+                                          out=str(tmp_path / "r.csv")))
+        assert not any(tmp_path.iterdir())
+
+    def test_spec_holds_cast_values(self):
+        """An integral float is an int and a list a tuple, as in a config."""
+        spec = ExperimentSpec(trials=5.0, n_ss=[32, 64.0], rho=[0])
+        assert repr(spec) == repr(ExperimentSpec(trials=5, n_ss=(32, 64), rho=(0.0,)))
+
 
 class TestParseConfig:
     def test_round_trip_fields(self, tmp_path):
@@ -529,6 +558,16 @@ class TestMainCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert "unknown config keys [1, 'foo']" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+    def test_repeated_key_exits_two_before_any_output(self, tmp_path, capsys):
+        """A key named twice is a schema error naming it; YAML alone keeps
+        the last value."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("trials: 5\ntrials: 7\nmode: analytic\nr_roots: 1\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "repeated config keys ['trials']" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
     @pytest.mark.parametrize("n_zc", [840, 1, 2, 9, 841, 4294967291, 2**31 - 1])

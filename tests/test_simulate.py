@@ -901,19 +901,17 @@ class TestAnalyticReference:
         assert analytic_reference(cfg) is None
 
     def test_fixed_activity_uses_pattern_model(self):
-        from pdra.analytic import AnalyticParams, success_probability_pdra
+        from pdra.analytic import success_probability_random_activity
 
-        cfg = small_config(pool=PilotPool(N_ZC, r_roots=2, n_ss=32, l=2))
-        params = AnalyticParams(r_roots=2, n_ss=32, n_zc=N_ZC, alpha_th=db_to_linear(5.0))
-        assert analytic_reference(cfg) == pytest.approx(
-            success_probability_pdra(params, 10), abs=1e-15
+        pool = PilotPool(N_ZC, r_roots=2, n_ss=32, l=2)
+        assert analytic_reference(small_config(pool=pool)) == pytest.approx(
+            success_probability_random_activity(1.0, 10, pool, db_to_linear(5.0)), abs=1e-15
         )
 
     def test_single_sequence_uses_baseline_model(self):
-        from pdra.analytic import AnalyticParams, success_probability_conventional
+        from pdra.analytic import success_probability_random_activity
 
-        cfg = small_config(pool=PilotPool(N_ZC, r_roots=2, n_ss=32, l=1))
-        params = AnalyticParams(r_roots=2, n_ss=32, n_zc=N_ZC, alpha_th=db_to_linear(5.0))
-        assert analytic_reference(cfg) == pytest.approx(
-            success_probability_conventional(params, 10), abs=1e-15
+        pool = PilotPool(N_ZC, r_roots=2, n_ss=32, l=1)
+        assert analytic_reference(small_config(pool=pool)) == pytest.approx(
+            success_probability_random_activity(1.0, 10, pool, db_to_linear(5.0)), abs=1e-15
         )
