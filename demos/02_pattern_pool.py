@@ -7,13 +7,13 @@ inner products that drive collision behavior.
 
 import numpy as np
 
-from pdra import PilotPool, expansion_factor, rank_combination
+from pdra import PilotPool, rank_combination
 
 pool = PilotPool(n_zc=839, r_roots=4, n_ss=32, l=2)
 print(f"pool: {pool.r_roots} roots x C({pool.n_ss},{pool.l}) = {pool.n_p} patterns")
 print(
     f"single-shift pilots would give {pool.r_roots * pool.n_ss}; "
-    f"expansion factor {float(expansion_factor(pool.n_ss, pool.l))}"
+    f"expansion factor {float(pool.expansion_factor)}"
 )
 
 i_a = 0                                       # shifts {0, 1}

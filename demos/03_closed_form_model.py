@@ -17,13 +17,13 @@ alpha = db_to_linear(5.0)
 pool = PilotPool(n_zc=839, r_roots=2, n_ss=32, l=2)
 print(f"pool size N_P = {pool.n_p} patterns ({pool.r_roots} roots x {pool.n_ps})")
 print(f"P(no identical pattern among 10 active) = "
-      f"{p_no_pattern_collision(10, pool.n_p):.6f}")
+      f"{p_no_pattern_collision(1.0, 10, pool):.6f}")
 
-probs = collision_event_probs(3, 32)
+probs = collision_event_probs(3, pool)
 print(f"given 3 same-root others: p_e0={probs.p_e0:.4f} p_e1={probs.p_e1:.4f} "
       f"(channel estimation survives with prob {probs.p_e0 + probs.p_e1:.4f})")
 
-cap = sinr_limited_k_cap(839, alpha, l=2)
+cap = sinr_limited_k_cap(pool, alpha)
 print(f"different-root interferers tolerated at 5 dB threshold: K <= {cap}")
 
 print("\nsuccess probability vs number of roots (N=10 active, 5 dB threshold):")

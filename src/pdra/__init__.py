@@ -22,14 +22,12 @@ from .analytic import (
     no_closed_form_reason,
     p_k_other_roots,
     p_no_pattern_collision,
-    p_no_pattern_collision_binomial,
     sinr_limited_k_cap,
     success_probability_random_activity,
 )
 from .pool import (
     PilotPool,
     build_pattern,
-    expansion_factor,
     rank_combination,
 )
 from .simulate import (

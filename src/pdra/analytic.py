@@ -38,19 +38,18 @@ MIN_N_SS = 4
 MAX_CDF_TERMS = 2**20
 
 
-def no_closed_form_reason(l: int, n_ss: int) -> str | None:
-    """Why the closed form does not cover L-shift patterns over n_ss shifts
-    per root; None if it does."""
-    if l not in CLOSED_FORM_L:
-        return f"l={l}"
-    if n_ss < MIN_N_SS:
+def no_closed_form_reason(pool: PilotPool) -> str | None:
+    """Why the closed form does not cover the pool; None if it does."""
+    if pool.l not in CLOSED_FORM_L:
+        return f"l={pool.l}"
+    if pool.n_ss < MIN_N_SS:
         return f"n_ss<{MIN_N_SS}"
     return None
 
 
 def _require_closed_form(pool: PilotPool) -> None:
     """Raise ValueError naming why the closed form does not cover the pool."""
-    if reason := no_closed_form_reason(pool.l, pool.n_ss):
+    if reason := no_closed_form_reason(pool):
         raise ValueError(f"no closed form: {reason}")
 
 
@@ -100,28 +99,22 @@ class CollisionEventProbs:
     p_e1: float
 
 
-def p_no_pattern_collision(n_active: int, n_p: int) -> float:
-    """P_S = (1 - 1/N_P)^(N-1): no other UE drew the tagged pattern (p_a = 1)."""
-    if n_active < 1:
-        raise ValueError(f"need n_active >= 1, got {n_active}")
-    return p_no_pattern_collision_binomial(1.0, n_active, n_p)
-
-
-def p_no_pattern_collision_binomial(p_a: float, population: int, n_p: int) -> float:
-    """Collision-free probability with Binomial(population-1, p_a) other UEs.
+def p_no_pattern_collision(p_a: float, population: int, pool: PilotPool) -> float:
+    """P_S: no other UE drew the tagged pattern when each of the other
+    population - 1 UEs is active with probability p_a; fixed N is p_a = 1.
 
     E[(1 - 1/N_P)^B] is the binomial generating function at 1 - 1/N_P,
     giving the closed form (1 - p_a/N_P)^(population-1).
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
-    if population < 1 or n_p < 1:
-        raise ValueError(f"need population >= 1 and n_p >= 1, got {population}, {n_p}")
+    if population < 1:
+        raise ValueError(f"population must be >= 1, got {population}")
     if population == 1:
         return 1.0
-    if p_a / n_p == 1.0:
+    if p_a / pool.n_p == 1.0:
         return 0.0
-    return math.exp((population - 1) * math.log1p(-p_a / n_p))
+    return math.exp((population - 1) * math.log1p(-p_a / pool.n_p))
 
 
 def p_k_other_roots(k: int, n_active: int, pool: PilotPool) -> float:
@@ -148,50 +141,47 @@ def p_k_other_roots(k: int, n_active: int, pool: PilotPool) -> float:
     return math.exp(log_p)
 
 
-def collision_event_probs(n_same_root_others: int, n_ss: int) -> CollisionEventProbs:
+def collision_event_probs(n_same_root_others: int, pool: PilotPool) -> CollisionEventProbs:
     """Conditional E0/E1 probabilities given n same-root non-identical others.
 
     Each such UE is uniform over the N_PS - 1 same-root patterns other than
-    the tagged one.  With a = n_ss - 2 subsets sharing a given single shift
-    and d = (n_ss - 2)(n_ss - 3)/2 subsets avoiding both tagged shifts:
+    the tagged one.  Of these, d = C(N_SS-L, L) avoid every tagged shift and
+    a + d = C(N_SS-1, L) avoid a given one, so
 
         p_e0 = (d / (N_PS - 1))^n
-        p_e1 = 2 * ((a + d)^n - d^n) / (N_PS - 1)^n
+        p_e1 = L * ((a + d)^n - d^n) / (N_PS - 1)^n
 
-    The factor 2 counts which of the two tagged shifts stays collision-free.
+    The factor L counts which tagged shift stays collision-free.  At L = 1
+    a = 0: non-identical single-shift pilots never partially collide.
     """
     if n_same_root_others < 0:
         raise ValueError(f"n_same_root_others must be >= 0, got {n_same_root_others}")
-    if n_ss < MIN_N_SS:
-        raise ValueError(f"n_ss must be >= {MIN_N_SS}, got {n_ss}")
-    n = n_same_root_others
+    _require_closed_form(pool)
+    n, l = n_same_root_others, pool.l
     if n == 0:
         return CollisionEventProbs(p_e0=1.0, p_e1=0.0)
-    a = n_ss - 2
-    d = (n_ss - 2) * (n_ss - 3) // 2
-    n_ps = math.comb(n_ss, 2)
-    p_e0 = math.exp(n * math.log(d) - n * math.log(n_ps - 1))
-    # binomial theorem: p_e1 = 2((a+d)^n - d^n)/(N_PS-1)^n; expm1 keeps the
+    d = math.comb(pool.n_ss - l, l)
+    a = math.comb(pool.n_ss - 1, l) - d
+    p_e0 = math.exp(n * math.log(d) - n * math.log(pool.n_ps - 1))
+    # binomial theorem: p_e1 = L((a+d)^n - d^n)/(N_PS-1)^n; expm1 keeps the
     # difference free of cancellation when d^n is close to (a+d)^n
-    p_e1 = -2.0 * math.exp(n * math.log((a + d) / (n_ps - 1))) * math.expm1(
+    p_e1 = -l * math.exp(n * math.log((a + d) / (pool.n_ps - 1))) * math.expm1(
         n * math.log1p(-a / (a + d))
     )
-    return CollisionEventProbs(p_e0=p_e0, p_e1=min(p_e1, 1.0 - p_e0))
+    # + 0.0 turns the -0.0 of L = 1 (a = 0) into 0.0
+    return CollisionEventProbs(p_e0=p_e0, p_e1=min(p_e1, 1.0 - p_e0) + 0.0)
 
 
-def sinr_limited_k_cap(n_zc: int, alpha_th: float, l: int = 2) -> int:
+def sinr_limited_k_cap(pool: PilotPool, alpha_th: float) -> int:
     """Largest K whose asymptotic SINR still clears the linear threshold.
 
     L-component patterns tolerate K <= N_ZC / (L^2 * alpha_th) other-root
-    interferers, L in CLOSED_FORM_L.  Boundary K with equality counts as
-    admissible.
+    interferers.  Boundary K with equality counts as admissible.
     """
     if not 0 < alpha_th < math.inf:  # NaN fails both comparisons
         raise ValueError(f"alpha_th must be a positive finite linear value, got {alpha_th}")
-    if l not in CLOSED_FORM_L:
-        raise ValueError(
-            f"asymptotic SINR cap defined only for l in {set(CLOSED_FORM_L)}, got l={l}")
-    step = l * l
+    _require_closed_form(pool)
+    step, n_zc = pool.l * pool.l, pool.n_zc
     cap = int(math.floor(n_zc / (step * alpha_th)))
     # guard the floating-point boundary: equality L^2*K*alpha = N_ZC is admissible;
     # the rounded quotient is off by at most one from the exact product test
@@ -244,10 +234,9 @@ def success_probability_random_activity(
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
-    _require_closed_form(pool)
     n_others = population - 1
     l, n_p = pool.l, pool.n_p
-    k_cap = sinr_limited_k_cap(pool.n_zc, alpha_th, l=l)
+    k_cap = sinr_limited_k_cap(pool, alpha_th)
     o = (pool.r_roots - 1) * pool.n_ps
     j = range(1, l + 1)
     coef = np.array([(-1) ** (i + 1) * math.comb(l, i) for i in j], dtype=float)

@@ -27,7 +27,7 @@ from .analytic import (
     CLOSED_FORM_L,
     db_to_linear,
     no_closed_form_reason,
-    p_no_pattern_collision_binomial,
+    p_no_pattern_collision,
 )
 from .geometry import CELL_RADIUS_M, MIN_DIST_M, cell_centers, drop_positions
 from .simulate import (
@@ -93,21 +93,17 @@ class ExperimentSpec:
     out: str = "pdra-results.csv"
 
     def __post_init__(self):
+        # equality, not hashing: an unhashable preset is refused, not a TypeError
+        if self.preset not in (None, *PRESETS):
+            raise SchemaError(
+                f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)} or 'topology'"
+            )
         # Each config key's field holds its value cast as parse_config casts
-        # it; a grid axis is a nonempty tuple, or None for an activity leg.
-        for name, kind in _CONFIG_TYPES.items():
-            value, cast = getattr(self, name), _CASTS[kind]
-            if name not in GRID_AXES:
-                value = cast(name, value)
-            elif value is None and name in ACTIVITY_LEGS:
-                continue
-            elif not isinstance(value, (tuple, list)):
-                raise SchemaError(f"grid axis {name} needs a tuple or list, got {value!r}")
-            elif not value:
-                raise SchemaError(f"grid axis {name} is empty")
-            else:
-                value = tuple(cast(name, v) for v in value)
-            object.__setattr__(self, name, value)
+        # it; None leaves an activity leg off.
+        for name in _CONFIG_TYPES:
+            value = getattr(self, name)
+            if value is not None or name not in ACTIVITY_LEGS:
+                object.__setattr__(self, name, _cast_field(name, value))
         if self.mode not in MODES:
             raise SchemaError(f"mode must be one of {MODES}, got {self.mode!r}")
         if reason := n_zc_error(self.n_zc):
@@ -201,11 +197,23 @@ def _as_str(key: str, value) -> str:
 _CASTS = {int: _as_int, float: _as_float, str: _as_str}
 
 # Every spec field but preset is a config key; only --preset picks a preset.
-# A grid axis takes one value or a list, each entry cast to the axis's type.
 _CONFIG_TYPES = {
     f.name: GRID_AXES.get(f.name) or type(f.default)
     for f in dataclasses.fields(ExperimentSpec) if f.name != "preset"
 }
+
+
+def _cast_field(name: str, value):
+    """A config key's value cast to its field's type: a grid axis is a
+    nonempty tuple or list, cast entry by entry to a tuple."""
+    cast = _CASTS[_CONFIG_TYPES[name]]
+    if name not in GRID_AXES:
+        return cast(name, value)
+    if not isinstance(value, (tuple, list)):
+        raise SchemaError(f"grid axis {name} needs a tuple or list, got {value!r}")
+    if not value:
+        raise SchemaError(f"grid axis {name} is empty")
+    return tuple(cast(name, v) for v in value)
 
 
 def parse_config(path: str) -> dict:
@@ -238,12 +246,9 @@ def parse_config(path: str) -> dict:
         )
     fields: dict = {}
     for key, value in raw.items():
-        cast = _CASTS[_CONFIG_TYPES[key]]
-        if key not in GRID_AXES:
-            fields[key] = cast(key, value)
-        else:
-            items = value if isinstance(value, list) else [value]
-            fields[key] = tuple(cast(key, v) for v in items)
+        if key in GRID_AXES and not isinstance(value, list):
+            value = [value]  # a grid axis takes one value or a list
+        fields[key] = _cast_field(key, value)
     return fields
 
 
@@ -253,14 +258,8 @@ def build_spec(
     flag_fields: dict | None = None,
 ) -> ExperimentSpec:
     """Layer preset, config file, and flags (later wins) into one spec."""
-    fields: dict = {}
-    if preset is not None:
-        if preset not in PRESETS:
-            raise SchemaError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESETS)} or 'topology'"
-            )
-        fields.update(PRESETS[preset])
-        fields["preset"] = preset
+    # ExperimentSpec refuses an unknown preset
+    fields: dict = {**PRESETS.get(preset, {}), "preset": preset}
     for layer in (config_fields or {}), (flag_fields or {}):
         # None leaves a field as it is.  A layer that sets one activity leg
         # and not the other switches the other off.
@@ -309,10 +308,10 @@ def _analytic_value(
     """Closed-form column for one point, with a note naming its flavor."""
     if spec.mode == "collision":
         return (
-            p_no_pattern_collision_binomial(built.p_a, built.population, built.pool.n_p),
+            p_no_pattern_collision(built.p_a, built.population, built.pool),
             "collision-free-only",
         )
-    reason = no_closed_form_reason(built.pool.l, built.pool.n_ss)
+    reason = no_closed_form_reason(built.pool)
     if reason is not None:
         return None, f"no-closed-form: {reason}"
     return analytic_reference(built), "single-sequence-baseline" if built.pool.l == 1 else ""

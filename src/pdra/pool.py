@@ -60,15 +60,6 @@ def combination_table(n: int, l: int) -> np.ndarray:
     return table
 
 
-def expansion_factor(n_ss: int, l: int) -> Fraction:
-    """Pattern count over plain-shift count: C(n_ss, l) / n_ss, exact."""
-    from fractions import Fraction  # off the CLI's import path
-
-    if not 0 < l <= n_ss:
-        raise ValueError(f"need 0 < l <= n_ss, got l={l}, n_ss={n_ss}")
-    return Fraction(math.comb(n_ss, l), n_ss)
-
-
 def build_pattern(root: np.ndarray, shifts: tuple[int, ...], n_cs: int) -> np.ndarray:
     """Superimpose the given distinct shifts of one root at step n_cs, scaled
     by 1/sqrt(L), as a read-only waveform; cyclic_shift rejects a shift
@@ -124,6 +115,13 @@ class PilotPool:
     def n_p(self) -> int:
         """Total pool size across roots."""
         return self.r_roots * self.n_ps
+
+    @property
+    def expansion_factor(self) -> Fraction:
+        """Pattern count over plain-shift count: C(N_SS, L) / N_SS, exact."""
+        from fractions import Fraction  # off the CLI's import path
+
+        return Fraction(self.n_ps, self.n_ss)
 
     @property
     def shift_table(self) -> np.ndarray:

@@ -606,7 +606,7 @@ def run_forced_interference_trial(
 
 def analytic_reference(config: ScenarioConfig) -> float | None:
     """Closed-form success probability for this scenario, when one exists."""
-    if no_closed_form_reason(config.pool.l, config.pool.n_ss) is not None:
+    if no_closed_form_reason(config.pool) is not None:
         return None
     return success_probability_random_activity(
         config.p_a, config.population, config.pool, db_to_linear(config.alpha_th_db)

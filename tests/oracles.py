@@ -13,15 +13,15 @@ from itertools import combinations, product
 import numpy as np
 
 
-def enumerate_collision_events(n_others: int, n_ss: int) -> tuple[Fraction, Fraction]:
+def enumerate_collision_events(n_others: int, n_ss: int, l: int) -> tuple[Fraction, Fraction]:
     """Exact (p_e0, p_e1) by enumerating every same-root pattern assignment.
 
-    The tagged UE holds the component pair {0, 1}; each of n_others UEs
-    draws any other 2-subset of range(n_ss), all equally likely.  E0: no
-    tagged component appears in any other UE's pair.  E1: exactly one does.
+    The tagged UE holds the components range(l); each of n_others UEs
+    draws any other l-subset of range(n_ss), all equally likely.  E0: no
+    tagged component appears in any other UE's subset.  E1: exactly one does.
     """
-    tagged = {0, 1}
-    choices = [set(c) for c in combinations(range(n_ss), 2) if set(c) != tagged]
+    tagged = set(range(l))
+    choices = [set(c) for c in combinations(range(n_ss), l) if set(c) != tagged]
     total = 0
     count_e0 = 0
     count_e1 = 0

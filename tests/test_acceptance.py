@@ -19,7 +19,7 @@ from pdra.analytic import (
     p_k_other_roots,
     p_no_pattern_collision,
 )
-from pdra.pool import PilotPool, combination_table, expansion_factor, rank_combination
+from pdra.pool import PilotPool, combination_table, rank_combination
 from pdra.simulate import (
     ScenarioConfig,
     analytic_reference,
@@ -82,7 +82,7 @@ def test_criterion_01_zc_property_suite():
 
 def test_criterion_02_pool_combinatorics():
     pool = PilotPool(N_ZC, r_roots=1, n_ss=32, l=2)
-    ok = pool.n_ps == 496 and float(expansion_factor(32, 2)) == 15.5
+    ok = pool.n_ps == 496 and float(pool.expansion_factor) == 15.5
     round_trips = True
     for n in range(1, 11):
         for l in range(1, min(n, 4) + 1):
@@ -91,7 +91,7 @@ def test_criterion_02_pool_combinatorics():
             for rank, combo in enumerate(table.tolist()):
                 round_trips &= rank_combination(tuple(combo), n) == rank
     verdict(2, "pool combinatorics", ok and round_trips,
-            f"n_ps={pool.n_ps}, expansion={float(expansion_factor(32, 2))}, "
+            f"n_ps={pool.n_ps}, expansion={float(pool.expansion_factor)}, "
             f"round-trips n<=10 l<=4 {'ok' if round_trips else 'broken'}")
 
 
@@ -99,8 +99,8 @@ def test_criterion_03_event_probability_oracle():
     worst = 0.0
     for q in (4, 5, 6):
         for n in (1, 2, 3):
-            got = collision_event_probs(n, q)
-            want_e0, want_e1 = enumerate_collision_events(n, q)
+            got = collision_event_probs(n, PilotPool(N_ZC, 1, q, 2))
+            want_e0, want_e1 = enumerate_collision_events(n, q, 2)
             worst = max(
                 worst,
                 abs(got.p_e0 - float(want_e0)),
@@ -125,7 +125,7 @@ def test_criterion_04_probability_normalization():
                 points += 1
     for n in range(1, 30):
         for n_ss in (8, 16, 32, 64):
-            probs = collision_event_probs(n, n_ss)
+            probs = collision_event_probs(n, PilotPool(N_ZC, 1, n_ss, 2))
             worst_pair = max(worst_pair, probs.p_e0 + probs.p_e1 - 1.0)
     ok = worst_sum < 1e-12 and worst_pair <= 0.0
     verdict(4, "probability normalization", ok,
@@ -186,14 +186,15 @@ def test_criterion_06_random_activity_ordering():
 
 
 def test_criterion_07_collision_free_curves():
-    frozen = p_no_pattern_collision(10, 2 * math.comb(32, 2))
+    frozen = p_no_pattern_collision(1.0, 10, PilotPool(N_ZC, 2, 32, 2))
     frozen_ok = abs(frozen - (1 - 1 / 992) ** 9) < 1e-12
     monotone_l = True
     monotone_n = True
     for r in (1, 2, 3):
         for n in range(1, 31):
             values = [
-                p_no_pattern_collision(n, r * math.comb(32, l)) for l in (1, 2, 3)
+                p_no_pattern_collision(1.0, n, PilotPool(N_ZC, r, 32, l))
+                for l in (1, 2, 3)
             ]
             if n == 1:
                 monotone_l &= values[0] == values[1] == values[2] == 1.0
@@ -201,7 +202,7 @@ def test_criterion_07_collision_free_curves():
                 monotone_l &= values[0] < values[1] < values[2]
         for l in (1, 2, 3):
             curve = [
-                p_no_pattern_collision(n, r * math.comb(32, l))
+                p_no_pattern_collision(1.0, n, PilotPool(N_ZC, r, 32, l))
                 for n in range(1, 31)
             ]
             monotone_n &= all(a > b for a, b in zip(curve, curve[1:]))

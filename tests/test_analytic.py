@@ -16,7 +16,6 @@ from pdra.analytic import (
     no_closed_form_reason,
     p_k_other_roots,
     p_no_pattern_collision,
-    p_no_pattern_collision_binomial,
     sinr_limited_k_cap,
     success_probability_random_activity,
 )
@@ -35,28 +34,38 @@ def fixed_n(n_active, r_roots=2, n_ss=32, l=2, alpha_th=ALPHA_5DB):
         1.0, n_active, pool(r_roots, n_ss, l), alpha_th)
 
 
+# A pool of one pattern: one root, and L = N_SS shifts per pattern
+ONE_PATTERN = PilotPool(839, 1, 2, 2)
+
+
 def test_no_collision_probability():
-    assert p_no_pattern_collision(1, 992) == 1.0
-    assert p_no_pattern_collision(2, 1) == 0.0
+    assert p_no_pattern_collision(1.0, 1, pool()) == 1.0
+    assert p_no_pattern_collision(1.0, 2, ONE_PATTERN) == 0.0
     expected = (1.0 - 1.0 / 992.0) ** 9
-    assert abs(p_no_pattern_collision(10, 992) - expected) < 1e-15
+    assert abs(p_no_pattern_collision(1.0, 10, pool()) - expected) < 1e-15
     assert abs(expected - 0.990963) < 1e-6
 
 
 def test_no_collision_binomial_edges():
     # one UE has no one to collide with; p_a/N_P = 1 puts every other UE on it
-    assert p_no_pattern_collision_binomial(0.5, 1, 1) == 1.0
-    assert p_no_pattern_collision_binomial(1.0, 1, 1) == 1.0
-    assert p_no_pattern_collision_binomial(1.0, 5, 1) == 0.0
-    assert p_no_pattern_collision_binomial(0.5, 5, 1) == 0.5**4
+    assert p_no_pattern_collision(0.5, 1, ONE_PATTERN) == 1.0
+    assert p_no_pattern_collision(1.0, 1, ONE_PATTERN) == 1.0
+    assert p_no_pattern_collision(1.0, 5, ONE_PATTERN) == 0.0
+    assert p_no_pattern_collision(0.5, 5, ONE_PATTERN) == 0.5**4
+    for p_a, population in (1.5, 5), (-0.1, 5), (0.5, 0):
+        with pytest.raises(ValueError, match="p_a must lie|population must be"):
+            p_no_pattern_collision(p_a, population, ONE_PATTERN)
 
 
 def test_fixed_no_collision_is_binomial_at_full_activity():
+    """Fixed N is p_a = 1: P_S = (1 - 1/N_P)^(N-1), to rounding, over pools
+    of 1 to about 10**6 patterns."""
+    pools = [ONE_PATTERN, PilotPool(839, 2, 2, 2), PilotPool(839, 3, 2, 2),
+             PilotPool(839, 1, 31, 1), pool(), PilotPool(839, 3, 839, 2)]
     for n in (1, 2, 3, 10, 40, 10000):
-        for n_p in (1, 2, 3, 31, 992, 10**6):
-            assert p_no_pattern_collision(n, n_p) == p_no_pattern_collision_binomial(
-                1.0, n, n_p
-            )
+        for p in pools:
+            exact = (1 - Fraction(1, p.n_p)) ** (n - 1)
+            assert p_no_pattern_collision(1.0, n, p) == pytest.approx(float(exact), rel=1e-11)
 
 
 def test_derived_pool_sizes():
@@ -90,13 +99,13 @@ def test_p_k_normalizes(n_active, r_roots, n_ss):
 
 
 def test_collision_events_no_others():
-    ev = collision_event_probs(0, 32)
+    ev = collision_event_probs(0, pool())
     assert (ev.p_e0, ev.p_e1) == (1.0, 0.0)
 
 
 def test_collision_events_single_other_smallest_pool():
     # one other UE, N_SS=4: 5 non-identical pairs, 1 avoids both, 4 share one
-    ev = collision_event_probs(1, 4)
+    ev = collision_event_probs(1, pool(n_ss=4))
     assert abs(ev.p_e0 - 0.2) < 1e-15
     assert abs(ev.p_e1 - 0.8) < 1e-15
     assert abs(ev.p_e0 + ev.p_e1 - 1.0) < 1e-15
@@ -105,38 +114,44 @@ def test_collision_events_single_other_smallest_pool():
 @pytest.mark.parametrize("n_ss", [4, 5, 6])
 @pytest.mark.parametrize("n_others", [1, 2, 3])
 def test_collision_events_match_enumeration(n_ss, n_others):
-    ev = collision_event_probs(n_others, n_ss)
-    exact_e0, exact_e1 = enumerate_collision_events(n_others, n_ss)
-    assert abs(ev.p_e0 - float(exact_e0)) < 1e-12
-    assert abs(ev.p_e1 - float(exact_e1)) < 1e-12
+    for l in (1, 2):
+        ev = collision_event_probs(n_others, pool(n_ss=n_ss, l=l))
+        exact_e0, exact_e1 = enumerate_collision_events(n_others, n_ss, l)
+        assert abs(ev.p_e0 - float(exact_e0)) < 1e-12, l
+        assert abs(ev.p_e1 - float(exact_e1)) < 1e-12, l
+    # non-identical single-shift pilots never share the tagged shift: exactly
+    # (1, +0.0), with no -0.0 from the expm1 form
+    ev = collision_event_probs(n_others, pool(n_ss=n_ss, l=1))
+    assert (ev.p_e0, ev.p_e1, math.copysign(1.0, ev.p_e1)) == (1.0, 0.0, 1.0)
 
 
-@given(st.integers(0, 60), st.sampled_from([4, 5, 8, 32, 64]))
+@given(st.integers(0, 60), st.sampled_from([4, 5, 8, 32, 64]), st.sampled_from([1, 2]))
 @settings(max_examples=80, deadline=None)
-def test_collision_events_form_subprobability(n_others, n_ss):
-    ev = collision_event_probs(n_others, n_ss)
+def test_collision_events_form_subprobability(n_others, n_ss, l):
+    ev = collision_event_probs(n_others, pool(n_ss=n_ss, l=l))
     assert 0.0 <= ev.p_e0 <= 1.0
     assert 0.0 <= ev.p_e1 <= 1.0
     assert ev.p_e0 + ev.p_e1 <= 1.0 + 1e-12
 
 
 def test_collision_events_stable_for_large_counts():
-    ev = collision_event_probs(500, 32)
+    ev = collision_event_probs(500, pool())
     assert 0.0 <= ev.p_e0 < 1e-20
     assert 0.0 <= ev.p_e0 + ev.p_e1 <= 1.0
 
 
 def test_k_cap_at_5db():
-    assert sinr_limited_k_cap(839, ALPHA_5DB, l=2) == 66
-    assert sinr_limited_k_cap(839, ALPHA_5DB, l=1) == 265
-    # representable exact tie is admissible
-    assert sinr_limited_k_cap(800, 2.0, l=2) == 100
-    with pytest.raises(ValueError):
-        sinr_limited_k_cap(839, ALPHA_5DB, l=3)
+    assert sinr_limited_k_cap(pool(l=2), ALPHA_5DB) == 66
+    assert sinr_limited_k_cap(pool(l=1), ALPHA_5DB) == 265
+    # exact ties, representable in binary, are admissible: 4*8*26.21875 = 839
+    assert sinr_limited_k_cap(PilotPool(839, 1, 32, 2), 26.21875) == 8
+    assert sinr_limited_k_cap(PilotPool(839, 1, 32, 1), 839.0) == 1
+    with pytest.raises(ValueError, match="no closed form: l=3"):
+        sinr_limited_k_cap(pool(l=3), ALPHA_5DB)
     # a threshold that is not positive and finite is an input error
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha_th must be a positive finite"):
-            sinr_limited_k_cap(839, alpha)
+            sinr_limited_k_cap(pool(), alpha)
 
 
 def test_success_probability_trivial_cases():
@@ -146,9 +161,11 @@ def test_success_probability_trivial_cases():
 
 def test_success_probability_tiny_threshold_single_root():
     # K-cap inactive and K=0 forced: P = P_S * (p_e0 + p_e1) over all others
-    ev = collision_event_probs(7, 32)
-    expected = p_no_pattern_collision(8, pool(r_roots=1).n_p) * (ev.p_e0 + ev.p_e1)
-    assert abs(fixed_n(8, r_roots=1, alpha_th=1e-9) - expected) < 1e-14
+    for l in (1, 2):
+        p = pool(r_roots=1, l=l)
+        ev = collision_event_probs(7, p)
+        expected = p_no_pattern_collision(1.0, 8, p) * (ev.p_e0 + ev.p_e1)
+        assert abs(fixed_n(8, r_roots=1, l=l, alpha_th=1e-9) - expected) < 1e-14, l
 
 
 def test_conventional_single_root_is_collision_bound():
@@ -167,7 +184,7 @@ def test_conventional_matches_direct_sum(r_roots, k_cap):
         math.comb(n, k) * ((r_roots - 1) * n_ss) ** k * (n_ss - 1) ** (n - k)
         for k in range(min(k_cap, n) + 1)
     ) / others**n * (1.0 - 1.0 / (r_roots * n_ss)) ** n
-    assert sinr_limited_k_cap(839, alpha, l=1) == k_cap
+    assert sinr_limited_k_cap(pool(r_roots, n_ss, l=1), alpha) == k_cap
     got = fixed_n(n + 1, r_roots=r_roots, n_ss=n_ss, l=1, alpha_th=alpha)
     assert got == pytest.approx(direct, rel=1e-12)
 
@@ -221,7 +238,7 @@ def test_random_activity_matches_full_summation():
 def test_import_does_not_load_scipy_module(module):
     """The CLI module, and so pdra itself, loads none of these: the closed form
     needs no scipy, and only a config file, a process pool,
-    pool.expansion_factor or a correlated point's same-root FFT needs the
+    PilotPool.expansion_factor or a correlated point's same-root FFT needs the
     rest."""
     import os
     import subprocess
@@ -322,17 +339,21 @@ def test_validation_errors():
     outside its domain named by no_closed_form_reason, for P(K) too, and a
     threshold that is not positive and finite."""
     for bad_pool, reason in (pool(n_ss=3), "n_ss<4"), (pool(l=3), "l=3"):
-        with pytest.raises(ValueError, match=f"no closed form: {reason}"):
-            success_probability_random_activity(0.1, 100, bad_pool, ALPHA_5DB)
-        with pytest.raises(ValueError, match=f"no closed form: {reason}"):
-            p_k_other_roots(0, 5, bad_pool)
+        for closed_form in (
+            lambda: success_probability_random_activity(0.1, 100, bad_pool, ALPHA_5DB),
+            lambda: p_k_other_roots(0, 5, bad_pool),
+            lambda: collision_event_probs(3, bad_pool),
+            lambda: sinr_limited_k_cap(bad_pool, ALPHA_5DB),
+        ):
+            with pytest.raises(ValueError, match=f"no closed form: {reason}"):
+                closed_form()
     with pytest.raises(ValueError, match="population must be >= 1"):
         fixed_n(0)
     for alpha in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha_th"):
             fixed_n(10, alpha_th=alpha)
     with pytest.raises(ValueError):
-        collision_event_probs(-1, 32)
+        collision_event_probs(-1, pool())
     with pytest.raises(ValueError):
         success_probability_random_activity(1.5, 100, pool(), ALPHA_5DB)
 
@@ -340,9 +361,9 @@ def test_validation_errors():
 def test_no_closed_form_reason():
     """The closed form's domain, L in {1, 2} over at least 4 shifts; L
     outside it is named first."""
-    assert [no_closed_form_reason(l, 32) for l in (1, 2)] == [None, None]
-    assert no_closed_form_reason(2, 4) is None
-    assert no_closed_form_reason(2, 3) == "n_ss<4"
-    assert no_closed_form_reason(1, 3) == "n_ss<4"
-    assert no_closed_form_reason(3, 32) == "l=3"
-    assert no_closed_form_reason(3, 3) == "l=3"
+    assert [no_closed_form_reason(pool(l=l)) for l in (1, 2)] == [None, None]
+    assert no_closed_form_reason(pool(n_ss=4)) is None
+    assert no_closed_form_reason(pool(n_ss=3)) == "n_ss<4"
+    assert no_closed_form_reason(pool(n_ss=3, l=1)) == "n_ss<4"
+    assert no_closed_form_reason(pool(l=3)) == "l=3"
+    assert no_closed_form_reason(pool(n_ss=3, l=3)) == "l=3"

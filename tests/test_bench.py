@@ -32,6 +32,7 @@ from pdra.bench import (
     parse_config,
     run_experiment,
 )
+from pdra.pool import PilotPool
 
 
 class TestSpecLayering:
@@ -152,6 +153,16 @@ class TestValidation:
             run_experiment(ExperimentSpec(n_ss=32, mode="analytic",
                                           out=str(tmp_path / "r.csv")))
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("preset", [5, "fig9", "topology", ["fig2"]],
+                             ids=["int", "unknown", "topology", "list"])
+    def test_unknown_preset_field_rejected(self, preset, tmp_path):
+        """A spec names no preset or one of PRESETS, whoever builds it, so
+        run_experiment cannot write another to the sidecar."""
+        with pytest.raises(SchemaError, match=re.escape(f"unknown preset {preset!r}")):
+            run_experiment(ExperimentSpec(preset=preset, out=str(tmp_path / "r.csv")))
+        assert not any(tmp_path.iterdir())
+        assert ExperimentSpec(preset="fig2").preset == "fig2"
 
     def test_spec_holds_cast_values(self):
         """An integral float is an int and a list a tuple, as in a config."""
@@ -991,7 +1002,7 @@ def test_fig4_preset_end_to_end(tmp_path):
         assert row["status"] == "ok"
         assert row["analytic_note"] == "collision-free-only"
         assert row["p_success_analytic"] == _fmt(
-            p_no_pattern_collision(n, r * math.comb(32, l)))
+            p_no_pattern_collision(1.0, n, PilotPool(839, r, 32, l)))
 
 
 def test_perfbench_trace_wraps_resolve():

@@ -13,7 +13,6 @@ from pdra.pool import (
     PilotPool,
     build_pattern,
     combination_table,
-    expansion_factor,
     rank_combination,
 )
 from pdra.zc import generate_root_sequence
@@ -107,10 +106,10 @@ def test_pool_takes_roots_one_to_r():
 
 
 def test_expansion_factor_exact():
-    assert expansion_factor(32, 2) == Fraction(31, 2)
-    assert float(expansion_factor(32, 2)) == 15.5
-    assert expansion_factor(6, 3) == Fraction(10, 3)
-    assert expansion_factor(64, 2) == Fraction(63, 2)
+    assert PilotPool(NZC, 1, 32, 2).expansion_factor == Fraction(31, 2)
+    assert float(PilotPool(NZC, 4, 32, 2).expansion_factor) == 15.5
+    assert PilotPool(NZC, 1, 6, 3).expansion_factor == Fraction(10, 3)
+    assert PilotPool(NZC, 1, 64, 2).expansion_factor == Fraction(63, 2)
 
 
 def test_pattern_waveform_norm():

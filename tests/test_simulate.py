@@ -635,7 +635,6 @@ class TestRunTrial:
         """Conditioned on n same-root others and no identical draw, the
         e0 frequency must match the closed form within Monte Carlo error."""
         cfg = small_config(m_antennas=2, population=10)
-        n_ss = cfg.pool.n_ss
         per_n: dict[int, list[str]] = {}
         for block in range(20_000 // BLOCK_TRIALS):
             out = run_block(cfg, block)
@@ -645,7 +644,7 @@ class TestRunTrial:
         for n in (3, 4, 5):
             events = per_n[n]
             assert len(events) > 1500
-            probs = collision_event_probs(n, n_ss)
+            probs = collision_event_probs(n, cfg.pool)
             freq_e0 = sum(e == EVENT_E0 for e in events) / len(events)
             freq_e1 = sum(e == EVENT_E1 for e in events) / len(events)
             sigma0 = math.sqrt(probs.p_e0 * (1 - probs.p_e0) / len(events))
