@@ -288,35 +288,6 @@ def expand_grid(spec: ExperimentSpec) -> list[dict]:
     return points
 
 
-def _point_error(
-    spec: ExperimentSpec, point: dict
-) -> tuple[ScenarioConfig | None, tuple[float | None, str] | None, str | None]:
-    """Build one grid point and, in every mode but simulate, its closed-form
-    column: (built, analytic, None), or (None, None, error) when the point
-    cannot be built or its closed form raises, so that it is not simulated."""
-    try:
-        built = build_scenario(point, spec.n_zc, spec.trials, spec.master_seed)
-        analytic = None if spec.mode == "simulate" else _analytic_value(spec, built)
-    except ValueError as exc:
-        return None, None, str(exc)
-    return built, analytic, None
-
-
-def _analytic_value(
-    spec: ExperimentSpec, built: ScenarioConfig
-) -> tuple[float | None, str]:
-    """Closed-form column for one point, with a note naming its flavor."""
-    if spec.mode == "collision":
-        return (
-            p_no_pattern_collision(built.p_a, built.population, built.pool),
-            "collision-free-only",
-        )
-    reason = no_closed_form_reason(built.pool)
-    if reason is not None:
-        return None, f"no-closed-form: {reason}"
-    return analytic_reference(built), "single-sequence-baseline" if built.pool.l == 1 else ""
-
-
 def _fmt(value) -> str:
     """Deterministic cell formatting; empty string for missing values."""
     if value is None:
@@ -326,43 +297,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _result_rows(
-    spec: ExperimentSpec,
-    points: list[dict],
-    built: list[
-        tuple[ScenarioConfig | None, tuple[float | None, str] | None, str | None]
-    ],
-    sim_results: dict[int, SweepResult] | None,
-) -> list[dict]:
-    """One CSV row per point, from the build pass (_point_error) and the
-    campaign.  A point with an error is an error row with no values."""
-    rows = []
-    for idx, (point, (_, analytic, error)) in enumerate(zip(points, built)):
-        row = {col: "" for col in CSV_COLUMNS}
-        row.update({k: _fmt(v) for k, v in point.items()})
-        row["alpha_th_linear"] = _fmt(db_to_linear(point["alpha_th_db"]))
-        row["snr_linear"] = _fmt(db_to_linear(point["snr_db"]))
-        row["seed"] = str(spec.master_seed)
-        row["trials"] = "0"
-        if error is not None:
-            row["status"] = f"error: {error}"
-            rows.append(row)
-            continue
-        status = "ok"
-        if analytic is not None:
-            row["p_success_analytic"] = _fmt(analytic[0])
-            row["analytic_note"] = analytic[1]
-        if sim_results is not None:
-            res = sim_results[idx]
-            status = res.status
-            if res.status == "ok":
-                row["p_success_sim"] = _fmt(res.empirical_p_success)
-                row["ci_lo"] = _fmt(res.wilson_ci_95[0])
-                row["ci_hi"] = _fmt(res.wilson_ci_95[1])
-            row["trials"] = str(res.trials_used)
-        row["status"] = status
-        rows.append(row)
-    return rows
+def _point_error(spec: ExperimentSpec, point: dict) -> tuple[ScenarioConfig | None, dict]:
+    """Build one grid point and its CSV row, with every cell but the
+    campaign's: in every mode but simulate, the closed-form value and a note
+    naming its flavor.  A point that cannot be built, or whose closed form
+    raises, gets None and an error row with no values, so it is not simulated."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update({k: _fmt(v) for k, v in point.items()})
+    row.update(alpha_th_linear=_fmt(db_to_linear(point["alpha_th_db"])),
+               snr_linear=_fmt(db_to_linear(point["snr_db"])),
+               seed=str(spec.master_seed), trials="0", status="ok")
+    value, note = None, ""
+    try:
+        built = build_scenario(point, spec.n_zc, spec.trials, spec.master_seed)
+        if spec.mode == "collision":
+            value = p_no_pattern_collision(built.p_a, built.population, built.pool)
+            note = "collision-free-only"
+        elif spec.mode != "simulate":
+            reason = no_closed_form_reason(built.pool)
+            if reason is not None:
+                note = f"no-closed-form: {reason}"
+            else:
+                value = analytic_reference(built)
+                note = "single-sequence-baseline" if built.pool.l == 1 else ""
+    except ValueError as exc:
+        row["status"] = f"error: {exc}"
+        return None, row
+    row.update(p_success_analytic=_fmt(value), analytic_note=note)
+    return built, row
+
+
+def _result_rows(rows: list[dict], sim_results: dict[int, SweepResult]) -> None:
+    """Write the campaign's cells into the build pass's row (_point_error) of
+    each simulated point, keyed by grid index."""
+    for idx, res in sim_results.items():
+        row = rows[idx]
+        row.update(status=res.status, trials=str(res.trials_used))
+        if res.status == "ok":
+            row.update(p_success_sim=_fmt(res.empirical_p_success),
+                       ci_lo=_fmt(res.wilson_ci_95[0]), ci_hi=_fmt(res.wilson_ci_95[1]))
 
 
 def write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
@@ -408,16 +381,15 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
             raise IsADirectoryError(f"output path {path!r} is a directory")
     points = expand_grid(spec)
     built = [_point_error(spec, p) for p in points]
+    rows = [row for _, row in built]
     # keyed by grid index: the index is the point's RNG substream id
-    configs = {idx: cfg for idx, (cfg, _, _) in enumerate(built) if cfg is not None}
-    sim_results = None
+    configs = {idx: cfg for idx, (cfg, _) in enumerate(built) if cfg is not None}
     if spec.mode in ("simulate", "both") and configs:
         echo(
             f"running {len(configs)} grid points x {spec.trials} trials "
             f"(seed={spec.master_seed}, threads={spec.threads})"
         )
-        sim_results = run_campaign(configs, threads=spec.threads)
-    rows = _result_rows(spec, points, built, sim_results)
+        _result_rows(rows, run_campaign(configs, threads=spec.threads))
     write_csv(spec.out, rows, CSV_COLUMNS)
     sidecar = write_sidecar(spec.out, spec, len(points))
     failed = [r for r in rows if r["status"] != "ok"]

@@ -30,14 +30,11 @@ def rank_combination(subset: tuple[int, ...], n: int) -> int:
     l = len(subset)
     if l == 0:
         raise ValueError("subset must be nonempty")
-    prev = -1
-    for c in subset:
-        if not prev < c < n:
-            raise ValueError(f"subset must be strictly increasing within range({n}): {subset}")
-        prev = c
     rank = 0
     prev = -1
     for j, c in enumerate(subset):
+        if not prev < c < n:
+            raise ValueError(f"subset must be strictly increasing within range({n}): {subset}")
         for x in range(prev + 1, c):
             rank += math.comb(n - 1 - x, l - 1 - j)
         prev = c

@@ -398,6 +398,14 @@ def test_monte_carlo_counts_are_pinned(tmp_path, activity):
         PINNED_COUNTS[activity])
 
 
+# (n_ss, l, closed-form cell blank, analytic_note) for one-point grids
+NOTE_CASES = [
+    (16, 2, False, ""),
+    (16, 1, False, "single-sequence-baseline"),
+    (3, 2, True, "no-closed-form: n_ss<4"),
+]
+
+
 class TestRunExperiment:
     def test_csv_contract(self, tmp_path):
         spec = tiny_spec(tmp_path)
@@ -488,14 +496,7 @@ class TestRunExperiment:
         assert row["analytic_note"] == "collision-free-only"
 
 
-    @pytest.mark.parametrize(
-        "n_ss,l,blank,note",
-        [
-            (16, 2, False, ""),
-            (16, 1, False, "single-sequence-baseline"),
-            (3, 2, True, "no-closed-form: n_ss<4"),
-        ],
-    )
+    @pytest.mark.parametrize("n_ss,l,blank,note", NOTE_CASES)
     def test_analytic_note(self, tmp_path, n_ss, l, blank, note):
         spec = tiny_spec(tmp_path, mode="analytic", n_ss=(n_ss,), l=(l,))
         assert run_experiment(spec, echo=lambda *_: None) == 0
@@ -505,6 +506,22 @@ class TestRunExperiment:
             assert row["status"] == "ok"
             assert (row["p_success_analytic"] == "") == blank
             assert row["analytic_note"] == note
+
+    @pytest.mark.parametrize("n_ss,l,blank,note", NOTE_CASES)
+    def test_analytic_note_simulated(self, tmp_path, n_ss, l, blank, note):
+        """The build pass's closed-form cells stand as they are when the
+        campaign adds its own, a point with no closed form included."""
+        spec = tiny_spec(tmp_path, mode="both", n_ss=(n_ss,), l=(l,))
+        assert run_experiment(spec, echo=lambda *_: None) == 0
+        with open(spec.out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            assert row["status"] == "ok"
+            assert (row["p_success_analytic"] == "") == blank
+            assert row["analytic_note"] == note
+            assert row["trials"] == "25"
+            for col in "p_success_sim", "ci_lo", "ci_hi":
+                assert row[col] != ""
 
     @pytest.mark.parametrize("mode,per_ok_point", [("simulate", 0), ("both", 1)])
     def test_analytic_reference_calls(self, tmp_path, monkeypatch, mode, per_ok_point):

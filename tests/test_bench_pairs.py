@@ -67,3 +67,28 @@ WIDE = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1, 1.0]
 ])
 def test_regression_status(parent, change, better, status):
     assert summary(parent, change, better)["regression"] == status
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--workload", "fig5-model:1", "--claim", "fig5-model:sweep"],
+     "--claim metric 'sweep' is not one of"),
+    (["--workload", "fig5-model:1", "--claim", "fig6-corr:sweep_s"],
+     "--claim workload 'fig6-corr' is not given by --workload"),
+    (["--workload", "fig5-model:1", "--workload", "fig5-model:9"],
+     "--workload names ['fig5-model'] more than once"),
+])
+def test_bad_flags_exit_before_any_run(flags, message, monkeypatch, tmp_path, capsys):
+    """A claim on a workload or metric that the runs cannot give, or a workload
+    named twice, exits 2 before the parent is unpacked or a sweep runs."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the flags were checked")
+
+    for name in ("unpack_parent", "run_once"):
+        monkeypatch.setattr(bench_pairs, name, no_run)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--pairs", "2", "--seconds", "2",
+                          "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -149,6 +149,15 @@ def main(argv: list[str] | None = None) -> int:
         end_to_end = json.load(fh)["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end}
+    # checked before any run, so a bad flag costs no sweep
+    names = [name for name, _ in args.workload]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        parser.error(f"--workload names {repeated} more than once")
+    if args.claim and args.claim[0] not in names:
+        parser.error(f"--claim workload {args.claim[0]!r} is not given by --workload")
+    if args.claim and args.claim[1] not in better:
+        parser.error(f"--claim metric {args.claim[1]!r} is not one of {sorted(better)}")
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
     workloads = {}
