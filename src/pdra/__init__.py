@@ -1,6 +1,6 @@
 """Pattern-domain pilot design and random-access simulation for massive MIMO.
 
-Subpackages:
+Modules:
     zc        Zadoff-Chu sequences, cyclic shifts, correlation primitives
     pool      combinatorial pattern pool over shift subsets
     analytic  closed-form success-probability model

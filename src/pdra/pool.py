@@ -138,6 +138,6 @@ class PilotPool:
         root = generate_root_sequence(self.n_zc, root_idx + 1)
         return build_pattern(root, shifts, self.n_cs)
 
-    def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Batched uniform pattern index draws (the simulator's hot path)."""
+    def sample_indices(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        """Uniform pattern indices in an array of shape size (the engine's hot path)."""
         return rng.integers(0, self.n_p, size=size)

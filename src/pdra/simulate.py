@@ -14,7 +14,7 @@ of block t // 64, its outcome does not depend on the point's trial count, and
 run_trial replays it alone.  Draw order within a block:
 
 1. p_a < 1 only: 64 counts, 1 + Binomial(population - 1, p_a); at p_a = 1
-   every row holds the whole population and nothing is drawn;
+   every row holds the whole population and draws no count;
 2. a (64, n_max) array of pool indices, n_max the block's largest count;
    column 0 is the tagged UE, and the entries past a row's count are padding
    that a validity mask hides;
@@ -116,6 +116,13 @@ EVENTS = (EVENT_E0, EVENT_E1, EVENT_E2, EVENT_IDENTICAL)
 
 # Trials per block, the unit of the RNG contract.
 BLOCK_TRIALS = 64
+# Largest mean active count a point may ask of the engine, which refuses it
+# before any draw: a block allocates arrays of (64, largest count) entries,
+# and more per live row.
+MAX_MEAN_ACTIVE = 2**12
+# Largest lag table R^2 (3 N_SS - 1) a pool's correlator builds (64 MB of
+# complex entries); the presets need at most 3,056.
+MAX_LAG_TABLE = 2**22
 
 Z_95 = 1.959963984540054
 
@@ -300,6 +307,9 @@ class _PatternCorrelator:
         self.n_zc, self.n_ss, self.n_roots = pool.n_zc, pool.n_ss, pool.r_roots
         self.scale = 1.0 / math.sqrt(pool.l)
         self.width = 3 * pool.n_ss - 1
+        if (entries := self.n_roots ** 2 * self.width) > MAX_LAG_TABLE:
+            raise ValueError(f"the lag table needs R^2 (3 N_SS - 1) = {entries} entries, "
+                             f"over the limit of {MAX_LAG_TABLE} (2**22)")
         lags = np.arange(1 - pool.n_ss, pool.n_ss) * pool.n_cs % pool.n_zc
         profiles = _root_pair_profiles(pool.n_zc, range(1, self.n_roots + 1), lags)
         table = np.zeros((self.n_roots ** 2, self.width), dtype=complex)
@@ -372,18 +382,15 @@ def _root_pair_profiles(n_zc: int, roots: Sequence[int], lags: np.ndarray) -> np
 
 
 def _rank_one_sinr(
-    coefs: np.ndarray, n_active: np.ndarray, p_lin: float, m: int,
-    rng: Generator, drawn: int | None = None,
+    coefs: np.ndarray, n_active: np.ndarray, p_lin: float, gamma: np.ndarray, rng: Generator,
 ) -> np.ndarray:
     """Tagged SINR of each row over i.i.d. channels, by the rank-one law.
 
-    Row r has pilot coefficients coefs[r, :n_active[r]] and zero padding.
-    Draws gamma ~ Gamma(M, 1) for drawn rows (default every row; rows past
-    len(coefs) only keep the stream in step), then zeta ~ CN(0, I) of width
-    n + 1 per row, and returns the SINR of the y form (module docstring).
+    Row r has pilot coefficients coefs[r, :n_active[r]] and zero padding, and
+    gamma[r] ~ Gamma(M, 1).  Draws zeta ~ CN(0, I) of width n + 1 per row and
+    returns the SINR of the y form (module docstring).
     """
     rows, n = coefs.shape
-    gamma = rng.standard_gamma(m, size=rows if drawn is None else drawn)[:rows]
     z = rng.standard_normal((rows, 2, n + 1))
     # zeta = (z_re + j z_im) / sqrt(2), zero on padding, so that y_i = 0 there
     scale = np.where(np.arange(n + 1) < n_active[:, None], math.sqrt(0.5), 0.0)
@@ -416,7 +423,7 @@ def _correlated_sinr(
     Per row, in row order: one (k + 1, 2, M) draw of normals holds the k
     explicit channels, then the noise w of g = sqrt(P) sum_n c_n h_n + w; then
     one E_n ~ Exp(1) per same-root other, whose term q_n E_n (module
-    docstring) _same_root_power adds once every row is drawn.
+    docstring) _same_root_power adds once every row has its draws.
     """
     rows, width = steer.shape
     # tables of the active UEs only; row r's UEs start at offset start[r]
@@ -513,6 +520,9 @@ def run_block(
     tagged pattern, E1 by its free components; identical and E2 rows draw no
     channel and fail.
     """
+    if (mean := 1 + (config.population - 1) * config.p_a) > MAX_MEAN_ACTIVE:
+        raise ValueError(f"mean active count {mean:.6g} exceeds the engine's limit of "
+                         f"{MAX_MEAN_ACTIVE} (2**12)")
     rng = trial_rng(config.master_seed, point_id, block_index)
     pool = config.pool
 
@@ -528,45 +538,40 @@ def run_block(
     live = events < 2  # E0 and E1, the events with a SINR
     counted = np.flatnonzero(live[:rows])
     sinr = np.full(rows, np.nan)
+    n_same = same[:rows].sum(axis=1)
     if counted.size:
-        rows_of = (x.take(counted, 0) for x in (roots, shifts, valid, shared, same))
-        sinr[counted] = _live_sinr(config, *rows_of, n_active[live], rng)
-    return BlockOutcome(n_active[:rows], events[:rows], same[:rows].sum(axis=1), sinr,
+        roots, shifts, valid, shared, same = (
+            x.take(counted, 0) for x in (roots, shifts, valid, shared, same))
+        p_lin = db_to_linear(config.snr_db)
+        coefs = _correlator(pool).coefficient(
+            roots, shifts, roots[:, 0], shifts[:, 0], ~shared) * valid
+        n_counted = n_active[counted]
+        # Every live row draws its gamma or drops, counted or not, so the
+        # draws of the counted rows are a prefix of the whole block's.
+        if config.rho == 0.0:
+            gamma = rng.standard_gamma(config.m_antennas, np.count_nonzero(live))
+            sinr[counted] = _rank_one_sinr(coefs, n_counted, p_lin, gamma[:counted.size], rng)
+        else:
+            xy = drop_positions(rng, int(n_active[live].sum()))[:n_counted.sum()]
+            # h_n carries e^{-j delta_n k}, the quadratic form of a same-root
+            # other e^{+j delta_n k}: one signed angle per UE
+            signed = np.zeros(valid.shape)
+            signed[valid] = np.arctan2(xy[:, 1], xy[:, 0])
+            signed[~same] *= -1.0
+            # each row in draw order: explicit UEs, then same-root others,
+            # each in column order, then padding
+            order = np.argsort(same | ~valid, axis=1, kind="stable")
+            sinr[counted] = _correlated_sinr(
+                np.take_along_axis(coefs, order, axis=1),
+                np.take_along_axis(signed, order, axis=1), n_counted - same.sum(axis=1),
+                n_counted, config.rho, config.m_antennas, p_lin, rng)
+    return BlockOutcome(n_active[:rows], events[:rows], n_same, sinr,
                         sinr >= db_to_linear(config.alpha_th_db))
-
-
-def _live_sinr(
-    config: ScenarioConfig, roots: np.ndarray, shifts: np.ndarray, valid: np.ndarray,
-    shared: np.ndarray, same: np.ndarray, drawn: np.ndarray, rng: Generator,
-) -> np.ndarray:
-    """Tagged SINR of the counted live rows: the rank-one law when i.i.d.,
-    else one trial per row after the drops of all their UEs.  roots to same
-    hold those rows of run_block's arrays; drawn holds the UE counts of every
-    live row of the block, whose gammas or drops are all drawn."""
-    p_lin = db_to_linear(config.snr_db)
-    coefs = _correlator(config.pool).coefficient(
-        roots, shifts, roots[:, 0], shifts[:, 0], ~shared) * valid
-    n_active = valid.sum(axis=1)
-    if config.rho == 0.0:
-        return _rank_one_sinr(coefs, n_active, p_lin, config.m_antennas, rng, len(drawn))
-    xy = drop_positions(rng, int(drawn.sum()))[:n_active.sum()]
-    # h_n carries e^{-j delta_n k}, the quadratic form of a same-root other
-    # e^{+j delta_n k}: one signed angle per UE
-    signed = np.zeros(valid.shape)
-    signed[valid] = np.arctan2(xy[:, 1], xy[:, 0])
-    signed[~same] *= -1.0
-    # each row in draw order: explicit UEs, then same-root others, each in
-    # column order, then padding
-    order = np.argsort(same | ~valid, axis=1, kind="stable")
-    return _correlated_sinr(
-        np.take_along_axis(coefs, order, axis=1), np.take_along_axis(signed, order, axis=1),
-        n_active - same.sum(axis=1), n_active, config.rho, config.m_antennas, p_lin, rng,
-    )
 
 
 def run_trial(config: ScenarioConfig, trial_index: int, point_id: int = 0) -> TrialOutcome:
     """One access opportunity for the tagged UE: row trial_index mod
-    BLOCK_TRIALS of its block, which is drawn whole."""
+    BLOCK_TRIALS of its block, which runs whole."""
     block, row = divmod(trial_index, BLOCK_TRIALS)
     return run_block(config, block, point_id).trial(row)
 
@@ -587,7 +592,7 @@ def run_forced_interference_trial(
     the free-running pipeline given K.  Returns the realized pre-limit SINR
     over i.i.d. channels and its pattern-conditional large-M limit
     N_ZC / sum_k |coef_k|^2.  Draw order in the trial's own stream: K + 1
-    pattern ranks, K interferer roots, then the rank-one law's draws.
+    pattern ranks, K interferer roots, Gamma(M, 1), then zeta's normals.
     """
     if pool.r_roots < 2:
         raise ValueError("forced different-root interference needs at least 2 roots")
@@ -595,9 +600,8 @@ def run_forced_interference_trial(
     shifts = pool.shift_table[rng.integers(0, pool.n_ps, k_different_root + 1)]
     roots = np.append(0, 1 + rng.integers(0, pool.r_roots - 1, k_different_root))
     coefs = _correlator(pool).coefficient(roots, shifts, 0, shifts[0], np.ones(pool.l, bool))
-    sinr = _rank_one_sinr(
-        coefs[None], np.array([len(roots)]), db_to_linear(snr_db), m_antennas, rng
-    )[0]
+    sinr = _rank_one_sinr(coefs[None], np.array([len(roots)]), db_to_linear(snr_db),
+                          rng.standard_gamma(m_antennas, 1), rng)[0]
 
     interf_power = float(np.sum(np.abs(coefs[1:]) ** 2))
     limit = math.inf if interf_power == 0.0 else pool.n_zc / interf_power

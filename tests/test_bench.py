@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -797,6 +798,37 @@ class TestMainCli:
         count = row["n_active"] or row["population"]
         assert row["status"] == f"error: population must lie in [1, 2**63], got {count}"
         assert row["p_success_sim"] == row["p_success_analytic"] == ""
+
+    @pytest.mark.parametrize("mode", ["simulate", "both", "analytic"])
+    @pytest.mark.parametrize("grid, message", [
+        (f"r_roots: [1]\nn_ss: [3, 16]\np_a: [0.5]\npopulation: {2**62}\n",
+         "mean active count 2.30584e+18 exceeds the engine's limit of 4096 (2**12)"),
+        ("r_roots: [1]\nn_ss: [16]\np_a: [0.5]\npopulation: 100000000\n",
+         "mean active count 5e+07 exceeds the engine's limit of 4096 (2**12)"),
+        ("r_roots: [800]\nn_ss: [839]\nn_active: [3]\n",
+         "the lag table needs R^2 (3 N_SS - 1) = 1610240000 entries, over the "
+         "limit of 4194304 (2**22)"),
+    ], ids=["mean-active-2**61", "mean-active-5e7", "lag-table"])
+    def test_oversize_point_is_refused_before_allocating(
+        self, tmp_path, capsys, mode, grid, message
+    ):
+        """A point whose block would allocate arrays of about the mean active
+        count, or whose correlator would build R^2 (3 N_SS - 1) lag entries,
+        fails by name and at once when simulated; the closed forms build
+        neither array, so mode analytic gives ok rows."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"mode: {mode}\nm_antennas: 4\ntrials: 2\n{grid}")
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        code = main(["--config", str(cfg), "--out", str(out)])
+        assert time.perf_counter() - start < 20.0
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            statuses = {row["status"] for row in csv.DictReader(fh)}
+        if mode == "analytic":
+            assert (code, statuses) == (0, {"ok"})
+        else:
+            assert (code, statuses) == (1, {f"error: {message}"})
 
     @pytest.mark.parametrize("preset", [None, "fig2"])
     def test_population_without_p_a_exits_two_before_the_campaign(

@@ -553,8 +553,9 @@ class TestRankOneLaw:
         c = np.array([math.sqrt(N_ZC), 1.3 * np.exp(0.4j), 0.7j, -1.1,
                       0.2 - 0.9j, 2.0 * np.exp(-2.0j)])[:n]
         p_lin, draws = 0.1, 20_000
-        fast = _rank_one_sinr(np.tile(c, (draws, 1)), np.full(draws, n), p_lin, m,
-                              np.random.default_rng(100 + m))
+        rng = np.random.default_rng(100 + m)
+        fast = _rank_one_sinr(np.tile(c, (draws, 1)), np.full(draws, n), p_lin,
+                              rng.standard_gamma(m, draws), rng)
         rng = np.random.default_rng(200 + m)
         slow = [explicit_iid_sinr(c, p_lin, m, rng) for _ in range(draws)]
         assert ks_2samp(fast, slow).pvalue > 0.01
@@ -569,7 +570,8 @@ class TestRankOneLaw:
         valid = np.arange(n) < n_active[:, None]
         c = 3.0 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
         c[:, 0] = 20.0
-        got = _rank_one_sinr(c * valid, n_active, p_lin, m, np.random.default_rng(9))
+        draw = np.random.default_rng(9)
+        got = _rank_one_sinr(c * valid, n_active, p_lin, draw.standard_gamma(m, rows), draw)
         rng = np.random.default_rng(9)
         gamma = rng.standard_gamma(m, size=(rows, 1))
         z = rng.standard_normal((rows, 2, n + 1))
@@ -586,7 +588,8 @@ class TestRankOneLaw:
         """A row padded with zero coefficients gives the SINR of the unpadded
         row from the same gamma and the same leading zeta entries."""
         c = np.array([[5.0, 1.0 + 1.0j, 0.0, 0.0]])
-        padded = _rank_one_sinr(c, np.array([2]), 0.3, 8, np.random.default_rng(4))
+        draw = np.random.default_rng(4)
+        padded = _rank_one_sinr(c, np.array([2]), 0.3, draw.standard_gamma(8, 1), draw)
         rng = np.random.default_rng(4)
         gamma = rng.standard_gamma(8, size=(1, 1))
         z = rng.standard_normal((1, 2, 5))
@@ -796,6 +799,31 @@ class TestForcedInterference:
             devs = [abs(s / lim - 1) for s, lim in ratios if math.isfinite(lim)]
             mean_devs.append(np.mean(devs))
         assert mean_devs[0] > mean_devs[1] > mean_devs[2]
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_draw_order(self, k, l):
+        """A twin of the trial's stream replays it: K + 1 pattern ranks, K
+        interferer roots, one Gamma(M, 1), then the (1, 2, K + 2) normals of
+        zeta, with the SINR in the projection form (TestRankOneLaw)."""
+        pool = PilotPool(N_ZC, r_roots=3, n_ss=16, l=l)
+        m, p_lin, seed, t = 16, db_to_linear(3.0), 5, 7
+        sinr, limit = run_forced_interference_trial(pool, m, k, 3.0, seed, t)
+        rng = trial_rng(seed, 0, t)
+        shifts = pool.shift_table[rng.integers(0, pool.n_ps, k + 1)]
+        roots = np.append(0, 1 + rng.integers(0, pool.r_roots - 1, k))
+        gamma = rng.standard_gamma(m, 1)[0]
+        z = rng.standard_normal((1, 2, k + 2))[0]
+        c = _correlator(pool).coefficient(roots, shifts, 0, shifts[0], np.ones(l, bool))
+        zeta = (z[0] + 1j * z[1]) / math.sqrt(2.0)
+        v = np.append(math.sqrt(p_lin) * c, 1.0)
+        u = v / np.linalg.norm(v)
+        x = gamma * u + math.sqrt(gamma) * (zeta - u * np.vdot(u, zeta))
+        power = np.abs(x[:k + 1]) ** 2
+        want = p_lin * power[0] / (p_lin * power[1:].sum() + gamma)
+        assert sinr == pytest.approx(want, rel=1e-12)
+        interference = np.sum(np.abs(c[1:]) ** 2)
+        assert limit == (math.inf if k == 0 else N_ZC / interference)
 
     def test_no_interferers_is_noise_limited(self):
         pool = PilotPool(N_ZC, r_roots=2, n_ss=32, l=2)
