@@ -2,23 +2,45 @@
 
 Lays out the two-tier hexagonal grid, drops users uniformly in the center
 cell, and inspects the exponential antenna-correlation model that the
-correlated-fading simulations draw from.
+correlated-fading simulations draw from.  The grid and one seeded UE drop are
+written to demo-topology.csv in the working directory.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from pdra.geometry import (
     CELL_RADIUS_M,
+    MIN_DIST_M,
     UePlacement,
-    cell_centers,
     correlation_factor,
+    drop_positions,
     drop_ue,
     expand_ramps,
     ramp_tables,
     toeplitz_channels,
 )
+
+
+TIERS = 2
+
+
+def cell_centers():
+    """(cells, 2) base-station positions of the center cell and TIERS full
+    rings of neighbors, center cell first."""
+    spacing = math.sqrt(3.0) * CELL_RADIUS_M
+    centers = []
+    for q in range(-TIERS, TIERS + 1):
+        for r in range(-TIERS, TIERS + 1):
+            if abs(q + r) > TIERS:
+                continue
+            x = spacing * (q + r / 2.0)
+            y = spacing * (math.sqrt(3.0) / 2.0) * r
+            centers.append((math.hypot(x, y), x, y))
+    centers.sort(key=lambda c: (round(c[0], 9), round(c[1], 9), round(c[2], 9)))
+    return np.array([(x, y) for _, x, y in centers])
 
 
 def pathloss_db(distance_m):
@@ -31,6 +53,16 @@ ring = np.hypot(centers[:, 0], centers[:, 1])
 print(f"{len(centers)} cells: center + {np.sum(np.isclose(ring, ring[1]))} first-tier "
       f"+ {len(centers) - 1 - int(np.sum(np.isclose(ring, ring[1])))} outer")
 print(f"nearest-neighbor spacing {ring[1]:.1f} m for {CELL_RADIUS_M:.0f} m cell radius")
+
+# the grid and one UE drop from its own fixed Philox stream, seed 4
+philox = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+ue_x, ue_y = drop_positions(philox, 1)[0]
+with open("demo-topology.csv", "w", encoding="utf-8", newline="") as fh:
+    out = csv.writer(fh)
+    out.writerow(["kind", "index", "x_m", "y_m", "cell_radius_m", "min_dist_m"])
+    for i, (x, y) in enumerate(centers):
+        out.writerow(["cell", i, f"{x:.10g}", f"{y:.10g}", f"{CELL_RADIUS_M:.10g}", ""])
+    out.writerow(["ue", 0, f"{ue_x:.10g}", f"{ue_y:.10g}", "", f"{MIN_DIST_M:.10g}"])
 
 rng = np.random.default_rng(11)
 drops = [drop_ue(rng) for _ in range(5)]

@@ -4,7 +4,7 @@ Modules:
     zc        Zadoff-Chu sequences, cyclic shifts, correlation primitives
     pool      combinatorial pattern pool over shift subsets
     analytic  closed-form success-probability model
-    geometry  the cell grid, UE drops, channel correlation models
+    geometry  the one cell, UE drops, channel correlation models
     simulate  Monte-Carlo access-opportunity engine
     bench     experiment specs, presets, CSV campaigns, CLI entry point
 """

@@ -29,7 +29,6 @@ from .analytic import (
     no_closed_form_reason,
     p_no_pattern_collision,
 )
-from .geometry import CELL_RADIUS_M, MIN_DIST_M, cell_centers, drop_positions
 from .simulate import (
     ScenarioConfig,
     SweepResult,
@@ -51,6 +50,8 @@ CSV_COLUMNS = [
     "p_success_analytic", "analytic_note",
     "trials", "seed", "status",
 ]
+# The cells that hold a point's values; an error row leaves them blank.
+VALUE_COLUMNS = ("p_success_sim", "ci_lo", "ci_hi", "p_success_analytic", "analytic_note")
 # The JSON provenance record of a CSV is written to its path plus this suffix.
 SIDECAR_SUFFIX = ".meta.json"
 
@@ -96,7 +97,7 @@ class ExperimentSpec:
         # equality, not hashing: an unhashable preset is refused, not a TypeError
         if self.preset not in (None, *PRESETS):
             raise SchemaError(
-                f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)} or 'topology'"
+                f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}"
             )
         # Each config key's field holds its value cast as parse_config casts
         # it; None leaves an activity leg off.
@@ -297,11 +298,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fail_row(row: dict, status: str) -> None:
+    """Make row an error row: its status says why and its value cells are blank."""
+    row.update(dict.fromkeys(VALUE_COLUMNS, ""), status=status)
+
+
 def _point_error(spec: ExperimentSpec, point: dict) -> tuple[ScenarioConfig | None, dict]:
     """Build one grid point and its CSV row, with every cell but the
     campaign's: in every mode but simulate, the closed-form value and a note
     naming its flavor.  A point that cannot be built, or whose closed form
-    raises, gets None and an error row with no values, so it is not simulated."""
+    raises, gets None and an error row (_fail_row), so it is not simulated."""
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update({k: _fmt(v) for k, v in point.items()})
     row.update(alpha_th_linear=_fmt(db_to_linear(point["alpha_th_db"])),
@@ -321,7 +327,7 @@ def _point_error(spec: ExperimentSpec, point: dict) -> tuple[ScenarioConfig | No
                 value = analytic_reference(built)
                 note = "single-sequence-baseline" if built.pool.l == 1 else ""
     except ValueError as exc:
-        row["status"] = f"error: {exc}"
+        _fail_row(row, f"error: {exc}")
         return None, row
     row.update(p_success_analytic=_fmt(value), analytic_note=note)
     return built, row
@@ -329,13 +335,13 @@ def _point_error(spec: ExperimentSpec, point: dict) -> tuple[ScenarioConfig | No
 
 def _result_rows(rows: list[dict], sim_results: dict[int, SweepResult]) -> None:
     """Write the campaign's cells into the build pass's row (_point_error) of
-    each simulated point, keyed by grid index."""
+    each simulated point, keyed by grid index.  A point the campaign fails
+    gets an error row (_fail_row), so its closed-form cells go blank too."""
     for idx, res in sim_results.items():
-        row = rows[idx]
-        row.update(status=res.status, trials=str(res.trials_used))
-        if res.status == "ok":
-            row.update(p_success_sim=_fmt(res.empirical_p_success),
-                       ci_lo=_fmt(res.wilson_ci_95[0]), ci_hi=_fmt(res.wilson_ci_95[1]))
+        rows[idx].update(trials=str(res.trials_used), p_success_sim=_fmt(res.empirical_p_success),
+                         ci_lo=_fmt(res.wilson_ci_95[0]), ci_hi=_fmt(res.wilson_ci_95[1]))
+        if res.status != "ok":
+            _fail_row(rows[idx], res.status)
 
 
 def write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
@@ -399,32 +405,6 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     return 1 if failed else 0
 
 
-def run_topology(out: str, master_seed: int, echo=print) -> int:
-    """Export the cell grid of the correlated trials and one seeded UE drop as CSV."""
-    if master_seed < 0:
-        raise SchemaError(f"master_seed must be >= 0, got {master_seed}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-    ue_x, ue_y = drop_positions(rng, 1)[0]
-    centers = cell_centers()
-    columns = ["kind", "index", "x_m", "y_m", "cell_radius_m", "min_dist_m"]
-    rows = [
-        {
-            "kind": "cell", "index": str(i),
-            "x_m": _fmt(float(x)), "y_m": _fmt(float(y)),
-            "cell_radius_m": _fmt(CELL_RADIUS_M), "min_dist_m": "",
-        }
-        for i, (x, y) in enumerate(centers)
-    ]
-    rows.append({
-        "kind": "ue", "index": "0",
-        "x_m": _fmt(float(ue_x)), "y_m": _fmt(float(ue_y)),
-        "cell_radius_m": "", "min_dist_m": _fmt(MIN_DIST_M),
-    })
-    write_csv(out, rows, columns)
-    echo(f"wrote {out} ({len(centers)} cells + 1 UE)")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     defaults = ", ".join(f"{key}={list(v) if isinstance(v, tuple) else v}"
                          for key, v in dataclasses.asdict(ExperimentSpec()).items()
@@ -442,9 +422,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preset",
-        choices=sorted(PRESETS) + ["topology"],
-        help=("named experiment grid; fields remain overridable via --config/flags "
-              "(topology takes only --out and --seed)"),
+        choices=sorted(PRESETS),
+        help="named experiment grid; fields remain overridable via --config/flags",
     )
     parser.add_argument("--config", metavar="PATH",
                         help="flat YAML mapping of spec fields (lists allowed)")
@@ -460,14 +439,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.preset == "topology":
-            ignored = [f"--{name}" for name in ("config", "mode", "trials", "threads")
-                       if getattr(args, name) is not None]
-            if ignored:
-                raise SchemaError(f"--preset topology takes only --out and --seed, "
-                                  f"got {', '.join(ignored)}")
-            return run_topology(args.out or "pdra-topology.csv",
-                                1 if args.seed is None else args.seed)
         config_fields = parse_config(args.config) if args.config else {}
         flag_fields = {
             "mode": args.mode,

@@ -18,23 +18,6 @@ import numpy as np
 # UEs drop in the center cell, at least MIN_DIST_M from its base station.
 CELL_RADIUS_M = 500.0
 MIN_DIST_M = 30.0
-TIERS = 2
-
-
-def cell_centers() -> np.ndarray:
-    """(cells, 2) base-station positions of the center cell and TIERS full
-    rings of neighbors, center cell first."""
-    spacing = math.sqrt(3.0) * CELL_RADIUS_M
-    centers = []
-    for q in range(-TIERS, TIERS + 1):
-        for r in range(-TIERS, TIERS + 1):
-            if abs(q + r) > TIERS:
-                continue
-            x = spacing * (q + r / 2.0)
-            y = spacing * (math.sqrt(3.0) / 2.0) * r
-            centers.append((math.hypot(x, y), x, y))
-    centers.sort(key=lambda c: (round(c[0], 9), round(c[1], 9), round(c[2], 9)))
-    return np.array([(x, y) for _, x, y in centers])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import os
 import platform
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from pdra.bench import (
     CSV_COLUMNS,
     MODES,
     PRESETS,
+    VALUE_COLUMNS,
     ExperimentSpec,
     SchemaError,
     _fmt,
@@ -830,6 +832,28 @@ class TestMainCli:
         else:
             assert (code, statuses) == (1, {f"error: {message}"})
 
+    @pytest.mark.parametrize("roots, threads", [("[800]", "1"), ("[1, 800]", "2")],
+                             ids=["R800", "R1-R800-threads2"])
+    def test_campaign_error_row_holds_no_value(self, tmp_path, roots, threads):
+        """A point the campaign refuses is an error row like one the build
+        refuses: its status says why and every value cell is blank, the
+        closed form included; the point beside it keeps its values."""
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(f"mode: both\nr_roots: {roots}\nn_ss: [839]\nn_active: [3]\n"
+                       "trials: 20\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--out", str(out), "--threads", threads]) == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        failed = rows[-1]
+        assert failed["status"].startswith(
+            "error: the lag table needs R^2 (3 N_SS - 1) = 1610240000 entries")
+        assert all(failed[c] == "" for c in VALUE_COLUMNS)
+        for row in rows[:-1]:
+            assert row["status"] == "ok" and row["trials"] == "20"
+            assert row["p_success_sim"] and row["ci_lo"] and row["ci_hi"]
+            assert row["p_success_analytic"]
+
     @pytest.mark.parametrize("preset", [None, "fig2"])
     def test_population_without_p_a_exits_two_before_the_campaign(
         self, tmp_path, capsys, preset
@@ -982,15 +1006,13 @@ class TestMainCli:
         assert code == 2
 
     def test_environment_does_not_change_a_run(self, tmp_path, monkeypatch):
-        """PDRA_SEED and PDRA_THREADS are not settings: a sweep and the topology
-        export give what they give without them, even when they do not parse."""
+        """PDRA_SEED and PDRA_THREADS are not settings: a sweep gives what it
+        gives without them, even when they do not parse."""
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(
             "r_roots: [1]\nm_antennas: 4\nn_ss: 16\nl: 2\nn_active: 2\ntrials: 5\n"
         )
         out = tmp_path / "res.csv"
-        topo, bare_topo = tmp_path / "topo.csv", tmp_path / "bare-topo.csv"
-        assert main(["--preset", "topology", "--out", str(bare_topo), "--seed", "4"]) == 0
         monkeypatch.setenv("PDRA_THREADS", "2")
         for env_seed in ("77", "abc"):
             monkeypatch.setenv("PDRA_SEED", env_seed)
@@ -1000,13 +1022,15 @@ class TestMainCli:
                     assert next(csv.DictReader(fh))["seed"] == seed
                 with open(str(out) + ".meta.json") as fh:
                     assert json.load(fh)["spec"]["threads"] == 1
-            assert main(["--preset", "topology", "--out", str(topo), "--seed", "4"]) == 0
-            assert topo.read_bytes() == bare_topo.read_bytes()
 
-    def test_topology_export(self, tmp_path):
-        out = tmp_path / "topo.csv"
-        assert main(["--preset", "topology", "--out", str(out), "--seed", "4"]) == 0
-        with open(out, newline="") as fh:
+    def test_topology_export(self, tmp_path, monkeypatch, capsys):
+        """The cell-grid export is demo 05's: it writes 19 cells and one UE
+        into its working directory."""
+        demo = (Path(__file__).resolve().parents[1] / "demos"
+                / "05_cell_topology_and_correlation.py")
+        monkeypatch.chdir(tmp_path)
+        runpy.run_path(str(demo))
+        with open(tmp_path / "demo-topology.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         cells = [r for r in rows if r["kind"] == "cell"]
         ues = [r for r in rows if r["kind"] == "ue"]
@@ -1016,26 +1040,15 @@ class TestMainCli:
         d = math.hypot(float(ues[0]["x_m"]), float(ues[0]["y_m"]))
         assert 30.0 <= d <= 500.0
 
-
-    @pytest.mark.parametrize("flag", [
-        ["--config", "/nonexistent.yaml"], ["--mode", "simulate"],
-        ["--trials", "5"], ["--threads", "9"],
-    ], ids=lambda flag: flag[0])
-    def test_topology_rejects_sweep_flags(self, tmp_path, capsys, flag):
-        """Only --out and --seed apply to the topology export; a sweep flag
-        exits 2, named, before anything is written."""
+    def test_topology_is_not_a_preset(self, tmp_path, capsys):
+        """The cell-grid export is demo 05's; --preset topology is an invalid
+        choice that exits 2 and writes nothing."""
         out = tmp_path / "topo.csv"
-        assert main(["--preset", "topology", "--out", str(out)] + flag) == 2
-        assert flag[0] in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("seed", [-1], ids=["flag--1"])
-    def test_topology_negative_seed_exits_two(self, tmp_path, capsys, seed):
-        """A negative seed gets the sweep's message, not numpy's."""
-        out = tmp_path / "topo.csv"
-        assert main(["--preset", "topology", "--out", str(out), "--seed", str(seed)]) == 2
-        assert f"master_seed must be >= 0, got {seed}" in capsys.readouterr().err
-        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["--preset", "topology", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 def test_fig4_preset_end_to_end(tmp_path):

@@ -1,6 +1,12 @@
-"""Unit tests for the cell grid, UE drops, and channel correlation models."""
+"""Unit tests for the one cell, UE drops, and channel correlation models,
+and for the cell grid that demo 05 lays out."""
 
+import contextlib
+import io
 import math
+import os
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +14,7 @@ import pytest
 from pdra.geometry import (
     CELL_RADIUS_M,
     MIN_DIST_M,
-    TIERS,
     UePlacement,
-    cell_centers,
     correlation_factor,
     drop_positions,
     drop_ue,
@@ -21,14 +25,31 @@ from pdra.geometry import (
 
 from oracles import correlated_channels, correlation_matrix
 
+DEMO_05 = (Path(__file__).resolve().parents[1] / "demos"
+           / "05_cell_topology_and_correlation.py")
 
-def test_cell_counts_by_tier():
+
+@pytest.fixture(scope="module")
+def demo05(tmp_path_factory):
+    """The globals of demo 05, which defines TIERS and cell_centers(), run in
+    a scratch directory where it writes demo-topology.csv."""
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("demo05"))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return runpy.run_path(str(DEMO_05))
+    finally:
+        os.chdir(cwd)
+
+
+def test_cell_counts_by_tier(demo05):
     # the center cell and TIERS full rings of 6, 12, ... neighbors
-    assert len(cell_centers()) == 1 + 3 * TIERS * (TIERS + 1) == 19
+    tiers = demo05["TIERS"]
+    assert len(demo05["cell_centers"]()) == 1 + 3 * tiers * (tiers + 1) == 19
 
 
-def test_two_tier_grid_geometry():
-    centers = cell_centers()
+def test_two_tier_grid_geometry(demo05):
+    centers = demo05["cell_centers"]()
     assert centers.shape == (19, 2)
     np.testing.assert_allclose(centers[0], [0.0, 0.0], atol=1e-9)
     d = np.hypot(centers[:, 0], centers[:, 1])

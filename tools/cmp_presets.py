@@ -33,7 +33,6 @@ CONFIGS = [
     ["--preset", "fig6", "--mode", "simulate", "--trials", "60", "--seed", "5"],
     ["--preset", "fig3", "--mode", "analytic"],
     ["--preset", "fig2", "--mode", "collision"],
-    ["--preset", "topology", "--seed", "4"],
 ]
 FIELDS = ("exit code", "stdout", "CSV")
 
