@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
-    CLOSED_FORM_L,
     db_to_linear,
     no_closed_form_reason,
     p_no_pattern_collision,
@@ -114,11 +113,6 @@ class ExperimentSpec:
                 "exactly one of n_active (fixed count) and p_a (random activity) "
                 "must be set; they are mutually exclusive"
             )
-        if self.mode in ("analytic", "both"):
-            bad = sorted(set(self.l) - set(CLOSED_FORM_L))
-            if bad:
-                raise SchemaError(f"analytic model defined only for L in "
-                                  f"{set(CLOSED_FORM_L)}; grid has L={bad}")
         bad = sorted(n for n in self.n_active or () if n < 1)
         if bad:
             raise SchemaError(f"n_active entries must be >= 1, got {bad}")

@@ -409,58 +409,57 @@ def _rank_one_sinr(
 
 
 def _correlated_sinr(
-    coefs: np.ndarray, steer: np.ndarray, n_explicit: np.ndarray,
-    n_active: np.ndarray, rho: float, m: int, p_lin: float, rng: Generator,
+    coefs: np.ndarray, angles: np.ndarray, explicit: np.ndarray, same: np.ndarray,
+    rho: float, m: int, p_lin: float, rng: Generator,
 ) -> np.ndarray:
     """Tagged SINR of rows of correlated trials, by the same-root law.
 
-    Row r holds its n_active[r] UEs in draw order: first its n_explicit[r]
-    explicit UEs (the tagged UE, then its other-root interferers) with
-    coefficients coefs[r], then its same-root others, whose coefficients are
-    zero.  steer[r] holds each UE's signed angle: -delta_n for an explicit UE,
-    whose channel carries e^{-j delta_n k}, and +delta_n for a same-root other.
+    Each UE keeps its column of the block.  explicit[r] marks row r's explicit
+    UEs (the tagged UE, column 0, and its other-root interferers), whose
+    coefficients are coefs[r]; same[r] marks its same-root others, whose
+    coefficients are zero.  angles[r] holds each UE's drop angle delta_n.
 
     Per row, in row order: one (k + 1, 2, M) draw of normals holds the k
-    explicit channels, then the noise w of g = sqrt(P) sum_n c_n h_n + w; then
-    one E_n ~ Exp(1) per same-root other, whose term q_n E_n (module
-    docstring) _same_root_power adds once every row has its draws.
+    explicit channels in column order, then the noise w of
+    g = sqrt(P) sum_n c_n h_n + w; then one E_n ~ Exp(1) per same-root other,
+    in column order, whose term q_n E_n (module docstring) _same_root_power
+    adds once every row has its draws.
     """
-    rows, width = steer.shape
-    # tables of the active UEs only; row r's UEs start at offset start[r]
-    hi, lo = ramp_tables(steer[np.arange(width) < n_active[:, None]], m)
-    start = np.cumsum(n_active) - n_active
+    rows, width = angles.shape
+    # h_n carries e^{-j delta_n k}, a same-root other's quadratic form e^{+j delta_n k}
+    hi, lo = ramp_tables(np.where(same, angles, -angles), m)
     # sqrt(2) g, which the SINR, a ratio of squares of g, does not see
     g = np.empty((rows, m), dtype=complex)
     scaled = math.sqrt(2.0 * p_lin) * coefs
-    # conj(h_n^H g) and E_n; widths that do not depend on the rows keep the
-    # sums over them the same bits in any prefix of the rows
+    # conj(h_n^H g) and E_n, each in its UE's column; widths that do not
+    # depend on the rows keep the sums over them the same bits in any prefix
+    # of the rows
     cross = np.zeros((rows, width), dtype=complex)
-    exp = np.zeros((rows, width - 1))
-    for r, (o, n, k) in enumerate(zip(start, n_active, n_explicit)):
-        raw = rng.standard_normal((k + 1, 2, m))
+    exp = np.zeros((rows, width))
+    for r, (e, s) in enumerate(zip(explicit, same)):
+        raw = rng.standard_normal((np.count_nonzero(e) + 1, 2, m))
         h = toeplitz_channels(raw[:-1], rho)
-        h *= expand_ramps(hi[o:o + k], lo[o:o + k], m)
-        gr = np.matmul(scaled[r, :k], h, out=g[r])
+        h *= expand_ramps(hi[r, e], lo[r, e], m)
+        gr = np.matmul(scaled[r, e], h, out=g[r])
         gr.real += raw[-1, 0]
         gr.imag += raw[-1, 1]
-        np.vecdot(gr, h, out=cross[r, :k])
-        rng.standard_exponential(out=exp[r, :n - k])
+        cross[r, e] = np.vecdot(gr, h)
+        exp[r, s] = rng.standard_exponential(np.count_nonzero(s))
     power = cross.real ** 2 + cross.imag ** 2
     interference = power[:, 1:].sum(axis=1)
-    if (n_active > n_explicit).any():
-        interference += _same_root_power(g, exp, hi, lo, start + n_explicit, rho)
+    if same.any():
+        interference += _same_root_power(g, exp, hi, lo, rho)
     return p_lin * power[:, 0] / (p_lin * interference + np.vecdot(g, g).real)
 
 
 def _same_root_power(
-    g: np.ndarray, exp: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-    first: np.ndarray, rho: float,
+    g: np.ndarray, exp: np.ndarray, hi: np.ndarray, lo: np.ndarray, rho: float,
 ) -> np.ndarray:
     """sum_n (g^H R_n g) E_n over the same-root others of each row of g.
 
-    Row r's others have the exponentials exp[r] (zero past its count) and
-    the ramp tables hi and lo from index first[r] on.  An FFT of length 2M
-    gives the autocorrelation a(k) of each row, and
+    Column n of row r has the exponential exp[r, n] (zero where the UE is not
+    a same-root other) and the ramp tables hi[r, n] and lo[r, n].  An FFT of
+    length 2M gives the autocorrelation a(k) of each row, and
     g^H R_n g = 2 Re sum_{k<M} rho^k e^{j delta_n k} a(k) - a(0).
     """
     from numpy.fft import fft, ifft
@@ -475,10 +474,9 @@ def _same_root_power(
         part = slice(c, c + 16)
         spec = fft(g[part], 2 * m, axis=1)
         a = ifft(spec.real ** 2 + spec.imag ** 2, axis=1)[:, :n_hi * n_lo]
-        same = np.minimum(first[part, None] + np.arange(exp.shape[1]), len(hi) - 1)
         # sum_k rho^k e^{j delta k} a(k), with k = B k_hi + k_lo
         w = (weight * a).reshape(len(a), n_hi, n_lo).transpose(0, 2, 1)
-        poly = ((lo[same, 0] @ w) * hi[same, :, 0]).sum(axis=2)
+        poly = ((lo[part, :, 0] @ w) * hi[part, :, :, 0]).sum(axis=2)
         out[part] = np.sum((2.0 * poly.real - a[:, :1].real) * exp[part], axis=1)
     return out
 
@@ -553,18 +551,10 @@ def run_block(
             sinr[counted] = _rank_one_sinr(coefs, n_counted, p_lin, gamma[:counted.size], rng)
         else:
             xy = drop_positions(rng, int(n_active[live].sum()))[:n_counted.sum()]
-            # h_n carries e^{-j delta_n k}, the quadratic form of a same-root
-            # other e^{+j delta_n k}: one signed angle per UE
-            signed = np.zeros(valid.shape)
-            signed[valid] = np.arctan2(xy[:, 1], xy[:, 0])
-            signed[~same] *= -1.0
-            # each row in draw order: explicit UEs, then same-root others,
-            # each in column order, then padding
-            order = np.argsort(same | ~valid, axis=1, kind="stable")
-            sinr[counted] = _correlated_sinr(
-                np.take_along_axis(coefs, order, axis=1),
-                np.take_along_axis(signed, order, axis=1), n_counted - same.sum(axis=1),
-                n_counted, config.rho, config.m_antennas, p_lin, rng)
+            angles = np.zeros(valid.shape)
+            angles[valid] = np.arctan2(xy[:, 1], xy[:, 0])
+            sinr[counted] = _correlated_sinr(coefs, angles, valid & ~same, same, config.rho,
+                                             config.m_antennas, p_lin, rng)
     return BlockOutcome(n_active[:rows], events[:rows], n_same, sinr,
                         sinr >= db_to_linear(config.alpha_th_db))
 

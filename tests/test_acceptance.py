@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one PASS/FAIL line each.
+"""Acceptance gate: eleven end-to-end criteria, one PASS/FAIL line each.
 
 Each criterion is one test; it emits a single verdict line with the
 measured numbers and then asserts.  The lines are replayed in a terminal
@@ -8,16 +8,20 @@ their margins sit several binomial sigma away from the thresholds; total
 runtime is about a minute on one core.
 """
 
+import importlib.util
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from pdra.analytic import (
     collision_event_probs,
+    db_to_linear,
     p_k_other_roots,
     p_no_pattern_collision,
+    success_probability_random_activity,
 )
 from pdra.pool import PilotPool, combination_table, rank_combination
 from pdra.simulate import (
@@ -32,6 +36,12 @@ from pdra.simulate import (
 from pdra.zc import correlation_profile, generate_root_sequence
 
 from oracles import enumerate_collision_events
+
+# tools/agree.py, whose z and Holm functions gate criterion 12
+_AGREE_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "agree.py"
+_AGREE_SPEC = importlib.util.spec_from_file_location("agree", _AGREE_PATH)
+agree = importlib.util.module_from_spec(_AGREE_SPEC)
+_AGREE_SPEC.loader.exec_module(agree)
 
 N_ZC = 839
 
@@ -297,3 +307,52 @@ def test_criterion_10_campaign_determinism(tmp_path):
     verdict(10, "campaign determinism across reruns and threads",
             bytes_equal and rerun_equal,
             f"CSV bytes equal={bytes_equal}, in-process results equal={rerun_equal}")
+
+
+def m1_success_law(cfg: ScenarioConfig) -> float:
+    """Exact success probability at M = 1.  There h_n^H g = conj(h_n) g, so
+    the SINR is P|h_0|^2 / (P sum_{n>0} |h_n|^2 + 1) with i.i.d. Exp(1) gains,
+    whatever the coefficients, and P(success | live, N) is
+    e^{-alpha/P} (1 + alpha)^{-(N-1)}.  q(N), the probability that the tagged
+    UE is live (E0 or E1) among N, is the closed form at a vanishing
+    threshold.  N - 1 ~ Binomial(population - 1, p_a), a point mass under
+    fixed activity; terms of weight below 1e-18 are left out."""
+    from scipy.stats import binom
+
+    alpha, p_lin = db_to_linear(cfg.alpha_th_db), db_to_linear(cfg.snr_db)
+    n = np.arange(1, cfg.population + 1)
+    weight = binom.pmf(n - 1, cfg.population - 1, cfg.p_a)
+    n, weight = n[weight > 1e-18], weight[weight > 1e-18]
+    live = [success_probability_random_activity(1.0, int(k), cfg.pool, 1e-12) for k in n]
+    return math.exp(-alpha / p_lin) * float(np.sum(weight * live * (1 + alpha) ** (1.0 - n)))
+
+
+def test_criterion_12_exact_single_antenna_law():
+    """At M = 1 the success rate of run_point has an exact law on both
+    channel paths: with rho > 0, R_n is [1], so the drops and the same-root
+    Exp(1) terms must give the i.i.d. law.  Six points, fixed and random
+    activity, L = 1 and 2; 12,850 trials each (200 blocks and 50 rows), so a
+    partial last block is counted.  z of each rate against the law, Holm at a
+    family-wise 0.05 (tools/agree.py)."""
+    random = dict(p_a=0.0015, population=10_000, snr_db=10.0, alpha_th_db=-10.0)
+    points = [
+        dict(n_ss=32, l=2, r_roots=4, n_active=10, snr_db=0.0, alpha_th_db=-5.0),
+        dict(n_ss=16, l=1, r_roots=2, n_active=4, snr_db=5.0, alpha_th_db=0.0),
+        dict(n_ss=32, l=2, r_roots=2, n_active=6, snr_db=0.0, alpha_th_db=-5.0, rho=0.7),
+        dict(random, n_ss=32, l=2, r_roots=4),
+        dict(random, n_ss=32, l=1, r_roots=2),
+        dict(random, n_ss=32, l=2, r_roots=2, p_a=0.001, rho=0.7),
+    ]
+    zs, details = [], []
+    for pid, fields in enumerate(points, start=1200):
+        cfg = grid_scenario(12_850, 112, m_antennas=1, **fields)
+        successes, trials = run_point(cfg, point_id=pid)
+        exact = m1_success_law(cfg)
+        assert 0.05 < exact < 0.5
+        zs.append(agree.exact_z(successes, trials, exact))
+        details.append(f"{'iid' if cfg.rho == 0 else f'rho={cfg.rho}'} L={cfg.pool.l} "
+                       f"{'N=' + str(cfg.population) if cfg.p_a == 1 else f'p_a={cfg.p_a}'}: "
+                       f"{successes / trials:.4f} vs {exact:.4f} (z {zs[-1]:+.2f})")
+    rejected = agree.holm([agree.p_value(z) for z in zs])
+    verdict(12, "M=1 success rate matches the exact law on both channel paths",
+            not any(rejected), f"Holm rejects {sum(rejected)} of {len(zs)}; " + "; ".join(details))

@@ -83,10 +83,6 @@ class TestSpecLayering:
 
 
 class TestValidation:
-    def test_l3_analytic_success_rejected(self):
-        with pytest.raises(SchemaError, match=r"analytic model defined only for L in \{1, 2\}"):
-            ExperimentSpec(mode="analytic", l=(3,))
-
     def test_bad_n_zc_rejected(self):
         for n_zc in (840, 2, 1):
             with pytest.raises(SchemaError, match="n_zc must be an odd integer"):
@@ -406,6 +402,7 @@ NOTE_CASES = [
     (16, 2, False, ""),
     (16, 1, False, "single-sequence-baseline"),
     (3, 2, True, "no-closed-form: n_ss<4"),
+    (16, 3, True, "no-closed-form: l=3"),
 ]
 
 
@@ -984,13 +981,6 @@ class TestMainCli:
         assert row["status"].startswith("error: ")
         assert row["status"] == rows["simulate"]["status"]
         assert row["p_success_analytic"] == row["analytic_note"] == ""
-
-    def test_l3_analytic_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.yaml"
-        cfg.write_text("mode: analytic\nl: 3\n")
-        code = main(["--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-        assert code == 2
-        assert "L in {1, 2}" in capsys.readouterr().err
 
     def test_invalid_yaml_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

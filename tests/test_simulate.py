@@ -433,43 +433,53 @@ class TestCorrelatorCache:
         assert set(built) == {cfg.pool for cfg in configs.values()}
 
 
-def correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, n_explicit, m, p_lin):
+def correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, explicit, same, m, p_lin):
     """The SINR of each row of _correlated_sinr from its own normals and
     exponentials: correlated_channels for the explicit UEs, and the dense
-    quadratic form g^H R_n g for each same-root other."""
+    quadratic form g^H R_n g for each same-root other, each set read from its
+    mask in column order."""
     out = []
-    for raw, exp, c, a, k in zip(raw_rows, exp_rows, coefs, angles, n_explicit):
-        h = correlated_channels(raw[:k], 0.7, a[:k])
-        g = math.sqrt(p_lin) * (c[:k] @ h) + (raw[k, 0] + 1j * raw[k, 1]) / math.sqrt(2.0)
-        same = [np.vdot(g, correlation_matrix(m, 0.7, d) @ g).real for d in a[k:]]
+    for raw, exp, c, a, e, s in zip(raw_rows, exp_rows, coefs, angles, explicit, same):
+        k = np.count_nonzero(e)
+        h = correlated_channels(raw[:k], 0.7, a[e])
+        g = math.sqrt(p_lin) * (c[e] @ h) + (raw[k, 0] + 1j * raw[k, 1]) / math.sqrt(2.0)
+        terms = [np.vdot(g, correlation_matrix(m, 0.7, d) @ g).real for d in a[s]]
         cross = np.abs(h.conj() @ g) ** 2
         out.append(p_lin * cross[0] / (
-            p_lin * (cross[1:].sum() + np.dot(same, exp)) + np.vdot(g, g).real))
+            p_lin * (cross[1:].sum() + np.dot(terms, exp)) + np.vdot(g, g).real))
     return np.array(out)
 
 
 class TestDrawChannels:
     def test_draw_order_and_rows(self):
         """Row by row: one (k + 1, 2, M) draw of normals, the k explicit UE
-        rows steered by their angles (rows against the factor oracle:
-        tests/test_geometry.py) and then the noise; then one exponential per
-        same-root other, whose term is (g^H R_n g) E_n."""
+        rows in column order, steered by their angles (rows against the factor
+        oracle: tests/test_geometry.py), and then the noise; then one
+        exponential per same-root other in column order, whose term is
+        (g^H R_n g) E_n.  The last row interleaves the two sets: tagged,
+        same-root, other-root, same-root, other-root, padding."""
         m, p_lin = 16, 0.5
-        coefs = np.array([[3.0, 1.0 - 1.0j, 0.5j, 0.0, 0.0],
-                          [2.0, -1.5, 0.0, 0.0, 0.0]])
-        angles = np.array([[0.3, -1.2, 2.0, 0.7, -2.9],
-                           [1.1, 0.4, -0.6, 2.5, 0.0]])
-        n_explicit, n_active = np.array([3, 2]), np.array([5, 4])
-        steer = np.where(np.arange(5) < n_explicit[:, None], -angles, angles)
-        got = _correlated_sinr(coefs, steer, n_explicit, n_active, 0.7, m, p_lin,
+        coefs = np.array([[3.0, 1.0 - 1.0j, 0.5j, 0.0, 0.0, 0.0],
+                          [2.0, -1.5, 0.0, 0.0, 0.0, 0.0],
+                          [2.5, 0.0, -0.8 + 0.3j, 0.0, 1.2j, 0.0]])
+        angles = np.array([[0.3, -1.2, 2.0, 0.7, -2.9, 0.0],
+                           [1.1, 0.4, -0.6, 2.5, 0.0, 0.0],
+                           [-0.9, 1.7, 0.2, -2.4, 2.8, 0.0]])
+        explicit = np.array([[1, 1, 1, 0, 0, 0],
+                             [1, 1, 0, 0, 0, 0],
+                             [1, 0, 1, 0, 1, 0]], bool)
+        same = np.array([[0, 0, 0, 1, 1, 0],
+                         [0, 0, 1, 1, 0, 0],
+                         [0, 1, 0, 1, 0, 0]], bool)
+        got = _correlated_sinr(coefs, angles, explicit, same, 0.7, m, p_lin,
                                np.random.default_rng(8))
         rng = np.random.default_rng(8)
         raw_rows, exp_rows = [], []
-        for k, n in zip(n_explicit, n_active):
-            raw_rows.append(rng.standard_normal((k + 1, 2, m)))
-            exp_rows.append(rng.standard_exponential(n - k))
-        angles = [a[:n] for a, n in zip(angles, n_active)]
-        want = correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, n_explicit, m, p_lin)
+        for e, s in zip(explicit, same):
+            raw_rows.append(rng.standard_normal((e.sum() + 1, 2, m)))
+            exp_rows.append(rng.standard_exponential(s.sum()))
+        want = correlated_rows_by_hand(raw_rows, exp_rows, coefs, angles, explicit, same,
+                                       m, p_lin)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 5, 32, 100, 256])
@@ -478,12 +488,12 @@ class TestDrawChannels:
         term g^H R_n g of the dense correlation matrix, at any M."""
         coefs = np.array([[2.0, 0.0, 0.0, 0.0]])
         angles = np.array([[0.4, 0.0, -2.2, 3.1]])
-        steer = np.append(-angles[:, :1], angles[:, 1:], axis=1)
-        got = _correlated_sinr(coefs, steer, np.array([1]), np.array([4]), 0.7, m, 0.8,
+        explicit = np.array([[True, False, False, False]])
+        got = _correlated_sinr(coefs, angles, explicit, ~explicit, 0.7, m, 0.8,
                                np.random.default_rng(m))
         rng = np.random.default_rng(m)
         raw, exp = rng.standard_normal((2, 2, m)), rng.standard_exponential(3)
-        want = correlated_rows_by_hand([raw], [exp], coefs, angles, [1], m, 0.8)
+        want = correlated_rows_by_hand([raw], [exp], coefs, angles, explicit, ~explicit, m, 0.8)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -503,11 +513,11 @@ class TestSameRootLaw:
         angles = np.array([0.5, -1.9, 2.6, 0.1, -0.8])
         k = 5 - n_same
         p_lin, draws, chunk = 0.3, 20_000, 500
-        steer = np.tile(np.append(-angles[:k], angles[k:]), (chunk, 1))
-        rows = np.full(chunk, k), np.full(chunk, 5)
+        first_k = np.tile(np.arange(5) < k, (chunk, 1))
+        rows = np.tile(angles, (chunk, 1)), first_k, ~first_k
         rng = np.random.default_rng(300 + m + n_same)
         fast = np.concatenate([
-            _correlated_sinr(np.tile(coefs, (chunk, 1)), steer, *rows, 0.7, m, p_lin, rng)
+            _correlated_sinr(np.tile(coefs, (chunk, 1)), *rows, 0.7, m, p_lin, rng)
             for _ in range(draws // chunk)
         ])
         explicit = np.append(coefs[:k], np.zeros(n_same))
